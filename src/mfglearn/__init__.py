@@ -2,9 +2,9 @@
 exact discrete-game oracles."""
 
 from .meanfield import (BeliefState, DensityGrid, GridSpec, belief_update,
-                        build_empirical_measure, density_at, fp_update, grid_distance)
+                        build_empirical_measure, density_at, grid_distance)
 from .envs import (CongestionReward, DemandPath, EnvSpec, LqrReward,
-                   bimodal_env, congestion_env, congestion_reward, control_cost,
+                   bimodal_env, congestion_env, congestion_reward,
                    demand_env, demand_reward, lqr_env, lqr_reward, sample_initial, step)
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
 from .learner import (EpisodeLog, Schedules, TrainState, TrainTrace,

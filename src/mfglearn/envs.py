@@ -18,7 +18,7 @@ congestion game scores the terminal position reached by the single move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,16 +81,6 @@ def congestion_reward(params: CongestionReward, x, density, alpha: float):
     return value
 
 
-def control_cost(r_matrix, u):
-    """Quadratic movement cost 0.5 * u^T R u for PSD R."""
-    r = np.asarray(r_matrix, dtype=float)
-    uu = np.atleast_2d(np.asarray(u, dtype=float))
-    cost = 0.5 * np.einsum("ni,ij,nj->n", uu, r, uu)
-    if np.asarray(u).ndim == 1:
-        return float(cost[0])
-    return cost
-
-
 @dataclass(frozen=True)
 class DemandPath:
     """Piecewise-linear path of the demand peak through the plane.
@@ -126,7 +116,7 @@ class DemandPath:
 def demand_reward(path: DemandPath, t, x, density, alpha: float, spread: float = 0.1):
     """Congestion-style reward around the path position at time t.
 
-    The movement penalty is charged separately through :func:`control_cost`.
+    The movement penalty is charged separately through :func:`movement_cost`.
     """
     mu = path.position(t)
     return congestion_reward(CongestionReward.single(mu, spread), x, density, alpha)

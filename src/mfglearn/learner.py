@@ -14,8 +14,7 @@ update bit-identical.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .envs import EnvSpec, reward, sample_initial, step
 from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
+PAIR_BLOCK = 128   # rows per block in mean_pairwise_distance
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,33 @@ def validate_belief_schedule(exponent: float):
 
 
 def belief_crossover(sched: Schedules) -> int:
-    """Smallest n0 with belief_step(n) < actor rate for all n >= n0."""
-    rate = sched.actor_lr
-    n = 0
-    while sched.belief_step_value(n) >= rate * sched.lr_scale(n):
+    """Smallest n0 with belief_step(n) < actor rate for all n >= n0.
+
+    Both rates are power laws in n+1 (paper mode: belief 1/(n+1) against a
+    constant actor rate), so once the belief step starts above the actor
+    rate they cross at (n+1)^(e_belief - e_actor) = scale/actor_lr.  The
+    closed form is then moved by at most one step against the exact
+    predicate to absorb rounding.
+    """
+    def above(n: int) -> bool:
+        return sched.belief_step_value(n) >= sched.actor_lr * sched.lr_scale(n)
+
+    if not above(0):
+        return 0
+    if sched.mode == "paper":
+        scale, gap = 1.0, 1.0
+    else:
+        scale, gap = sched.belief_scale, sched.belief_exponent - sched.actor_exponent
+    if gap <= 0.0 or sched.actor_lr <= 0.0:
+        raise ValueError("belief step never drops below the actor rate")
+    try:
+        n = int((scale / sched.actor_lr) ** (1.0 / gap))
+    except OverflowError:
+        raise ValueError("belief step crosses the actor rate beyond float range") from None
+    if n > 0 and not above(n - 1):
+        n -= 1
+    elif above(n):
         n += 1
-        if n > 10 ** 8:
-            raise ValueError("belief step never drops below the actor rate")
     return n
 
 
@@ -172,6 +192,12 @@ class EpisodeLog:
                           self.agent_ids[perm], self.mean_return)
 
 
+def _noise(rng, horizon: int, n_agents: int) -> np.ndarray:
+    if n_agents < 1:
+        raise ValueError("need at least one agent")
+    return rng.standard_normal((horizon, n_agents, 2))
+
+
 def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     """Simulate the whole population for one episode under the current policy.
 
@@ -180,12 +206,19 @@ def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     depend on any processing order.  Rewards and critic features use the
     fictitious-play belief grids unless the state couples instantaneously.
     """
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    T = spec.horizon
-    pol_noise = rng.standard_normal((T, n_agents, 2))
-    dyn_noise = rng.standard_normal((T, n_agents, 2))
+    pol_noise = _noise(rng, spec.horizon, n_agents)
+    dyn_noise = _noise(rng, spec.horizon, n_agents)
+    return _simulate(spec, state, rng, pol_noise, dyn_noise, state.belief_coupling)
 
+
+def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
+              coupling: str) -> EpisodeLog:
+    """The population loop shared by :func:`rollout` and :func:`evaluate`.
+
+    ``coupling`` picks the grid rewards and densities see: the realized
+    measure of the step (``instantaneous``) or the belief average.
+    """
+    T, n_agents, _ = dyn_noise.shape
     states = np.zeros((T + 1, n_agents, 2))
     actions = np.zeros((T, n_agents, 2))
     logprobs = np.zeros((T, n_agents))
@@ -197,7 +230,7 @@ def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     measures.append(build_empirical_measure(states[0], state.grid))
 
     def grid_for(k: int) -> DensityGrid:
-        if state.belief_coupling == "instantaneous":
+        if coupling == "instantaneous":
             return measures[k]
         return state.beliefs[k].average
 
@@ -218,10 +251,10 @@ def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
         densities[k + 1] = density_at(grid_for(k + 1), nxt)
         rewards[k] = reward(spec, k + 1, nxt, a, densities[k + 1])
 
-    disc = spec.gamma ** np.arange(T)
-    mean_return = float((disc @ rewards).mean())
-    return EpisodeLog(states, actions, logprobs, rewards, densities, measures,
-                      np.arange(n_agents), mean_return)
+    log = EpisodeLog(states, actions, logprobs, rewards, densities, measures,
+                     np.arange(n_agents), 0.0)
+    log.mean_return = float(log.returns(spec.gamma).mean())
+    return log
 
 
 def fp_update_state(state: TrainState, log: EpisodeLog):
@@ -347,45 +380,27 @@ def evaluate(spec: EnvSpec, state: TrainState, n_agents: int, rng,
              deterministic: bool = True, coupling: str = "instantaneous") -> EpisodeLog:
     """Roll out the current policy for measurement, exploration noise off by
     default and rewards driven by the realized population."""
-    T = spec.horizon
-    dyn_noise = rng.standard_normal((T, n_agents, 2))
-    pol_noise = np.zeros((T, n_agents, 2)) if deterministic else rng.standard_normal((T, n_agents, 2))
-    states = np.zeros((T + 1, n_agents, 2))
-    actions = np.zeros((T, n_agents, 2))
-    logprobs = np.zeros((T, n_agents))
-    rewards_arr = np.zeros((T, n_agents))
-    densities = np.zeros((T + 1, n_agents))
-    states[0] = sample_initial(spec, rng, n_agents)
-    measures = [build_empirical_measure(states[0], state.grid)]
-
-    def grid_for(k):
-        return measures[k] if coupling == "instantaneous" else state.beliefs[k].average
-
-    densities[0] = density_at(grid_for(0), states[0])
-    for k in range(T):
-        mu = state.actor.mean_net.forward(states[k])
-        a = mu + state.actor.sigma * pol_noise[k]
-        actions[k] = a
-        logprobs[k] = state.actor.log_prob_given_mean(mu, a)
-        nxt = step(spec, states[k], a, dyn_noise[k])
-        states[k + 1] = nxt
-        measures.append(build_empirical_measure(nxt, state.grid))
-        densities[k + 1] = density_at(grid_for(k + 1), nxt)
-        rewards_arr[k] = reward(spec, k + 1, nxt, a, densities[k + 1])
-    disc = spec.gamma ** np.arange(T)
-    return EpisodeLog(states, actions, logprobs, rewards_arr, densities, measures,
-                      np.arange(n_agents), float((disc @ rewards_arr).mean()))
+    dyn_noise = _noise(rng, spec.horizon, n_agents)
+    pol_noise = np.zeros_like(dyn_noise) if deterministic else _noise(rng, spec.horizon, n_agents)
+    return _simulate(spec, state, rng, pol_noise, dyn_noise, coupling)
 
 
 def mean_pairwise_distance(points) -> float:
-    """Mean Euclidean distance over unordered distinct pairs."""
+    """Mean Euclidean distance over unordered distinct pairs.
+
+    Distances are summed PAIR_BLOCK rows at a time, so memory stays linear
+    in the number of points.
+    """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 2:
         return 0.0
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    return float(dist[np.triu_indices(n, k=1)].mean())
+    total = 0.0
+    for lo in range(0, n - 1, PAIR_BLOCK):
+        rows = pts[lo:lo + PAIR_BLOCK]
+        dist = np.hypot(rows[:, None, 0] - pts[None, lo:, 0], rows[:, None, 1] - pts[None, lo:, 1])
+        total += float(np.triu(dist, k=1).sum())  # column j > row i only
+    return total / (n * (n - 1) / 2)
 
 
 def convergence_metrics(trace: TrainTrace, terminal_positions=None, window: int = 200) -> dict:
@@ -421,13 +436,5 @@ def write_trace(trace: TrainTrace, path):
                                          repr(float(trace.belief_drift[i])),
                                          repr(float(trace.actor_grad_norm[i])),
                                          repr(float(trace.critic_loss[i]))))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def write_positions(points, path):
-    lines = ["x,y"]
-    for p in np.asarray(points, dtype=float):
-        lines.append("%s,%s" % (repr(float(p[0])), repr(float(p[1]))))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")

@@ -142,28 +142,23 @@ def density_at(grid: DensityGrid, x):
     return dens
 
 
-def fp_update(belief: BeliefState, measure: DensityGrid) -> BeliefState:
-    """Fold one measure into the running mean: (count*avg + m) / (count+1)."""
-    _check_same_shape(belief.average, measure)
-    c = belief.count
-    avg = (c * belief.average.mass + measure.mass) / (c + 1)
-    return BeliefState(DensityGrid(belief.average.spec, avg), c + 1)
-
-
 def belief_update(belief: BeliefState, measure: DensityGrid, step=None) -> BeliefState:
-    """Averaging update with an explicit step size in (0, 1].
+    """Fold one measure into the belief average.
 
-    ``step=None`` uses 1/(count+1), reproducing :func:`fp_update` exactly.
-    Other steps give the generalized stochastic-approximation form
+    ``step=None`` keeps the exact running mean (count*avg + m)/(count+1);
+    a step in (0, 1] gives the generalized stochastic-approximation form
     avg + step*(measure - avg).
     """
-    if step is None:
-        return fp_update(belief, measure)
-    if not 0.0 < step <= 1.0:
-        raise ValueError("belief step must be in (0, 1], got %r" % step)
     _check_same_shape(belief.average, measure)
-    avg = belief.average.mass + step * (measure.mass - belief.average.mass)
-    return BeliefState(DensityGrid(belief.average.spec, avg), belief.count + 1)
+    avg = belief.average.mass
+    if step is None:
+        c = belief.count
+        new = (c * avg + measure.mass) / (c + 1)
+    elif 0.0 < step <= 1.0:
+        new = avg + step * (measure.mass - avg)
+    else:
+        raise ValueError("belief step must be in (0, 1], got %r" % step)
+    return BeliefState(DensityGrid(belief.average.spec, new), belief.count + 1)
 
 
 def grid_distance(a: DensityGrid, b: DensityGrid) -> float:

@@ -191,17 +191,14 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
         for a in range(game.n_actions):
             r += policies[agent][t, own_s, a] * game.reward(own_s, mass[:, agent], a)
         total += float(dist @ r)
-        # factorized joint transition: per-agent policy-averaged kernels
-        kernels = [np.einsum("sa,sab->sb", policies[i][t], game.transitions) for i in range(n)]
-        new_dist = np.zeros(len(joint))
-        for row, p in zip(joint, dist):
-            if p == 0.0:
-                continue
-            step = np.ones(1)
-            for i in range(n):
-                step = np.multiply.outer(step, kernels[i][row[i]]).ravel()
-            new_dist += p * step
-        dist = new_dist
+        # factorized joint transition: contract each agent's axis of the (S,)*n
+        # distribution tensor with its policy-averaged kernel; tensordot puts
+        # the successor axis last, so after n contractions the order is restored
+        dist = dist.reshape((game.n_states,) * n)
+        for i in range(n):
+            kernel = np.einsum("sa,sab->sb", policies[i][t], game.transitions)
+            dist = np.tensordot(dist, kernel, axes=(0, 0))
+        dist = dist.ravel()
     return total
 
 

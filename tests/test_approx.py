@@ -284,9 +284,11 @@ def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     net = Mlp.init(3, 4, 2, rng)
     named = {"actor.%s" % k: v for k, v in net.params.items()}
+    named.update({"empty": np.zeros(0), "empty2d": np.zeros((2, 0)), "scalar": np.float64(1.5)})
     path = tmp_path / "params.csv"
     save_params(path, named)
     loaded = load_params(path)
     assert set(loaded) == set(named)
     for k in named:
+        assert loaded[k].shape == np.shape(named[k])
         assert np.array_equal(loaded[k], named[k])

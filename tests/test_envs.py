@@ -3,7 +3,7 @@ import pytest
 
 from mfglearn.envs import (CongestionReward, DemandPath, EnvError, LqrReward,
                            bimodal_env, congestion_env, congestion_reward,
-                           control_cost, demand_env, demand_reward, lqr_env,
+                           demand_env, demand_reward, lqr_env,
                            lqr_reward, movement_cost, reward, sample_initial, step)
 
 
@@ -102,14 +102,15 @@ def test_bimodal_sums_components():
 
 
 def test_control_cost_basics():
-    assert control_cost(2.0 * np.eye(2), [0.0, 0.0]) == 0.0
-    assert control_cost(2.0 * np.eye(2), [1.0, 1.0]) == pytest.approx(2.0)
+    spec = congestion_env(eta=2.0)
+    assert movement_cost(spec, [0.0, 0.0]) == 0.0
+    assert movement_cost(spec, [1.0, 1.0]) == pytest.approx(2.0)  # 0.5 * 2 * |u|^2
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for eta in rng.uniform(0.1, 2.0, 20):
+        spec = congestion_env(eta=float(eta))
         u = rng.standard_normal(2)
-        r = np.diag(rng.uniform(0.1, 2.0, 2))
-        assert control_cost(r, u) == pytest.approx(control_cost(r, -u))
-        assert control_cost(r, u) >= 0.0
+        assert movement_cost(spec, u) == pytest.approx(movement_cost(spec, -u))
+        assert movement_cost(spec, u) >= 0.0
 
 
 def test_demand_peak_on_path():

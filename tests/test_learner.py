@@ -1,15 +1,16 @@
 import copy
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mfglearn.approx import DivergenceError
 from mfglearn.envs import congestion_env, lqr_env
-from mfglearn.learner import (EpisodeLog, Schedules, TrainState, TrainTrace,
-                              belief_crossover, convergence_metrics, init_train_state,
-                              mean_pairwise_distance, pg_update, rollout, td_update,
-                              train, validate_belief_schedule, write_trace)
+from mfglearn.learner import (PAIR_BLOCK, EpisodeLog, Schedules, TrainState, TrainTrace,
+                              belief_crossover, convergence_metrics, evaluate,
+                              init_train_state, mean_pairwise_distance, pg_update, rollout,
+                              td_update, train, validate_belief_schedule, write_trace)
 from mfglearn.meanfield import GridSpec, grid_distance
 
 GRID = GridSpec(resolution=20)
@@ -62,6 +63,23 @@ def test_belief_crossover():
     assert sched.belief_step_value(n0 - 1) >= sched.actor_lr
     for n in range(n0, n0 + 500):
         assert sched.belief_step_value(n) < sched.actor_lr
+
+
+def test_belief_crossover_theory_boundary():
+    sched = Schedules(mode="theory", actor_lr=1e-2, belief_exponent=1.0, actor_exponent=0.5)
+    n0 = belief_crossover(sched)
+    assert n0 == 10 ** 4  # (n+1)^(1 - 0.5) = 1/actor_lr
+    rate = lambda n: sched.actor_lr * sched.lr_scale(n)
+    assert sched.belief_step_value(n0) < rate(n0)
+    assert sched.belief_step_value(n0 - 1) >= rate(n0 - 1)
+
+
+@pytest.mark.parametrize("actor_exponent", [1.0, 0.999])  # the default; a crossing past 1e308
+def test_belief_crossover_theory_defaults_never_cross(actor_exponent):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="actor rate"):
+        belief_crossover(Schedules(mode="theory", actor_exponent=actor_exponent))
+    assert time.perf_counter() - start < 1.0
 
 
 # --- rollout ------------------------------------------------------------------
@@ -262,6 +280,34 @@ def test_train_divergence_attaches_partial_trace():
     assert len(info.value.trace) > 0
 
 
+def test_evaluate_divergence_raises():
+    spec = bandit_spec()
+    state = fresh_state(spec)
+    state.actor.mean_net.forward = lambda x: np.full((len(x), 2), np.inf)
+    with pytest.raises(DivergenceError):
+        evaluate(spec, state, 4, np.random.default_rng(22))
+
+
+def test_evaluate_rejects_empty_population():
+    spec = congestion_env()
+    with pytest.raises(ValueError):
+        evaluate(spec, fresh_state(spec), 0, np.random.default_rng(23))
+
+
+def test_snapshot_hook_fires_every_n_episodes():
+    spec = bandit_spec()
+    state = fresh_state(spec)
+    calls = []
+
+    def hook(live, log):
+        calls.append((live.episode, live is state, log.mean_return))
+
+    state, trace, _ = train(spec, state, n_agents=4, episodes=5, rng=np.random.default_rng(24),
+                            snapshot_every=2, snapshot_hook=hook)
+    assert [(ep, live) for ep, live, _ in calls] == [(2, True), (4, True)]
+    assert [ret for _, _, ret in calls] == [trace.mean_return[1], trace.mean_return[3]]
+
+
 def test_updates_bit_identical_under_agent_permutation():
     spec = congestion_env(alpha=1.5)
     state = fresh_state(spec)
@@ -303,6 +349,13 @@ def test_convergence_metrics_constant_trace():
 def test_dispersion_unit_square_corners():
     corners = [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert mean_pairwise_distance(corners) == pytest.approx((4 + 2 * math.sqrt(2)) / 6)
+
+
+def test_dispersion_matches_direct_formula_across_blocks():
+    pts = np.random.default_rng(25).standard_normal((2 * PAIR_BLOCK + 5, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    direct = dist[np.triu_indices(len(pts), k=1)].mean()
+    assert mean_pairwise_distance(pts) == pytest.approx(direct, rel=1e-12)
 
 
 def test_dispersion_degenerate():

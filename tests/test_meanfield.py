@@ -3,7 +3,7 @@ import pytest
 
 from mfglearn.meanfield import (BeliefState, DensityGrid, GridError, GridSpec,
                                 belief_update, build_empirical_measure, density_at,
-                                fp_update, grid_distance, load_grid, save_grid)
+                                grid_distance, load_grid, save_grid)
 
 
 def brute_force_bin(points, spec):
@@ -106,7 +106,7 @@ def test_fp_first_observation():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5)
     rng = np.random.default_rng(0)
     m = random_grid(rng, spec)
-    updated = fp_update(BeliefState.initial(spec), m)
+    updated = belief_update(BeliefState.initial(spec), m)
     assert updated.count == 1
     assert np.array_equal(updated.average.mass, m.mass)
 
@@ -116,7 +116,7 @@ def test_fp_fixed_point():
     rng = np.random.default_rng(1)
     m = random_grid(rng, spec)
     belief = BeliefState(m, 1)
-    updated = fp_update(belief, m)
+    updated = belief_update(belief, m)
     np.testing.assert_allclose(updated.average.mass, m.mass, rtol=0, atol=1e-15)
 
 
@@ -126,7 +126,7 @@ def test_fp_three_measures_mean():
     ms = [random_grid(rng, spec) for _ in range(3)]
     belief = BeliefState.initial(spec)
     for m in ms:
-        belief = fp_update(belief, m)
+        belief = belief_update(belief, m)
     direct = (ms[0].mass + ms[1].mass + ms[2].mass) / 3.0
     np.testing.assert_allclose(belief.average.mass, direct, rtol=0, atol=1e-12)
     assert belief.count == 3
@@ -140,7 +140,7 @@ def test_fp_order_commutes_within_tolerance():
     for perm in (range(7), rng.permutation(7), rng.permutation(7)):
         belief = BeliefState.initial(spec)
         for i in perm:
-            belief = fp_update(belief, ms[i])
+            belief = belief_update(belief, ms[i])
         results.append(belief.average.mass)
     for other in results[1:]:
         assert np.abs(results[0] - other).max() < 1e-12
@@ -155,21 +155,13 @@ def test_belief_update_custom_step():
     assert belief.count == 4
 
 
-def test_belief_update_default_matches_fp():
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5)
-    rng = np.random.default_rng(6)
-    m = random_grid(rng, spec)
-    b0 = BeliefState(random_grid(rng, spec), 2)
-    assert np.array_equal(belief_update(b0, m).average.mass, fp_update(b0, m).average.mass)
-
-
 def test_grid_shape_mismatch_rejected():
     a = DensityGrid.uniform(GridSpec(0.0, 1.0, 0.0, 1.0, 5))
     b = DensityGrid.uniform(GridSpec(0.0, 1.0, 0.0, 1.0, 6))
     with pytest.raises(GridError, match="mismatch"):
         grid_distance(a, b)
     with pytest.raises(GridError, match="mismatch"):
-        fp_update(BeliefState(a, 0), b)
+        belief_update(BeliefState(a, 0), b)
 
 
 def test_distance_identical_and_disjoint():
