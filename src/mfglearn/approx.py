@@ -18,6 +18,7 @@ class DivergenceError(RuntimeError):
 
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2")
+TANH_BLOCK = 1024   # rows per block of the tanh derivative in Mlp.backward
 
 
 @dataclass
@@ -58,12 +59,19 @@ class Mlp:
         y, _ = self.forward_with_hidden(x)
         return y
 
+    def _hidden(self, xx):
+        """tanh(xx @ w1.T + b1), built in the one array the matmul returns."""
+        h = xx @ self.params["w1"].T
+        h += self.params["b1"]
+        np.tanh(h, out=h)
+        return h
+
     def forward_with_hidden(self, x):
         """Forward pass returning (output, hidden activations) for reuse in backward."""
         xx, single = self._promote(x)
-        p = self.params
-        h = np.tanh(xx @ p["w1"].T + p["b1"])
-        y = h @ p["w2"].T + p["b2"]
+        h = self._hidden(xx)
+        y = h @ self.params["w2"].T
+        y += self.params["b2"]
         if single:
             return y[0], h[0]
         return y, h
@@ -79,12 +87,16 @@ class Mlp:
         if dy.shape != (xx.shape[0], self.out_dim):
             raise ValueError("upstream shape %r != %r" % (dy.shape, (xx.shape[0], self.out_dim)))
         p = self.params
-        if hidden is None:
-            h = np.tanh(xx @ p["w1"].T + p["b1"])
-        else:
-            h = np.atleast_2d(hidden)
-        dh = dy @ p["w2"]
-        dz = dh * (1.0 - h * h)
+        h = self._hidden(xx) if hidden is None else np.atleast_2d(hidden)
+        dz = dy @ p["w2"]
+        # dz *= 1 - h^2 a block of rows at a time, so no full-size temporary is made
+        buf = np.empty((min(TANH_BLOCK, len(h)), h.shape[1]))
+        for lo in range(0, len(h), TANH_BLOCK):
+            hb = h[lo:lo + TANH_BLOCK]
+            db = buf[:len(hb)]
+            np.multiply(hb, hb, out=db)
+            np.subtract(1.0, db, out=db)
+            dz[lo:lo + TANH_BLOCK] *= db
         grads = {
             "w2": dy.T @ h,
             "b2": dy.sum(axis=0),

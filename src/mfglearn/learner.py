@@ -77,8 +77,9 @@ def belief_crossover(sched: Schedules) -> int:
     Both rates are power laws in n+1 (paper mode: belief 1/(n+1) against a
     constant actor rate), so once the belief step starts above the actor
     rate they cross at (n+1)^(e_belief - e_actor) = scale/actor_lr.  The
-    closed form is then moved by at most one step against the exact
-    predicate to absorb rounding.
+    closed form is then stepped to where the exact predicate flips, a few
+    steps at most, to absorb rounding.  Raises ValueError when the rates
+    never cross, or cross so far out that one step is below float rounding.
     """
     def above(n: int) -> bool:
         return sched.belief_step_value(n) >= sched.actor_lr * sched.lr_scale(n)
@@ -92,12 +93,17 @@ def belief_crossover(sched: Schedules) -> int:
     if gap <= 0.0 or sched.actor_lr <= 0.0:
         raise ValueError("belief step never drops below the actor rate")
     try:
-        n = int((scale / sched.actor_lr) ** (1.0 / gap))
+        crossing = (scale / sched.actor_lr) ** (1.0 / gap)
     except OverflowError:
-        raise ValueError("belief step crosses the actor rate beyond float range") from None
-    if n > 0 and not above(n - 1):
+        crossing = float("inf")
+    # one step moves the rate ratio by a factor 1 - gap/(n+1); past
+    # gap * 2**50 that is within a few roundings and the step is not resolved
+    if crossing > gap * 2.0 ** 50:
+        raise ValueError("belief step crosses the actor rate beyond float resolution")
+    n = int(crossing)
+    while n > 0 and not above(n - 1):
         n -= 1
-    elif above(n):
+    while above(n):
         n += 1
     return n
 
@@ -131,12 +137,16 @@ class TrainState:
         check_finite(self.critic.params, PARAM_LIMIT)
 
 
+def _check_coupling(coupling: str):
+    if coupling not in ("averaged", "instantaneous"):
+        raise ValueError("belief coupling must be averaged or instantaneous")
+
+
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      schedules: Schedules | None = None, hidden: int = 64,
                      sigma: float = 0.1, critic_uses_density: bool = True,
                      belief_coupling: str = "averaged") -> TrainState:
-    if belief_coupling not in ("averaged", "instantaneous"):
-        raise ValueError("belief coupling must be averaged or instantaneous")
+    _check_coupling(belief_coupling)
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))
     actor_net = Mlp.init(2, hidden, 2, rng)
@@ -218,6 +228,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
     ``coupling`` picks the grid rewards and densities see: the realized
     measure of the step (``instantaneous``) or the belief average.
     """
+    _check_coupling(coupling)
     T, n_agents, _ = dyn_noise.shape
     states = np.zeros((T + 1, n_agents, 2))
     actions = np.zeros((T, n_agents, 2))
@@ -278,30 +289,33 @@ def _critic_features(state: TrainState, states: np.ndarray, densities: np.ndarra
 
 
 def _canonical(log: EpisodeLog) -> EpisodeLog:
-    order = np.argsort(log.agent_ids)
-    return log.permuted(order)
+    """The log in ascending agent-id order (as is when already sorted)."""
+    if np.all(log.agent_ids[1:] > log.agent_ids[:-1]):
+        return log
+    return log.permuted(np.argsort(log.agent_ids))
 
 
-def _values_and_targets(state: TrainState, log: EpisodeLog, gamma: float):
+def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
+    """Critic inputs, the critic's hidden layer on them, and the (T, N) TD
+    errors r + gamma * V(x') - V(x) under the current critic."""
     T, n = log.rewards.shape
     feats = _critic_features(state, log.states, log.densities)
-    v = state.critic.forward(feats).reshape(T + 1, n)
+    out, hidden = state.critic.forward_with_hidden(feats)
+    v = out.reshape(T + 1, n)
     v_next = v[1:].copy()
     v_next[T - 1] = 0.0  # terminal value is zero at episode end
-    targets = log.rewards + gamma * v_next
-    return feats, v, targets
+    return feats, hidden, log.rewards + gamma * v_next - v[:T]
 
 
 def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     """One Adam step on the summed TD(0) loss; returns the pre-update loss."""
     log = _canonical(log)
     T, n = log.rewards.shape
-    feats, v, targets = _values_and_targets(state, log, gamma)
-    delta = targets - v[:T]
+    feats, hidden, delta = _td_errors(state, log, gamma)
     loss = 0.5 * float((delta * delta).sum())
     upstream = np.zeros((T + 1, n))
     upstream[:T] = -delta  # semi-gradient: targets held fixed
-    grads, _ = state.critic.backward(feats, upstream.reshape(-1, 1))
+    grads, _ = state.critic.backward(feats, upstream.reshape(-1, 1), hidden)
     adam_step(state.critic_opt, state.critic.params, grads,
               state.schedules.lr_scale(state.episode))
     state.check_finite()
@@ -312,8 +326,7 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     """Advantage-weighted policy-gradient ascent step; returns the gradient norm."""
     log = _canonical(log)
     T, n = log.rewards.shape
-    _, v, targets = _values_and_targets(state, log, gamma)
-    adv = targets - v[:T]
+    adv = _td_errors(state, log, gamma)[2]
     x = log.states[:T].reshape(T * n, 2)
     a = log.actions.reshape(T * n, 2)
     grads = state.actor.logprob_grad(x, a, weights=adv.reshape(-1))

@@ -165,12 +165,6 @@ def _joint_states(n_states: int, n_agents: int) -> np.ndarray:
     return np.array(list(itertools.product(range(n_states), repeat=n_agents)), dtype=int)
 
 
-def _own_state_mass(joint: np.ndarray) -> np.ndarray:
-    """Empirical mass at each agent's own state, per joint state row."""
-    n = joint.shape[1]
-    return (joint[:, :, None] == joint[:, None, :]).sum(axis=2) / float(n)
-
-
 def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     """Exact expected payoff of one agent in the finite symmetric game.
 
@@ -181,15 +175,16 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     """
     n = len(policies)
     joint = _joint_states(game.n_states, n)
-    mass = _own_state_mass(joint)
+    own_s = joint[:, agent]
+    # empirical mass at the tracked agent's own state, per joint state row
+    own_mass = (joint == own_s[:, None]).sum(axis=1) / float(n)
     dist = np.prod(game.mu0[joint], axis=1)
     total = 0.0
     for t in range(game.horizon):
         # expected reward of the tracked agent under the current joint distribution
-        own_s = joint[:, agent]
         r = np.zeros(len(joint))
         for a in range(game.n_actions):
-            r += policies[agent][t, own_s, a] * game.reward(own_s, mass[:, agent], a)
+            r += policies[agent][t, own_s, a] * game.reward(own_s, own_mass, a)
         total += float(dist @ r)
         # factorized joint transition: contract each agent's axis of the (S,)*n
         # distribution tensor with its policy-averaged kernel; tensordot puts

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfglearn.approx import (AdamState, DivergenceError, GaussianPolicy, Mlp,
+from mfglearn.approx import (TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp,
                              adam_step, load_params, save_params)
 
 
@@ -118,6 +118,31 @@ def test_backward_input_gradient():
         xm[i] -= h
         fd = (net.forward(xp)[0] - net.forward(xm)[0]) / (2 * h)
         assert dx[i] == pytest.approx(fd, rel=1e-4)
+
+
+def test_passes_bit_identical_to_plain_formulas_across_row_blocks():
+    rng = np.random.default_rng(13)
+    net = Mlp.init(3, 64, 2, rng)
+    p = net.params
+    rows = 3 * TANH_BLOCK + 17
+    x = rng.standard_normal((rows, 3))
+    upstream = rng.standard_normal((rows, 2))
+    h_ref = np.tanh(x @ p["w1"].T + p["b1"])
+    y_ref = h_ref @ p["w2"].T + p["b2"]
+    dz_ref = (upstream @ p["w2"]) * (1.0 - h_ref * h_ref)
+    grads_ref = {"w2": upstream.T @ h_ref, "b2": upstream.sum(axis=0),
+                 "w1": dz_ref.T @ x, "b1": dz_ref.sum(axis=0)}
+    dx_ref = dz_ref @ p["w1"]
+
+    y, h = net.forward_with_hidden(x)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(h, h_ref)
+    for hidden in (h, None):
+        grads, dx = net.backward(x, upstream, hidden)
+        assert set(grads) == set(grads_ref)
+        assert all(np.array_equal(grads[k], grads_ref[k]) for k in grads_ref)
+        assert np.array_equal(dx, dx_ref)
+    assert np.array_equal(h, h_ref)  # backward leaves the cached layer as it was
 
 
 def test_adam_zero_gradient_no_change():

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from mfglearn.approx import DivergenceError
+from mfglearn.approx import DivergenceError, Mlp
 from mfglearn.envs import congestion_env, lqr_env
 from mfglearn.learner import (PAIR_BLOCK, EpisodeLog, Schedules, TrainState, TrainTrace,
                               belief_crossover, convergence_metrics, evaluate,
@@ -80,6 +80,22 @@ def test_belief_crossover_theory_defaults_never_cross(actor_exponent):
     with pytest.raises(ValueError, match="actor rate"):
         belief_crossover(Schedules(mode="theory", actor_exponent=actor_exponent))
     assert time.perf_counter() - start < 1.0
+
+
+def test_belief_crossover_beyond_float_resolution_raises():
+    # the rates cross at (1/1e-3)^(1/0.1) = 1e30 steps, where n and n - 1 are one float
+    sched = Schedules(mode="theory", actor_lr=1e-3, belief_exponent=0.6, actor_exponent=0.5)
+    with pytest.raises(ValueError, match="float resolution"):
+        belief_crossover(sched)
+
+
+def test_belief_crossover_near_float_resolution():
+    # crossing near 3.7e14, 0.7 of the limit: the closed form is two steps off
+    sched = Schedules(mode="theory", actor_lr=10 ** -6.7, belief_exponent=0.62, actor_exponent=0.16)
+    n0 = belief_crossover(sched)
+    rate = lambda n: sched.actor_lr * sched.lr_scale(n)
+    assert sched.belief_step_value(n0 - 1) >= rate(n0 - 1)
+    assert all(sched.belief_step_value(n) < rate(n) for n in range(n0, n0 + 100))
 
 
 # --- rollout ------------------------------------------------------------------
@@ -292,6 +308,30 @@ def test_evaluate_rejects_empty_population():
     spec = congestion_env()
     with pytest.raises(ValueError):
         evaluate(spec, fresh_state(spec), 0, np.random.default_rng(23))
+
+
+def test_unknown_coupling_rejected_by_state_and_evaluate():
+    spec = congestion_env()
+    message = "belief coupling must be averaged or instantaneous"
+    with pytest.raises(ValueError, match=message):
+        fresh_state(spec, belief_coupling="instantanous")
+    with pytest.raises(ValueError, match=message):
+        evaluate(spec, fresh_state(spec), 4, np.random.default_rng(23), coupling="instantanous")
+
+
+def test_train_passes_cached_hidden_to_every_backward(monkeypatch):
+    original = Mlp.backward
+    hiddens = []
+
+    def spy(self, x, upstream, hidden=None):
+        hiddens.append(hidden)
+        return original(self, x, upstream, hidden)
+
+    monkeypatch.setattr(Mlp, "backward", spy)
+    spec = congestion_env()
+    train(spec, fresh_state(spec), 16, 2, np.random.default_rng(25))
+    assert len(hiddens) == 4  # one critic and one actor backward per episode
+    assert all(h is not None for h in hiddens)
 
 
 def test_snapshot_hook_fires_every_n_episodes():
