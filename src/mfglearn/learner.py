@@ -14,6 +14,7 @@ update bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,37 +75,55 @@ def validate_belief_schedule(exponent: float):
 def belief_crossover(sched: Schedules) -> int:
     """Smallest n0 with belief_step(n) < actor rate for all n >= n0.
 
-    Both rates are power laws in n+1 (paper mode: belief 1/(n+1) against a
-    constant actor rate), so once the belief step starts above the actor
-    rate they cross at (n+1)^(e_belief - e_actor) = scale/actor_lr.  The
-    closed form is then stepped to where the exact predicate flips, a few
-    steps at most, to absorb rounding.  Raises ValueError when the rates
-    never cross, or cross so far out that one step is below float rounding.
+    With m = n + 1, the belief step min(1, c*m^-e_belief) is at least the
+    actor rate lr*m^-e_actor iff both m^-e_actor <= 1/lr and
+    m^(e_belief - e_actor) <= c/lr (paper mode: c = e_belief = 1,
+    e_actor = 0).  Each condition holds on a ray of m, so the belief step is
+    above the actor rate on one interval; n0 is one past its end, or 0 when
+    it is empty.  The closed-form end is stepped to where the exact predicate
+    flips, a few steps at most, to absorb rounding.  Raises ValueError when
+    the interval is unbounded (the rates never cross for good), or ends so
+    far out that one step is below float rounding.
     """
     def above(n: int) -> bool:
         return sched.belief_step_value(n) >= sched.actor_lr * sched.lr_scale(n)
 
-    if not above(0):
-        return 0
+    lr = sched.actor_lr
     if sched.mode == "paper":
-        scale, gap = 1.0, 1.0
+        scale, e_belief, e_actor = 1.0, 1.0, 0.0
     else:
-        scale, gap = sched.belief_scale, sched.belief_exponent - sched.actor_exponent
-    if gap <= 0.0 or sched.actor_lr <= 0.0:
+        scale, e_belief, e_actor = sched.belief_scale, sched.belief_exponent, sched.actor_exponent
+    if lr <= 0.0:
         raise ValueError("belief step never drops below the actor rate")
-    try:
-        crossing = (scale / sched.actor_lr) ** (1.0 / gap)
-    except OverflowError:
-        crossing = float("inf")
-    # one step moves the rate ratio by a factor 1 - gap/(n+1); past
-    # gap * 2**50 that is within a few roundings and the step is not resolved
-    if crossing > gap * 2.0 ** 50:
+    lo, hi, slope = 1.0, math.inf, 0.0      # the interval of m, and the slope at its end
+    for k, q in ((-e_actor, 1.0 / lr), (e_belief - e_actor, scale / lr)):   # m^k <= q
+        if q <= 0.0 or (k == 0.0 and q < 1.0):
+            return 0
+        if k == 0.0:
+            continue
+        try:
+            root = q ** (1.0 / k)
+        except OverflowError:
+            root = math.inf
+        if k < 0.0:
+            lo = max(lo, root)
+        elif slope == 0.0 or root < hi:
+            hi, slope = root, k
+    if slope == 0.0:
+        raise ValueError("belief step never drops below the actor rate")
+    if lo > hi + 2.0:
+        return 0
+    # one step moves the rate ratio by a factor 1 - slope/m; past
+    # slope * 2**50 that is within a few roundings and the step is not resolved
+    if hi > slope * 2.0 ** 50:
         raise ValueError("belief step crosses the actor rate beyond float resolution")
-    n = int(crossing)
-    while n > 0 and not above(n - 1):
-        n -= 1
+    n = int(hi)
     while above(n):
         n += 1
+    while n > 0 and not above(n - 1):
+        if n + 1 < lo - 2.0:    # walked below where the interval starts: it is empty
+            return 0
+        n -= 1
     return n
 
 

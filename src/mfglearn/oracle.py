@@ -8,7 +8,10 @@ experiment, and the analytic stationary solution of the linear-quadratic
 environment.
 
 Reward functions must accept numpy arrays of states/masses/actions and
-broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.
+broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  The
+finite-game solvers call the reward once per flow: s has shape (S, 1), mass
+has shape (..., S, 1) and a has shape (A,), and the result must broadcast to
+(..., S, A).
 """
 
 from __future__ import annotations
@@ -57,11 +60,22 @@ class DiscreteMFG:
         object.__setattr__(self, "transitions", p)
         object.__setattr__(self, "mu0", mu)
 
-    def reward_table(self, flow_t: np.ndarray) -> np.ndarray:
-        """L(s, flow_t(s), a) for all s, a as an (S, A) array."""
-        s = np.arange(self.n_states)
-        return np.stack([np.asarray(self.reward(s, flow_t[s], a), dtype=float)
-                         for a in range(self.n_actions)], axis=1)
+    def reward_table(self, flow: np.ndarray) -> np.ndarray:
+        """L(s, flow(s), a) for all s, a as a read-only (..., S, A) array.
+
+        ``flow`` is one (S,) marginal or a (T, S) stack of them.  The reward
+        is called once, with s of shape (S, 1), mass of shape (..., S, 1) and
+        a of shape (A,); a result that does not broadcast to (..., S, A)
+        raises OracleError.
+        """
+        flow = np.asarray(flow, dtype=float)
+        shape = flow.shape[:-1] + (self.n_states, self.n_actions)
+        r = np.asarray(self.reward(np.arange(self.n_states)[:, None], flow[..., None],
+                                   np.arange(self.n_actions)), dtype=float)
+        try:
+            return np.broadcast_to(r, shape)
+        except ValueError:
+            raise OracleError("reward of shape %r does not broadcast to %r" % (r.shape, shape))
 
 
 def uniform_policy(game: DiscreteMFG) -> np.ndarray:
@@ -85,13 +99,15 @@ def best_response(game: DiscreteMFG, flow: np.ndarray):
     """
     flow = _check_flow(game, flow)
     T, S, A = game.horizon, game.n_states, game.n_actions
+    rewards = game.reward_table(flow[:T])
+    rows = np.arange(S)
     values = np.zeros((T + 1, S))
-    policy = np.zeros((T, S, A))
+    best = np.zeros((T, S), dtype=int)
     for t in range(T - 1, -1, -1):
-        q = game.reward_table(flow[t]) + game.transitions @ values[t + 1]
-        best = np.argmax(q, axis=1)  # first max = lowest action index
-        policy[t, np.arange(S), best] = 1.0
-        values[t] = q[np.arange(S), best]
+        q = rewards[t] + game.transitions @ values[t + 1]
+        best[t] = q.argmax(axis=1)  # first max = lowest action index
+        values[t] = q[rows, best[t]]
+    policy = (best[:, :, None] == np.arange(A)).astype(float)
     return policy, values
 
 
@@ -99,9 +115,10 @@ def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.
     """Expected values (T+1, S) of a stochastic policy against a frozen flow."""
     flow = _check_flow(game, flow)
     T, S = game.horizon, game.n_states
+    rewards = game.reward_table(flow[:T])
     values = np.zeros((T + 1, S))
     for t in range(T - 1, -1, -1):
-        q = game.reward_table(flow[t]) + game.transitions @ values[t + 1]
+        q = rewards[t] + game.transitions @ values[t + 1]
         values[t] = (policy[t] * q).sum(axis=1)
     return values
 
@@ -109,11 +126,12 @@ def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.
 def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
     """Forward-propagate the population under a shared policy."""
     T, S = game.horizon, game.n_states
+    kernel = game.transitions.reshape(S * game.n_actions, S)
     flow = np.zeros((T + 1, S))
     flow[0] = game.mu0
     for t in range(T):
         joint = flow[t][:, None] * policy[t]                      # (S, A)
-        flow[t + 1] = np.tensordot(joint, game.transitions, axes=([0, 1], [0, 1]))
+        flow[t + 1] = np.dot(joint.reshape(1, -1), kernel)[0]
     return flow
 
 
@@ -162,7 +180,8 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
 # --- exact N-player evaluation (potential identity) -------------------------
 
 def _joint_states(n_states: int, n_agents: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(n_states), repeat=n_agents)), dtype=int)
+    """All S^N joint states as rows, in ``itertools.product`` order."""
+    return np.indices((n_states,) * n_agents).reshape(n_agents, n_states ** n_agents).T
 
 
 def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:

@@ -98,6 +98,69 @@ def test_belief_crossover_near_float_resolution():
     assert all(sched.belief_step_value(n) < rate(n) for n in range(n0, n0 + 100))
 
 
+def test_belief_crossover_raises_when_belief_step_rises_above_later():
+    # starts below the actor rate, but the belief exponent is the smaller one,
+    # so from n = 4 on the belief step stays above for good
+    sched = Schedules(mode="theory", actor_lr=0.2013, belief_exponent=0.6266,
+                      belief_scale=0.119, actor_exponent=0.9934)
+    rate = lambda n: sched.actor_lr * sched.lr_scale(n)
+    assert sched.belief_step_value(0) < rate(0)
+    assert all(sched.belief_step_value(n) >= rate(n) for n in range(4, 10 ** 4))
+    with pytest.raises(ValueError, match="never drops"):
+        belief_crossover(sched)
+
+
+def test_belief_crossover_after_capped_start():
+    # the min(1, .) cap holds the belief step at 1 below an actor rate of 2, which
+    # falls under it at n = 3; the uncapped step 10/(n+1) then falls back under at 25
+    sched = Schedules(mode="theory", actor_lr=2.0, actor_exponent=0.5, belief_exponent=1.0,
+                      belief_scale=10.0)
+    assert belief_crossover(sched) == 25
+
+
+def _scan_above(sched, limit):
+    """The crossover predicate at n = 0..limit-1, evaluated as one array."""
+    m = np.arange(1, limit + 1, dtype=float)
+    if sched.mode == "paper":
+        return 1.0 / m >= sched.actor_lr
+    belief = np.minimum(1.0, sched.belief_scale * m ** -sched.belief_exponent)
+    return belief >= sched.actor_lr * m ** -sched.actor_exponent
+
+
+def test_belief_crossover_matches_brute_force_scan():
+    limit = 2 * 10 ** 5
+    rng = np.random.default_rng(0)
+    above = lambda s, n: s.belief_step_value(n) >= s.actor_lr * s.lr_scale(n)
+    shown = late = 0
+    for _ in range(200):
+        lr = float(10 ** rng.uniform(-3, 1))
+        if rng.random() < 0.15:
+            sched = Schedules(actor_lr=lr)
+        else:
+            sched = Schedules(mode="theory", actor_lr=lr,
+                              belief_scale=float(10 ** rng.uniform(-2, 1.5)),
+                              belief_exponent=float(rng.uniform(0.51, 1.0)),
+                              actor_exponent=float(rng.uniform(-0.1, 1.2)))
+        scan = _scan_above(sched, limit)
+        try:
+            n0 = belief_crossover(sched)
+        except ValueError:
+            n0 = None
+        if scan.any() and not scan[-1]:
+            # the above-set is one interval, and its end shows inside the scan
+            expected = int(np.flatnonzero(scan)[-1]) + 1
+            assert n0 == expected, sched
+            shown += 1
+            late += int(not scan[0])
+        elif n0 is not None and n0 > 0:
+            # the scan cannot show the end: any answer must lie beyond it and be exact
+            assert n0 >= limit and above(sched, n0 - 1), sched
+            assert not any(above(sched, n) for n in range(n0, n0 + 100)), sched
+        else:
+            assert n0 is None or not scan.any(), sched
+    assert shown >= 50 and late >= 2
+
+
 # --- rollout ------------------------------------------------------------------
 
 def test_rollout_single_agent_hand_check():

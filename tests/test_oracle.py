@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,9 +7,9 @@ import pytest
 import scipy.linalg
 
 from mfglearn.envs import lqr_env
-from mfglearn.oracle import (DiscreteMFG, OracleError, best_response, exploitability,
-                             fictitious_play, induced_flow, lqr_analytic, nplayer_gap,
-                             nplayer_payoff, nplayer_payoff_enumerated,
+from mfglearn.oracle import (DiscreteMFG, OracleError, _joint_states, best_response,
+                             exploitability, fictitious_play, induced_flow, lqr_analytic,
+                             nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
                              policy_value, potential_identity_check, random_policy,
                              riccati_gain, ring_game, scaling_experiment,
                              two_state_congestion, uniform_policy)
@@ -43,6 +44,76 @@ def enumerate_deterministic_policies(game):
         for i, a in enumerate(choice):
             pol[i // S, i % S, a] = 1.0
         yield pol
+
+
+# --- reward table ---------------------------------------------------------------
+
+def _contract_games():
+    rng = np.random.default_rng(21)
+    return [ring_game(), ring_game(6, 5, reward_state=2), two_state_congestion(3),
+            random_game(rng, n_states=4, n_actions=3, horizon=4),
+            random_game(rng, n_states=3, n_actions=2, horizon=3, coupled=False),
+            single_state_game((1.0, 0.0, 0.25)),
+            DiscreteMFG(3, 2, 2, ring_game(3).transitions, lambda s, m, a: 0.0,
+                        np.array([0.2, 0.3, 0.5]))]
+
+
+def _per_step_table(game, flow_t):
+    """The reward table as one reward call per action and time step.  Each call
+    is broadcast over states so that a scalar reward gives a table too."""
+    s = np.arange(game.n_states)
+    return np.stack([np.broadcast_to(np.asarray(game.reward(s, flow_t[s], a), dtype=float),
+                                     (game.n_states,)) for a in range(game.n_actions)], axis=1)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_reward_table_matches_per_step_stack(index):
+    game = _contract_games()[index]
+    rng = np.random.default_rng(index)
+    flow = induced_flow(game, random_policy(game, rng))
+    table = game.reward_table(flow[:game.horizon])
+    assert table.shape == (game.horizon, game.n_states, game.n_actions)
+    assert table.dtype == np.float64
+    for t in range(game.horizon):
+        expected = _per_step_table(game, flow[t])
+        assert np.array_equal(table[t], expected)
+        assert np.array_equal(game.reward_table(flow[t]), expected)
+
+
+@pytest.mark.parametrize("bad", [lambda s, m, a: np.zeros(7),
+                                 lambda s, m, a: np.zeros((4, 2, 2)),
+                                 lambda s, m, a: np.zeros((3, 1, 1, 1, 1))])
+def test_reward_table_rejects_non_broadcasting_reward(bad):
+    game = dataclasses.replace(ring_game(), reward=bad)
+    flow = induced_flow(game, uniform_policy(game))
+    with pytest.raises(OracleError, match="broadcast"):
+        game.reward_table(flow[:game.horizon])
+    with pytest.raises(OracleError, match="broadcast"):
+        best_response(game, flow)
+
+
+def _counting(game):
+    calls = []
+
+    def reward(s, m, a):
+        calls.append(1)
+        return game.reward(s, m, a)
+    return dataclasses.replace(game, reward=reward), calls
+
+
+@pytest.mark.parametrize("make", [lambda: ring_game(6, 5), two_state_congestion])
+def test_reward_called_once_per_flow(make):
+    game, calls = _counting(make())
+    flow = induced_flow(game, uniform_policy(game))
+    best_response(game, flow)
+    assert len(calls) == 1
+    policy_value(game, uniform_policy(game), flow)
+    assert len(calls) == 2
+    calls.clear()
+    for n in (1, 4, 10):
+        fictitious_play(game, n)
+        assert len(calls) == 3 * n  # best response, then exploitability's two passes
+        calls.clear()
 
 
 def test_best_response_single_decision():
@@ -235,6 +306,15 @@ def test_ring_game_fp_certificate():
 
 
 # --- potential identity -------------------------------------------------------
+
+@pytest.mark.parametrize("n_states,n_agents", [(4, 6), (3, 5), (2, 1)])
+def test_joint_states_match_product_order(n_states, n_agents):
+    expected = np.array(list(itertools.product(range(n_states), repeat=n_agents)), dtype=int)
+    joint = _joint_states(n_states, n_agents)
+    assert joint.dtype == expected.dtype
+    assert joint.shape == expected.shape
+    assert np.array_equal(joint, expected)
+
 
 def test_potential_null_deviation_zero():
     rng = np.random.default_rng(11)
