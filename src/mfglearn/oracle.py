@@ -9,9 +9,13 @@ environment.
 
 Reward functions must accept numpy arrays of states/masses/actions and
 broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  The
-finite-game solvers call the reward once per flow: s has shape (S, 1), mass
-has shape (..., S, 1) and a has shape (A,), and the result must broadcast to
-(..., S, A).
+finite-game solvers call the reward once per backward sweep, on the whole
+stack of flows that sweep solves against: s has shape (S, 1), mass has shape
+(..., S, 1) and a has shape (A,), and the result must broadcast to
+(..., S, A).  A fictitious-play iteration is one such sweep and one forward
+pass.  Policies passed to the solvers must be (T, S, A) arrays whose rows are
+distributions over actions (``induced_flow`` also takes a (K, T, S, A) stack);
+anything else raises OracleError.
 """
 
 from __future__ import annotations
@@ -63,10 +67,10 @@ class DiscreteMFG:
     def reward_table(self, flow: np.ndarray) -> np.ndarray:
         """L(s, flow(s), a) for all s, a as a read-only (..., S, A) array.
 
-        ``flow`` is one (S,) marginal or a (T, S) stack of them.  The reward
-        is called once, with s of shape (S, 1), mass of shape (..., S, 1) and
-        a of shape (A,); a result that does not broadcast to (..., S, A)
-        raises OracleError.
+        ``flow`` is one (S,) marginal or any stack of them, such as the
+        (K, T, S) flows of one backward sweep.  The reward is called once,
+        with s of shape (S, 1), mass of shape (..., S, 1) and a of shape (A,);
+        a result that does not broadcast to (..., S, A) raises OracleError.
         """
         flow = np.asarray(flow, dtype=float)
         shape = flow.shape[:-1] + (self.n_states, self.n_actions)
@@ -82,13 +86,65 @@ def uniform_policy(game: DiscreteMFG) -> np.ndarray:
     return np.full((game.horizon, game.n_states, game.n_actions), 1.0 / game.n_actions)
 
 
-def _check_flow(game: DiscreteMFG, flow: np.ndarray):
-    flow = np.asarray(flow, dtype=float)
-    if flow.shape != (game.horizon + 1, game.n_states):
-        raise OracleError("flow shape %r" % (flow.shape,))
-    if np.any(flow < -PROB_TOL) or np.any(np.abs(flow.sum(axis=1) - 1.0) > 1e-9):
+def _check_flow(game: DiscreteMFG, flows: np.ndarray):
+    """Validate a (K, T+1, S) stack of flows and return it as floats."""
+    flows = np.asarray(flows, dtype=float)
+    if flows.ndim != 3 or flows.shape[1:] != (game.horizon + 1, game.n_states):
+        raise OracleError("flow shape %r" % (flows.shape[1:],))
+    if np.any(flows < -PROB_TOL) or np.any(np.abs(flows.sum(axis=2) - 1.0) > 1e-9):
         raise OracleError("flow rows must be distributions")
-    return flow
+    return flows
+
+
+def _check_policy(game: DiscreteMFG, policy, stacked: bool = False) -> np.ndarray:
+    """Validate one (T, S, A) policy, or with ``stacked`` also a (K, T, S, A)
+    stack of them, and return it as floats.  Every row must be a distribution
+    over actions; NaN entries fail both tests."""
+    policy = np.asarray(policy, dtype=float)
+    shape = (game.horizon, game.n_states, game.n_actions)
+    if policy.shape[-3:] != shape or policy.ndim not in ((3, 4) if stacked else (3,)):
+        raise OracleError("policy shape %r, expected %r" % (policy.shape, shape))
+    if not np.all(policy >= 0.0):
+        raise OracleError("policy entries must be nonnegative")
+    if not np.all(np.abs(policy.sum(axis=-1) - 1.0) <= PROB_TOL):
+        raise OracleError("policy rows must sum to 1")
+    return policy
+
+
+def _one_hot(game: DiscreteMFG, best: np.ndarray) -> np.ndarray:
+    """The deterministic (T, S, A) policy playing the (T, S) best actions."""
+    return (best[:, :, None] == np.arange(game.n_actions)).astype(float)
+
+
+def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = None):
+    """Backward induction against a (K, T+1, S) stack of flows at once.
+
+    One reward call covers the stack, and each step takes one
+    (K', S) @ (S, S*A) product over all value columns.  Returns the best
+    actions (K, T, S), ties broken toward the lowest index, and the values
+    (K', T+1, S): values[k] is the optimum against flows[k] for k < K and,
+    when ``policy`` is given, values[K] is that policy's value against the
+    last flow.  Each values[k] is a contiguous (T+1, S) array.
+    """
+    flows = _check_flow(game, flows)
+    T, S, A = game.horizon, game.n_states, game.n_actions
+    K = len(flows)
+    rewards = game.reward_table(flows[:, :T])
+    if policy is not None:
+        rewards = np.concatenate((rewards, rewards[-1:]))
+    kernel = game.transitions.reshape(S * A, S).T
+    values = np.zeros((len(rewards), T + 1, S))
+    best = np.zeros((K, T, S), dtype=int)
+    rows = np.arange(K * S)
+    for t in range(T - 1, -1, -1):
+        q = (values[:, t + 1] @ kernel).reshape(-1, S, A)
+        q += rewards[:, t]
+        b = q[:K].argmax(axis=2)  # first max = lowest action index
+        best[:, t] = b
+        values[:K, t] = q.reshape(-1, A)[rows, b.ravel()].reshape(K, S)
+        if policy is not None:
+            values[K, t] = (policy[t] * q[K]).sum(axis=1)
+    return best, values
 
 
 def best_response(game: DiscreteMFG, flow: np.ndarray):
@@ -97,54 +153,46 @@ def best_response(game: DiscreteMFG, flow: np.ndarray):
     Returns (deterministic policy (T,S,A), values (T+1,S)); ties break
     toward the lowest action index.
     """
-    flow = _check_flow(game, flow)
-    T, S, A = game.horizon, game.n_states, game.n_actions
-    rewards = game.reward_table(flow[:T])
-    rows = np.arange(S)
-    values = np.zeros((T + 1, S))
-    best = np.zeros((T, S), dtype=int)
-    for t in range(T - 1, -1, -1):
-        q = rewards[t] + game.transitions @ values[t + 1]
-        best[t] = q.argmax(axis=1)  # first max = lowest action index
-        values[t] = q[rows, best[t]]
-    policy = (best[:, :, None] == np.arange(A)).astype(float)
-    return policy, values
+    best, values = _backward(game, np.asarray(flow, dtype=float)[None])
+    return _one_hot(game, best[0]), values[0]
 
 
 def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Expected values (T+1, S) of a stochastic policy against a frozen flow."""
-    flow = _check_flow(game, flow)
-    T, S = game.horizon, game.n_states
-    rewards = game.reward_table(flow[:T])
-    values = np.zeros((T + 1, S))
-    for t in range(T - 1, -1, -1):
-        q = rewards[t] + game.transitions @ values[t + 1]
-        values[t] = (policy[t] * q).sum(axis=1)
-    return values
+    policy = _check_policy(game, policy)
+    _, values = _backward(game, np.asarray(flow, dtype=float)[None], policy)
+    return values[1]
 
 
 def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
-    """Forward-propagate the population under a shared policy."""
-    T, S = game.horizon, game.n_states
-    kernel = game.transitions.reshape(S * game.n_actions, S)
-    flow = np.zeros((T + 1, S))
-    flow[0] = game.mu0
+    """Forward-propagate the population under a shared policy.
+
+    ``policy`` is one (T, S, A) policy, giving its (T+1, S) flow, or a
+    (K, T, S, A) stack, giving the (K, T+1, S) stack of their flows; each
+    step is one (K, S*A) @ (S*A, S) product.
+    """
+    policy = _check_policy(game, policy, stacked=True)
+    T, S, A = game.horizon, game.n_states, game.n_actions
+    stack = policy.reshape(-1, T, S, A)
+    kernel = game.transitions.reshape(S * A, S)
+    flows = np.zeros((len(stack), T + 1, S))
+    flows[:, 0] = game.mu0
     for t in range(T):
-        joint = flow[t][:, None] * policy[t]                      # (S, A)
-        flow[t + 1] = np.dot(joint.reshape(1, -1), kernel)[0]
-    return flow
+        joint = flows[:, t, :, None] * stack[:, t]                # (K, S, A)
+        flows[:, t + 1] = joint.reshape(-1, S * A) @ kernel
+    return flows.reshape(policy.shape[:-3] + (T + 1, S))
 
 
 def exploitability(game: DiscreteMFG, policy: np.ndarray, worst_case: bool = False) -> float:
     """Best-response gap of a policy at its own induced flow (>= 0).
 
     Default weights the per-state gaps by the initial distribution; the
-    worst-case mode takes the max over states instead.
+    worst-case mode takes the max over states instead.  One backward sweep
+    gives both the best response's and the policy's values.
     """
-    flow = induced_flow(game, policy)
-    _, v_br = best_response(game, flow)
-    v_pi = policy_value(game, policy, flow)
-    gap = v_br[0] - v_pi[0]
+    policy = _check_policy(game, policy)
+    _, values = _backward(game, induced_flow(game, policy)[None], policy)
+    gap = values[0, 0] - values[1, 0]
     if worst_case:
         return float(gap.max())
     return float(game.mu0 @ gap)
@@ -156,24 +204,27 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     The initial belief is the uniform policy's flow and is excluded from the
     averages.  Returns (average policy, average flow, exploitability trace of
     the average policy per iteration).
+
+    Each iteration is one forward and one backward sweep: the forward pass
+    gives the flows of the new best response and of the updated average
+    policy together, and the backward sweep against the average flow and the
+    average policy's own flow gives the next iteration's best response and
+    this iteration's certificate.
     """
     if iterations < 1:
         raise OracleError("iterations must be >= 1")
-    belief = induced_flow(game, uniform_policy(game))
-    avg_flow = None
-    avg_policy = None
+    T, S, A = game.horizon, game.n_states, game.n_actions
+    best, _ = _backward(game, induced_flow(game, uniform_policy(game))[None])
+    avg_policy = np.zeros((T, S, A))
+    avg_flow = np.zeros((T + 1, S))
     trace = np.zeros(iterations)
     for n in range(1, iterations + 1):
-        pol, _ = best_response(game, belief)
-        flow_n = induced_flow(game, pol)
-        if n == 1:
-            avg_flow = flow_n.copy()
-            avg_policy = pol.copy()
-        else:
-            avg_flow += (flow_n - avg_flow) / n
-            avg_policy += (pol - avg_policy) / n
-        belief = avg_flow
-        trace[n - 1] = exploitability(game, avg_policy)
+        pol = _one_hot(game, best[0])
+        avg_policy += (pol - avg_policy) / n
+        flow_n, own_flow = induced_flow(game, np.stack((pol, avg_policy)))
+        avg_flow += (flow_n - avg_flow) / n
+        best, values = _backward(game, np.stack((avg_flow, own_flow)), avg_policy)
+        trace[n - 1] = game.mu0 @ (values[1, 0] - values[2, 0])
     return avg_policy, avg_flow, trace
 
 
@@ -192,7 +243,10 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     programming over the joint-state distribution with per-agent marginalized
     transition matrices.
     """
+    policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
+    if not 0 <= agent < n:
+        raise OracleError("agent %r out of range for %d policies" % (agent, n))
     joint = _joint_states(game.n_states, n)
     own_s = joint[:, agent]
     # empirical mass at the tracked agent's own state, per joint state row
@@ -296,6 +350,7 @@ def _sample_rows(prob_rows: np.ndarray, rng) -> np.ndarray:
 def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: int, rng) -> float:
     """Mean realized payoff of n agents sharing a policy, with rewards driven
     by the realized empirical measure."""
+    policy = _check_policy(game, policy)
     s = _sample_rows(np.tile(game.mu0, (n_agents, 1)), rng)
     total = np.zeros(n_agents)
     for t in range(game.horizon):
@@ -308,6 +363,7 @@ def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: i
 
 def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: int, rng):
     """(mean, std) over trials of |finite-N mean payoff - exact limit value|."""
+    policy = _check_policy(game, policy)
     j_inf = float(game.mu0 @ policy_value(game, policy, induced_flow(game, policy))[0])
     gaps = np.array([abs(simulate_population_value(game, policy, n_agents, rng) - j_inf)
                      for _ in range(trials)])

@@ -12,7 +12,7 @@ from mfglearn.oracle import (DiscreteMFG, OracleError, _joint_states, best_respo
                              nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
                              policy_value, potential_identity_check, random_policy,
                              riccati_gain, ring_game, scaling_experiment,
-                             two_state_congestion, uniform_policy)
+                             simulate_population_value, two_state_congestion, uniform_policy)
 
 
 def random_game(rng, n_states=3, n_actions=2, horizon=3, coupled=True):
@@ -109,10 +109,12 @@ def test_reward_called_once_per_flow(make):
     assert len(calls) == 1
     policy_value(game, uniform_policy(game), flow)
     assert len(calls) == 2
+    exploitability(game, uniform_policy(game))
+    assert len(calls) == 3  # one sweep gives the best response's and the policy's values
     calls.clear()
     for n in (1, 4, 10):
         fictitious_play(game, n)
-        assert len(calls) == 3 * n  # best response, then exploitability's two passes
+        assert len(calls) == n + 1  # the first best response, then one sweep per iteration
         calls.clear()
 
 
@@ -204,6 +206,61 @@ def test_induced_flow_matches_monte_carlo():
         s = nxt
         counts.append(np.bincount(s, minlength=game.n_states) / n)
     assert np.abs(np.array(counts) - flow).max() < 3e-3
+
+
+def test_induced_flow_of_a_stack_matches_per_policy_calls():
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        game = random_game(rng, n_states=int(rng.integers(1, 8)),
+                           n_actions=int(rng.integers(1, 4)), horizon=int(rng.integers(1, 6)))
+        stack = np.stack([random_policy(game, rng) for _ in range(int(rng.integers(1, 4)))])
+        flows = induced_flow(game, stack)
+        assert flows.shape == (len(stack), game.horizon + 1, game.n_states)
+        for policy, flow in zip(stack, flows):
+            np.testing.assert_allclose(flow, induced_flow(game, policy), rtol=0, atol=1e-12)
+
+
+def _malformed_policies():
+    """Policies for ring_game(6, 4) that are not (T, S, A) action distributions."""
+    uniform = uniform_policy(ring_game(6, 4))
+    negative = uniform.copy()
+    negative[1, 2] = [1.5, -0.5]
+    off_sum = uniform.copy()
+    off_sum[3, 5, 1] += 1e-9
+    not_a_number = uniform.copy()
+    not_a_number[0, 0] = np.nan
+    return {"no time axis": np.full((6, 2), 0.5), "stacked": uniform[None],
+            "negative entry": negative, "row sum off": off_sum, "nan entry": not_a_number}
+
+
+_POLICY_ENTRY_POINTS = {
+    "policy_value": lambda g, p: policy_value(g, p, induced_flow(g, uniform_policy(g))),
+    "induced_flow": induced_flow,
+    "exploitability": exploitability,
+    "exploitability worst case": lambda g, p: exploitability(g, p, worst_case=True),
+    "nplayer_payoff": lambda g, p: nplayer_payoff(g, [uniform_policy(g), p], 0),
+    "simulate_population_value": lambda g, p: simulate_population_value(
+        g, p, 10, np.random.default_rng(0)),
+    "nplayer_gap": lambda g, p: nplayer_gap(g, p, 10, 2, np.random.default_rng(0)),
+}
+
+
+# induced_flow takes a (K, T, S, A) stack, so only the single-policy entry points reject one
+@pytest.mark.parametrize("entry, case", [(entry, case) for case in sorted(_malformed_policies())
+                                         for entry in sorted(_POLICY_ENTRY_POINTS)
+                                         if (entry, case) != ("induced_flow", "stacked")])
+def test_malformed_policy_fails_loudly(entry, case):
+    game = ring_game(6, 4)
+    policy = _malformed_policies()[case]
+    with pytest.raises(OracleError, match="policy"):
+        _POLICY_ENTRY_POINTS[entry](game, policy)
+
+
+@pytest.mark.parametrize("agent", [-1, 2, 3])
+def test_nplayer_payoff_rejects_agent_out_of_range(agent):
+    game = ring_game()
+    with pytest.raises(OracleError, match="agent"):
+        nplayer_payoff(game, [uniform_policy(game)] * 2, agent)
 
 
 def test_induced_flow_conserves_mass():
@@ -457,3 +514,8 @@ def test_game_validation():
     with pytest.raises(OracleError):
         ring = ring_game()
         best_response(ring, np.ones((2, 4)))
+    stacked_flow = induced_flow(ring, uniform_policy(ring))[None]  # one flow, not a stack
+    with pytest.raises(OracleError, match="flow shape"):
+        best_response(ring, stacked_flow)
+    with pytest.raises(OracleError, match="flow shape"):
+        policy_value(ring, uniform_policy(ring), stacked_flow)
