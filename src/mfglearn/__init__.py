@@ -11,7 +11,6 @@ from .learner import (EpisodeLog, Schedules, TrainState, TrainTrace,
                       convergence_metrics, init_train_state, pg_update, rollout,
                       td_update, train)
 from .oracle import (DiscreteMFG, best_response, exploitability, fictitious_play,
-                     induced_flow, lqr_analytic, nplayer_gap,
-                     potential_identity_check, riccati_gain, ring_game)
+                     induced_flow, lqr_analytic, nplayer_gap, ring_game)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,6 @@ class DivergenceError(RuntimeError):
     """Raised when gradients or parameters stop being finite."""
 
 
-PARAM_KEYS = ("w1", "b1", "w2", "b2")
 TANH_BLOCK = 1024   # rows per block of the tanh derivative in Mlp.backward
 
 
@@ -158,17 +157,8 @@ class GaussianPolicy:
     def mean(self, x):
         return self.mean_net.forward(x)
 
-    def sample(self, x, rng):
-        """Draw (action, log-probability); works on single states or batches."""
-        mu = self.mean_net.forward(x)
-        z = rng.standard_normal(np.shape(mu))
-        a = mu + self.sigma * z
-        return a, self.log_prob_given_mean(mu, a)
-
     def log_prob(self, x, a):
-        return self.log_prob_given_mean(self.mean_net.forward(x), a)
-
-    def log_prob_given_mean(self, mu, a):
+        mu = self.mean_net.forward(x)
         d = np.shape(mu)[-1]
         quad = ((np.asarray(a) - mu) ** 2).sum(axis=-1) / (2.0 * self.sigma ** 2)
         return -quad - d * math.log(self.sigma * math.sqrt(2.0 * math.pi))

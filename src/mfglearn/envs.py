@@ -53,10 +53,6 @@ class CongestionReward:
     def single(cls, mu, spread) -> "CongestionReward":
         return cls(((tuple(mu), spread),))
 
-    @property
-    def peaks(self) -> np.ndarray:
-        return np.array([mu for mu, _ in self.components])
-
 
 def congestion_reward(params: CongestionReward, x, density, alpha: float):
     """Gaussian desirability discounted by crowding: sum_i L_i(x) / (1+m)^alpha.
@@ -187,6 +183,8 @@ class EnvSpec:
             raise EnvError("congestion environment needs reward peaks")
         if self.kind == "demand" and self.path is None:
             raise EnvError("demand environment needs a path")
+        if self.kind == "demand" and not self.path_spread > 0.0:
+            raise EnvError("singular path spread %r" % self.path_spread)
         if self.kind == "lqr" and self.lqr is None:
             raise EnvError("lqr environment needs tracking parameters")
         object.__setattr__(self, "init_mean", (float(self.init_mean[0]), float(self.init_mean[1])))

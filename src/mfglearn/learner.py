@@ -14,7 +14,6 @@ update bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,10 @@ class Schedules:
     def __post_init__(self):
         if self.mode not in ("paper", "theory"):
             raise ValueError("schedule mode must be paper or theory")
-        validate_belief_schedule(self.belief_exponent)
+        # belief steps b*(n+1)^-e have divergent sum iff e <= 1 and summable
+        # squares iff e > 1/2; both are required
+        if not 0.5 < self.belief_exponent <= 1.0:
+            raise ValueError("belief step exponent must lie in (0.5, 1], got %r" % self.belief_exponent)
 
     def belief_step(self, n: int):
         """Step for the n-th (0-indexed) belief update; None = exact mean."""
@@ -59,72 +61,6 @@ class Schedules:
         if self.mode == "paper":
             return 1.0
         return (n + 1) ** (-self.actor_exponent)
-
-    def belief_step_value(self, n: int) -> float:
-        s = self.belief_step(n)
-        return 1.0 / (n + 1) if s is None else s
-
-
-def validate_belief_schedule(exponent: float):
-    """Belief steps b*(n+1)^-e have divergent sum iff e <= 1 and summable
-    squares iff e > 1/2; both are required."""
-    if not 0.5 < exponent <= 1.0:
-        raise ValueError("belief step exponent must lie in (0.5, 1], got %r" % exponent)
-
-
-def belief_crossover(sched: Schedules) -> int:
-    """Smallest n0 with belief_step(n) < actor rate for all n >= n0.
-
-    With m = n + 1, the belief step min(1, c*m^-e_belief) is at least the
-    actor rate lr*m^-e_actor iff both m^-e_actor <= 1/lr and
-    m^(e_belief - e_actor) <= c/lr (paper mode: c = e_belief = 1,
-    e_actor = 0).  Each condition holds on a ray of m, so the belief step is
-    above the actor rate on one interval; n0 is one past its end, or 0 when
-    it is empty.  The closed-form end is stepped to where the exact predicate
-    flips, a few steps at most, to absorb rounding.  Raises ValueError when
-    the interval is unbounded (the rates never cross for good), or ends so
-    far out that one step is below float rounding.
-    """
-    def above(n: int) -> bool:
-        return sched.belief_step_value(n) >= sched.actor_lr * sched.lr_scale(n)
-
-    lr = sched.actor_lr
-    if sched.mode == "paper":
-        scale, e_belief, e_actor = 1.0, 1.0, 0.0
-    else:
-        scale, e_belief, e_actor = sched.belief_scale, sched.belief_exponent, sched.actor_exponent
-    if lr <= 0.0:
-        raise ValueError("belief step never drops below the actor rate")
-    lo, hi, slope = 1.0, math.inf, 0.0      # the interval of m, and the slope at its end
-    for k, q in ((-e_actor, 1.0 / lr), (e_belief - e_actor, scale / lr)):   # m^k <= q
-        if q <= 0.0 or (k == 0.0 and q < 1.0):
-            return 0
-        if k == 0.0:
-            continue
-        try:
-            root = q ** (1.0 / k)
-        except OverflowError:
-            root = math.inf
-        if k < 0.0:
-            lo = max(lo, root)
-        elif slope == 0.0 or root < hi:
-            hi, slope = root, k
-    if slope == 0.0:
-        raise ValueError("belief step never drops below the actor rate")
-    if lo > hi + 2.0:
-        return 0
-    # one step moves the rate ratio by a factor 1 - slope/m; past
-    # slope * 2**50 that is within a few roundings and the step is not resolved
-    if hi > slope * 2.0 ** 50:
-        raise ValueError("belief step crosses the actor rate beyond float resolution")
-    n = int(hi)
-    while above(n):
-        n += 1
-    while n > 0 and not above(n - 1):
-        if n + 1 < lo - 2.0:    # walked below where the interval starts: it is empty
-            return 0
-        n -= 1
-    return n
 
 
 @dataclass
@@ -185,7 +121,9 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
 
 @dataclass
 class EpisodeLog:
-    """Full per-step record of one population rollout.
+    """Per-step record of one population rollout: states, actions, rewards,
+    the densities agents saw and the realized measures.  No log-probabilities
+    are kept; :func:`pg_update` takes the score from states and actions.
 
     Arrays are indexed [step, agent]; ``agent_ids`` identifies columns so
     consumers can reduce in canonical id order.
@@ -193,7 +131,6 @@ class EpisodeLog:
 
     states: np.ndarray       # (T+1, N, 2)
     actions: np.ndarray      # (T, N, 2)
-    logprobs: np.ndarray     # (T, N)
     rewards: np.ndarray      # (T, N)
     densities: np.ndarray    # (T+1, N) density each agent saw at its state
     measures: list           # T+1 DensityGrids of the realized population
@@ -216,9 +153,8 @@ class EpisodeLog:
         """Episode log with agents presented in a different order."""
         perm = np.asarray(perm)
         return EpisodeLog(self.states[:, perm], self.actions[:, perm],
-                          self.logprobs[:, perm], self.rewards[:, perm],
-                          self.densities[:, perm], self.measures,
-                          self.agent_ids[perm], self.mean_return)
+                          self.rewards[:, perm], self.densities[:, perm],
+                          self.measures, self.agent_ids[perm], self.mean_return)
 
 
 def _noise(rng, horizon: int, n_agents: int) -> np.ndarray:
@@ -251,7 +187,6 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
     T, n_agents, _ = dyn_noise.shape
     states = np.zeros((T + 1, n_agents, 2))
     actions = np.zeros((T, n_agents, 2))
-    logprobs = np.zeros((T, n_agents))
     rewards = np.zeros((T, n_agents))
     densities = np.zeros((T + 1, n_agents))
     measures = []
@@ -272,7 +207,6 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
         if not np.all(np.isfinite(a)):
             raise DivergenceError("diverged")
         actions[k] = a
-        logprobs[k] = state.actor.log_prob_given_mean(mu, a)
         nxt = step(spec, states[k], a, dyn_noise[k])
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError("diverged")
@@ -281,7 +215,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
         densities[k + 1] = density_at(grid_for(k + 1), nxt)
         rewards[k] = reward(spec, k + 1, nxt, a, densities[k + 1])
 
-    log = EpisodeLog(states, actions, logprobs, rewards, densities, measures,
+    log = EpisodeLog(states, actions, rewards, densities, measures,
                      np.arange(n_agents), 0.0)
     log.mean_return = float(log.returns(spec.gamma).mean())
     return log

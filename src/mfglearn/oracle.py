@@ -1,11 +1,12 @@
 """Exact desk-scale solvers for finite-state mean-field games.
 
 Provides backward-induction best responses against a frozen population flow,
-fictitious play over flows with exploitability certificates, an exact
-N-player payoff evaluator (two independent routes) for the potential-game
-identity, a finite-population value-gap simulator for the 1/sqrt(N) scaling
-experiment, and the analytic stationary solution of the linear-quadratic
-environment.
+fictitious play over flows with exploitability certificates, the exact
+expected payoff of one agent in the finite N-player game (a joint-state DP,
+plus a slow enumeration of joint actions and successors that is the
+reference tests and the benchmark compare it against), a finite-population
+value-gap simulator for the 1/sqrt(N) scaling experiment, and the analytic
+stationary solution of the linear-quadratic environment.
 
 Reward functions must accept numpy arrays of states/masses/actions and
 broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  The
@@ -228,11 +229,16 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     return avg_policy, avg_flow, trace
 
 
-# --- exact N-player evaluation (potential identity) -------------------------
+# --- exact N-player evaluation ------------------------------------------------
 
 def _joint_states(n_states: int, n_agents: int) -> np.ndarray:
     """All S^N joint states as rows, in ``itertools.product`` order."""
     return np.indices((n_states,) * n_agents).reshape(n_agents, n_states ** n_agents).T
+
+
+def _check_agent(agent: int, n_agents: int):
+    if not 0 <= agent < n_agents:
+        raise OracleError("agent %r out of range for %d policies" % (agent, n_agents))
 
 
 def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
@@ -245,8 +251,7 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     """
     policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
-    if not 0 <= agent < n:
-        raise OracleError("agent %r out of range for %d policies" % (agent, n))
+    _check_agent(agent, n)
     joint = _joint_states(game.n_states, n)
     own_s = joint[:, agent]
     # empirical mass at the tracked agent's own state, per joint state row
@@ -274,9 +279,12 @@ def nplayer_payoff_enumerated(game: DiscreteMFG, policies, agent: int) -> float:
     """Same payoff via explicit recursion over joint actions and successors.
 
     Independent of :func:`nplayer_payoff`: enumerates action profiles instead
-    of marginalizing them, recursing backward over time.
+    of marginalizing them, recursing backward over time.  Exponential in N;
+    it is the reference the DP route is checked against.
     """
+    policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
+    _check_agent(agent, n)
     S, A, T = game.n_states, game.n_actions, game.horizon
     actions = list(itertools.product(range(A), repeat=n))
     states = list(itertools.product(range(S), repeat=n))
@@ -316,28 +324,6 @@ def random_policy(game: DiscreteMFG, rng) -> np.ndarray:
     return p / p.sum(axis=2, keepdims=True)
 
 
-def potential_identity_check(game: DiscreteMFG, n_agents: int, samples: int, rng) -> float:
-    """Max discrepancy of the unilateral-deviation identity over random draws.
-
-    For each sample, one agent deviates from pi to pi' with the others fixed;
-    the payoff difference is computed once by the marginalized DP route and
-    once by the action-enumeration route (the common-payoff functional of the
-    identical-interest construction).  Both are exact, so the discrepancy is
-    floating-point noise.
-    """
-    worst = 0.0
-    for _ in range(samples):
-        others = [random_policy(game, rng) for _ in range(n_agents - 1)]
-        pi = random_policy(game, rng)
-        pi_dev = random_policy(game, rng)
-        base = [pi] + others
-        dev = [pi_dev] + others
-        lhs = nplayer_payoff(game, base, 0) - nplayer_payoff(game, dev, 0)
-        rhs = nplayer_payoff_enumerated(game, base, 0) - nplayer_payoff_enumerated(game, dev, 0)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
 # --- finite-population value gap (scaling experiment) ------------------------
 
 def _sample_rows(prob_rows: np.ndarray, rng) -> np.ndarray:
@@ -351,6 +337,8 @@ def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: i
     """Mean realized payoff of n agents sharing a policy, with rewards driven
     by the realized empirical measure."""
     policy = _check_policy(game, policy)
+    if n_agents < 1:
+        raise OracleError("need at least one agent, got %r" % n_agents)
     s = _sample_rows(np.tile(game.mu0, (n_agents, 1)), rng)
     total = np.zeros(n_agents)
     for t in range(game.horizon):
@@ -364,6 +352,8 @@ def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: i
 def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: int, rng):
     """(mean, std) over trials of |finite-N mean payoff - exact limit value|."""
     policy = _check_policy(game, policy)
+    if trials < 1:
+        raise OracleError("need at least one trial, got %r" % trials)
     j_inf = float(game.mu0 @ policy_value(game, policy, induced_flow(game, policy))[0])
     gaps = np.array([abs(simulate_population_value(game, policy, n_agents, rng) - j_inf)
                      for _ in range(trials)])
@@ -410,20 +400,6 @@ def two_state_congestion(horizon: int = 2, weights=(1.0, 0.6)) -> DiscreteMFG:
 
 
 # --- linear-quadratic analytic reference -------------------------------------
-
-def riccati_gain(a: float, b: float, q: float, r: float, gamma: float = 1.0,
-                 tol: float = 1e-12, max_iter: int = 10 ** 5):
-    """Scalar discounted Riccati fixed point for the textbook convention
-    cost = sum gamma^k (q*x_k^2 + r*u_k^2).  Returns (gain, fixed point)."""
-    p = q
-    for _ in range(max_iter):
-        k = gamma * p * a * b / (r + gamma * p * b * b)
-        p_new = q + r * k * k + gamma * p * (a - b * k) ** 2
-        if abs(p_new - p) < tol:
-            return gamma * p_new * a * b / (r + gamma * p_new * b * b), p_new
-        p = p_new
-    raise OracleError("Riccati iteration did not converge")
-
 
 @dataclass(frozen=True)
 class LqrSolution:

@@ -5,6 +5,9 @@ import pytest
 
 from mfglearn.approx import (TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp,
                              adam_step, load_params, save_params)
+from mfglearn.envs import lqr_env
+from mfglearn.learner import init_train_state, rollout
+from mfglearn.meanfield import GridSpec
 
 
 def forward_oracle(params, x):
@@ -222,10 +225,18 @@ def make_policy(seed=0, sigma=0.1):
     return GaussianPolicy(Mlp.init(2, 8, 2, rng), sigma=sigma)
 
 
+def rollout_first_actions(sigma, n_agents, seed):
+    """The policy, the start states and the first actions of a one-step
+    rollout with every agent at (0.4, -0.3); the rollout draws actions as
+    mean + sigma * pre-drawn noise."""
+    spec = lqr_env(horizon=1, init_mean=(0.4, -0.3), init_std=0.0)
+    state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=8, sigma=sigma)
+    log = rollout(spec, state, n_agents, np.random.default_rng(seed))
+    return state.actor, log.states[0], log.actions[0]
+
+
 def test_sample_action_degenerate_sigma():
-    pol = make_policy(sigma=1e-12)
-    x = np.array([0.4, -0.3])
-    a, _ = pol.sample(x, np.random.default_rng(1))
+    pol, x, a = rollout_first_actions(1e-12, 1, 1)
     np.testing.assert_allclose(a, pol.mean(x), atol=1e-10)
 
 
@@ -240,9 +251,7 @@ def test_logprob_at_mean_closed_form():
 
 
 def test_sample_action_empirical_std():
-    pol = make_policy()
-    x = np.tile(np.array([0.3, -0.1]), (10 ** 5, 1))
-    a, _ = pol.sample(x, np.random.default_rng(2))
+    pol, x, a = rollout_first_actions(0.1, 10 ** 5, 2)
     std = (a - pol.mean(x)).std(axis=0)
     assert np.all(np.abs(std - 0.1) < 0.002)  # within 2%
 

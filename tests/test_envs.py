@@ -148,6 +148,12 @@ def test_demand_waypoints_must_increase():
         DemandPath(((0, (0.0, 0.0)), (0, (1.0, 0.0))))
 
 
+@pytest.mark.parametrize("spread", [0.0, -1.0, float("nan")])
+def test_demand_singular_path_spread_rejected(spread):
+    with pytest.raises(EnvError, match="singular path spread"):
+        demand_env(path_spread=spread)
+
+
 def test_lqr_reward_values():
     params = LqrReward((0.5, -0.5))
     assert lqr_reward(params, [0.5, -0.5]) == 0.0

@@ -1,6 +1,5 @@
 import copy
 import math
-import time
 
 import numpy as np
 import pytest
@@ -8,10 +7,10 @@ import pytest
 from mfglearn.approx import DivergenceError, Mlp
 from mfglearn.envs import congestion_env, lqr_env
 from mfglearn.learner import (PAIR_BLOCK, EpisodeLog, Schedules, TrainState, TrainTrace,
-                              belief_crossover, convergence_metrics, evaluate,
-                              init_train_state, mean_pairwise_distance, pg_update, rollout,
-                              td_update, train, validate_belief_schedule, write_trace)
-from mfglearn.meanfield import GridSpec, grid_distance
+                              convergence_metrics, evaluate, init_train_state,
+                              mean_pairwise_distance, pg_update, rollout, td_update, train,
+                              write_trace)
+from mfglearn.meanfield import BeliefState, DensityGrid, GridSpec, belief_update, grid_distance
 
 GRID = GridSpec(resolution=20)
 
@@ -34,131 +33,33 @@ def fresh_state(spec, seed=0, **kw):
 # --- schedules ----------------------------------------------------------------
 
 def test_belief_schedule_conditions():
-    validate_belief_schedule(1.0)
-    validate_belief_schedule(0.6)
+    Schedules(belief_exponent=1.0)
+    Schedules(mode="theory", belief_exponent=0.6)
     for bad in (0.5, 0.3, 1.2):
-        with pytest.raises(ValueError):
-            validate_belief_schedule(bad)
+        with pytest.raises(ValueError, match="exponent"):
+            Schedules(belief_exponent=bad)
 
 
 def test_paper_schedule_is_exact_running_mean():
     sched = Schedules()
     assert sched.belief_step(0) is None
-    assert sched.belief_step_value(4) == pytest.approx(0.2)
     assert sched.lr_scale(100) == 1.0
+    # the paper steps fold five measures into their plain mean
+    rng = np.random.default_rng(0)
+    masses = [rng.random((GRID.resolution, GRID.resolution)) for _ in range(5)]
+    masses = [m / m.sum() for m in masses]
+    belief = BeliefState.initial(GRID)
+    for n, m in enumerate(masses):
+        belief = belief_update(belief, DensityGrid(GRID, m), sched.belief_step(n))
+    np.testing.assert_allclose(belief.average.mass, np.mean(masses, axis=0), rtol=1e-12)
 
 
 def test_theory_schedule_rate_ratio_decays():
     sched = Schedules(mode="theory", actor_lr=1e-3, belief_exponent=0.6, actor_exponent=1.0)
-    ratios = [sched.actor_lr * sched.lr_scale(n) / sched.belief_step_value(n)
+    ratios = [sched.actor_lr * sched.lr_scale(n) / sched.belief_step(n)
               for n in (1, 10, 100, 1000, 10000)]
     assert all(r1 < r0 for r0, r1 in zip(ratios, ratios[1:]))
     assert ratios[-1] < 1e-4
-
-
-def test_belief_crossover():
-    sched = Schedules(actor_lr=1e-2)
-    n0 = belief_crossover(sched)
-    assert sched.belief_step_value(n0) < sched.actor_lr
-    assert sched.belief_step_value(n0 - 1) >= sched.actor_lr
-    for n in range(n0, n0 + 500):
-        assert sched.belief_step_value(n) < sched.actor_lr
-
-
-def test_belief_crossover_theory_boundary():
-    sched = Schedules(mode="theory", actor_lr=1e-2, belief_exponent=1.0, actor_exponent=0.5)
-    n0 = belief_crossover(sched)
-    assert n0 == 10 ** 4  # (n+1)^(1 - 0.5) = 1/actor_lr
-    rate = lambda n: sched.actor_lr * sched.lr_scale(n)
-    assert sched.belief_step_value(n0) < rate(n0)
-    assert sched.belief_step_value(n0 - 1) >= rate(n0 - 1)
-
-
-@pytest.mark.parametrize("actor_exponent", [1.0, 0.999])  # the default; a crossing past 1e308
-def test_belief_crossover_theory_defaults_never_cross(actor_exponent):
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="actor rate"):
-        belief_crossover(Schedules(mode="theory", actor_exponent=actor_exponent))
-    assert time.perf_counter() - start < 1.0
-
-
-def test_belief_crossover_beyond_float_resolution_raises():
-    # the rates cross at (1/1e-3)^(1/0.1) = 1e30 steps, where n and n - 1 are one float
-    sched = Schedules(mode="theory", actor_lr=1e-3, belief_exponent=0.6, actor_exponent=0.5)
-    with pytest.raises(ValueError, match="float resolution"):
-        belief_crossover(sched)
-
-
-def test_belief_crossover_near_float_resolution():
-    # crossing near 3.7e14, 0.7 of the limit: the closed form is two steps off
-    sched = Schedules(mode="theory", actor_lr=10 ** -6.7, belief_exponent=0.62, actor_exponent=0.16)
-    n0 = belief_crossover(sched)
-    rate = lambda n: sched.actor_lr * sched.lr_scale(n)
-    assert sched.belief_step_value(n0 - 1) >= rate(n0 - 1)
-    assert all(sched.belief_step_value(n) < rate(n) for n in range(n0, n0 + 100))
-
-
-def test_belief_crossover_raises_when_belief_step_rises_above_later():
-    # starts below the actor rate, but the belief exponent is the smaller one,
-    # so from n = 4 on the belief step stays above for good
-    sched = Schedules(mode="theory", actor_lr=0.2013, belief_exponent=0.6266,
-                      belief_scale=0.119, actor_exponent=0.9934)
-    rate = lambda n: sched.actor_lr * sched.lr_scale(n)
-    assert sched.belief_step_value(0) < rate(0)
-    assert all(sched.belief_step_value(n) >= rate(n) for n in range(4, 10 ** 4))
-    with pytest.raises(ValueError, match="never drops"):
-        belief_crossover(sched)
-
-
-def test_belief_crossover_after_capped_start():
-    # the min(1, .) cap holds the belief step at 1 below an actor rate of 2, which
-    # falls under it at n = 3; the uncapped step 10/(n+1) then falls back under at 25
-    sched = Schedules(mode="theory", actor_lr=2.0, actor_exponent=0.5, belief_exponent=1.0,
-                      belief_scale=10.0)
-    assert belief_crossover(sched) == 25
-
-
-def _scan_above(sched, limit):
-    """The crossover predicate at n = 0..limit-1, evaluated as one array."""
-    m = np.arange(1, limit + 1, dtype=float)
-    if sched.mode == "paper":
-        return 1.0 / m >= sched.actor_lr
-    belief = np.minimum(1.0, sched.belief_scale * m ** -sched.belief_exponent)
-    return belief >= sched.actor_lr * m ** -sched.actor_exponent
-
-
-def test_belief_crossover_matches_brute_force_scan():
-    limit = 2 * 10 ** 5
-    rng = np.random.default_rng(0)
-    above = lambda s, n: s.belief_step_value(n) >= s.actor_lr * s.lr_scale(n)
-    shown = late = 0
-    for _ in range(200):
-        lr = float(10 ** rng.uniform(-3, 1))
-        if rng.random() < 0.15:
-            sched = Schedules(actor_lr=lr)
-        else:
-            sched = Schedules(mode="theory", actor_lr=lr,
-                              belief_scale=float(10 ** rng.uniform(-2, 1.5)),
-                              belief_exponent=float(rng.uniform(0.51, 1.0)),
-                              actor_exponent=float(rng.uniform(-0.1, 1.2)))
-        scan = _scan_above(sched, limit)
-        try:
-            n0 = belief_crossover(sched)
-        except ValueError:
-            n0 = None
-        if scan.any() and not scan[-1]:
-            # the above-set is one interval, and its end shows inside the scan
-            expected = int(np.flatnonzero(scan)[-1]) + 1
-            assert n0 == expected, sched
-            shown += 1
-            late += int(not scan[0])
-        elif n0 is not None and n0 > 0:
-            # the scan cannot show the end: any answer must lie beyond it and be exact
-            assert n0 >= limit and above(sched, n0 - 1), sched
-            assert not any(above(sched, n) for n in range(n0, n0 + 100)), sched
-        else:
-            assert n0 is None or not scan.any(), sched
-    assert shown >= 50 and late >= 2
 
 
 # --- rollout ------------------------------------------------------------------
@@ -210,7 +111,7 @@ def test_rollout_bit_reproducible():
     b = rollout(spec, state, 64, np.random.default_rng(8))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.rewards, b.rewards)
-    assert np.array_equal(a.logprobs, b.logprobs)
+    assert np.array_equal(a.actions, b.actions)
 
 
 def test_rollout_rejects_empty_population():

@@ -10,8 +10,7 @@ from mfglearn.envs import lqr_env
 from mfglearn.oracle import (DiscreteMFG, OracleError, _joint_states, best_response,
                              exploitability, fictitious_play, induced_flow, lqr_analytic,
                              nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
-                             policy_value, potential_identity_check, random_policy,
-                             riccati_gain, ring_game, scaling_experiment,
+                             policy_value, random_policy, ring_game, scaling_experiment,
                              simulate_population_value, two_state_congestion, uniform_policy)
 
 
@@ -239,6 +238,7 @@ _POLICY_ENTRY_POINTS = {
     "exploitability": exploitability,
     "exploitability worst case": lambda g, p: exploitability(g, p, worst_case=True),
     "nplayer_payoff": lambda g, p: nplayer_payoff(g, [uniform_policy(g), p], 0),
+    "nplayer_payoff_enumerated": lambda g, p: nplayer_payoff_enumerated(g, [uniform_policy(g), p], 0),
     "simulate_population_value": lambda g, p: simulate_population_value(
         g, p, 10, np.random.default_rng(0)),
     "nplayer_gap": lambda g, p: nplayer_gap(g, p, 10, 2, np.random.default_rng(0)),
@@ -259,8 +259,25 @@ def test_malformed_policy_fails_loudly(entry, case):
 @pytest.mark.parametrize("agent", [-1, 2, 3])
 def test_nplayer_payoff_rejects_agent_out_of_range(agent):
     game = ring_game()
-    with pytest.raises(OracleError, match="agent"):
-        nplayer_payoff(game, [uniform_policy(game)] * 2, agent)
+    for payoff in (nplayer_payoff, nplayer_payoff_enumerated):
+        with pytest.raises(OracleError, match="agent"):
+            payoff(game, [uniform_policy(game)] * 2, agent)
+
+
+_COUNTS_BELOW_ONE = {
+    "simulate_population_value no agents": lambda g, p: simulate_population_value(
+        g, p, 0, np.random.default_rng(0)),
+    "nplayer_gap no agents": lambda g, p: nplayer_gap(g, p, 0, 5, np.random.default_rng(0)),
+    "nplayer_gap negative agents": lambda g, p: nplayer_gap(g, p, -3, 5, np.random.default_rng(0)),
+    "nplayer_gap no trials": lambda g, p: nplayer_gap(g, p, 10, 0, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNTS_BELOW_ONE))
+def test_population_counts_below_one_fail_loudly(case):
+    game = ring_game()
+    with pytest.raises(OracleError, match="at least one"):
+        _COUNTS_BELOW_ONE[case](game, uniform_policy(game))
 
 
 def test_induced_flow_conserves_mass():
@@ -362,7 +379,7 @@ def test_ring_game_fp_certificate():
     assert running_min[-1] < 1e-3
 
 
-# --- potential identity -------------------------------------------------------
+# --- exact N-player payoff ------------------------------------------------------
 
 @pytest.mark.parametrize("n_states,n_agents", [(4, 6), (3, 5), (2, 1)])
 def test_joint_states_match_product_order(n_states, n_agents):
@@ -371,28 +388,6 @@ def test_joint_states_match_product_order(n_states, n_agents):
     assert joint.dtype == expected.dtype
     assert joint.shape == expected.shape
     assert np.array_equal(joint, expected)
-
-
-def test_potential_null_deviation_zero():
-    rng = np.random.default_rng(11)
-    game = random_game(rng, n_states=2, n_actions=2, horizon=1)
-    pi = random_policy(game, rng)
-    others = [random_policy(game, rng)]
-    lhs = nplayer_payoff(game, [pi] + others, 0) - nplayer_payoff(game, [pi] + others, 0)
-    rhs = nplayer_payoff_enumerated(game, [pi] + others, 0) - nplayer_payoff_enumerated(game, [pi] + others, 0)
-    assert lhs == 0.0 and rhs == 0.0
-
-
-def test_potential_identity_two_player():
-    rng = np.random.default_rng(12)
-    game = random_game(rng, n_states=2, n_actions=2, horizon=1)
-    assert potential_identity_check(game, 2, 100, rng) < 1e-12
-
-
-def test_potential_identity_multi_step():
-    rng = np.random.default_rng(13)
-    game = random_game(rng, n_states=2, n_actions=2, horizon=2)
-    assert potential_identity_check(game, 3, 20, rng) < 1e-12
 
 
 def test_payoff_invariant_under_permuting_others():
@@ -405,13 +400,16 @@ def test_payoff_invariant_under_permuting_others():
     assert a == pytest.approx(b, abs=1e-12)
 
 
-def test_dp_and_enumeration_agree():
-    rng = np.random.default_rng(15)
+@pytest.mark.parametrize("n_agents, horizon, agent, seed",
+                         [(3, 2, 1, 15), (2, 1, 0, 12), (3, 2, 0, 13)],
+                         ids=["3 agents T=2 agent 1", "2 agents T=1 agent 0", "3 agents T=2 agent 0"])
+def test_dp_and_enumeration_agree(n_agents, horizon, agent, seed):
+    rng = np.random.default_rng(seed)
     for _ in range(5):
-        game = random_game(rng, n_states=2, n_actions=2, horizon=2)
-        pols = [random_policy(game, rng) for _ in range(3)]
-        dp = nplayer_payoff(game, pols, 1)
-        enum = nplayer_payoff_enumerated(game, pols, 1)
+        game = random_game(rng, n_states=2, n_actions=2, horizon=horizon)
+        pols = [random_policy(game, rng) for _ in range(n_agents)]
+        dp = nplayer_payoff(game, pols, agent)
+        enum = nplayer_payoff_enumerated(game, pols, agent)
         assert dp == pytest.approx(enum, abs=1e-12)
 
 
@@ -445,6 +443,20 @@ def test_scaling_slope_matches_root_n():
 
 
 # --- Riccati ------------------------------------------------------------------
+
+def riccati_gain(a, b, q, r, gamma=1.0, tol=1e-12, max_iter=10 ** 5):
+    """Scalar discounted Riccati fixed point for the textbook convention
+    cost = sum gamma^k (q*x_k^2 + r*u_k^2), the scalar reference for
+    lqr_analytic.  Returns (gain, fixed point)."""
+    p = q
+    for _ in range(max_iter):
+        k = gamma * p * a * b / (r + gamma * p * b * b)
+        p_new = q + r * k * k + gamma * p * (a - b * k) ** 2
+        if abs(p_new - p) < tol:
+            return gamma * p_new * a * b / (r + gamma * p_new * b * b), p_new
+        p = p_new
+    raise AssertionError("Riccati iteration did not converge")
+
 
 def test_riccati_scalar_golden_role():
     gain, p = riccati_gain(1.0, 1.0, 1.0, 1.0, gamma=1.0)
