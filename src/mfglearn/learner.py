@@ -7,9 +7,13 @@ actor (advantage-weighted policy gradient).  Rewards are evaluated against
 the averaged belief by default, so the population optimizes against the
 fictitious-play estimate of itself rather than the instantaneous crowd.
 
-All cross-agent reductions in the updates run in ascending-agent-id order,
-so permuting the agent order of an episode log leaves every parameter
-update bit-identical.
+Both updates walk the episode log in consecutive blocks of agents, in
+ascending-agent-id order, with about ``UPDATE_BLOCK`` network rows per block,
+so the hidden layers stay cache-sized and memory does not grow with N.  The
+per-block gradients (and the TD loss) are added in block order before the one
+Adam step.  Block contents and order depend only on agent ids, so permuting
+the agent order of an episode log leaves every parameter update
+bit-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_
 
 PARAM_LIMIT = 1e6
 PAIR_BLOCK = 128   # rows per block in mean_pairwise_distance
+UPDATE_BLOCK = 2048   # critic rows per block of agents in td_update and pg_update
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,12 @@ class Schedules:
         # squares iff e > 1/2; both are required
         if not 0.5 < self.belief_exponent <= 1.0:
             raise ValueError("belief step exponent must lie in (0.5, 1], got %r" % self.belief_exponent)
+        for name in ("actor_lr", "critic_lr", "belief_scale"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+        if not (np.isfinite(self.actor_exponent) and self.actor_exponent >= 0):
+            raise ValueError("actor exponent must be finite and >= 0, got %r" % self.actor_exponent)
 
     def belief_step(self, n: int):
         """Step for the n-th (0-indexed) belief update; None = exact mean."""
@@ -102,6 +113,10 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      sigma: float = 0.1, critic_uses_density: bool = True,
                      belief_coupling: str = "averaged") -> TrainState:
     _check_coupling(belief_coupling)
+    if not (isinstance(hidden, (int, np.integer)) and hidden >= 1):
+        raise ValueError("hidden width must be an int >= 1, got %r" % (hidden,))
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("policy sigma must be finite and > 0, got %r" % (sigma,))
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))
     actor_net = Mlp.init(2, hidden, 2, rng)
@@ -151,10 +166,13 @@ class EpisodeLog:
 
     def permuted(self, perm) -> "EpisodeLog":
         """Episode log with agents presented in a different order."""
-        perm = np.asarray(perm)
-        return EpisodeLog(self.states[:, perm], self.actions[:, perm],
-                          self.rewards[:, perm], self.densities[:, perm],
-                          self.measures, self.agent_ids[perm], self.mean_return)
+        return self._agents(np.asarray(perm))
+
+    def _agents(self, cols) -> "EpisodeLog":
+        """The log of the agents in columns ``cols`` (views for a slice)."""
+        return EpisodeLog(self.states[:, cols], self.actions[:, cols],
+                          self.rewards[:, cols], self.densities[:, cols],
+                          self.measures, self.agent_ids[cols], self.mean_return)
 
 
 def _noise(rng, horizon: int, n_agents: int) -> np.ndarray:
@@ -249,8 +267,9 @@ def _canonical(log: EpisodeLog) -> EpisodeLog:
 
 
 def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
-    """Critic inputs, the critic's hidden layer on them, and the (T, N) TD
-    errors r + gamma * V(x') - V(x) under the current critic."""
+    """Critic inputs, the critic's hidden layer on them, and the (T, n) TD
+    errors r + gamma * V(x') - V(x) of the log's n agents under the current
+    critic."""
     T, n = log.rewards.shape
     feats = _critic_features(state, log.states, log.densities)
     out, hidden = state.critic.forward_with_hidden(feats)
@@ -260,15 +279,41 @@ def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
     return feats, hidden, log.rewards + gamma * v_next - v[:T]
 
 
-def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
-    """One Adam step on the summed TD(0) loss; returns the pre-update loss."""
+def _sum_over_agent_blocks(state: TrainState, log: EpisodeLog, gamma: float, block_terms):
+    """Sum ``block_terms(block, feats, hidden, delta) -> (grads, value)`` over
+    consecutive blocks of agents of the canonical log.
+
+    A block holds UPDATE_BLOCK // (T+1) agents (at least one); ``feats``,
+    ``hidden`` and ``delta`` are the block's critic inputs, critic hidden
+    layer and (T, n_block) TD errors.  Gradients and values are added in
+    block order.
+    """
     log = _canonical(log)
     T, n = log.rewards.shape
-    feats, hidden, delta = _td_errors(state, log, gamma)
-    loss = 0.5 * float((delta * delta).sum())
-    upstream = np.zeros((T + 1, n))
-    upstream[:T] = -delta  # semi-gradient: targets held fixed
-    grads, _ = state.critic.backward(feats, upstream.reshape(-1, 1), hidden)
+    per_block = max(1, UPDATE_BLOCK // (T + 1))
+    grads, total = None, 0.0
+    for lo in range(0, n, per_block):
+        block = log._agents(slice(lo, lo + per_block))
+        block_grads, value = block_terms(block, *_td_errors(state, block, gamma))
+        total += value
+        grads = block_grads if grads is None else {k: grads[k] + block_grads[k] for k in grads}
+    return grads, total
+
+
+def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
+    """One Adam step on the summed TD(0) loss; returns the pre-update loss.
+
+    The loss and the critic gradient are summed over blocks of agents in
+    ascending id order (see :func:`_sum_over_agent_blocks`).
+    """
+    def block_terms(block, feats, hidden, delta):
+        T, n = delta.shape
+        upstream = np.zeros((T + 1, n))
+        upstream[:T] = -delta  # semi-gradient: targets held fixed
+        grads, _ = state.critic.backward(feats, upstream.reshape(-1, 1), hidden)
+        return grads, 0.5 * float((delta * delta).sum())
+
+    grads, loss = _sum_over_agent_blocks(state, log, gamma, block_terms)
     adam_step(state.critic_opt, state.critic.params, grads,
               state.schedules.lr_scale(state.episode))
     state.check_finite()
@@ -276,13 +321,19 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
 
 
 def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
-    """Advantage-weighted policy-gradient ascent step; returns the gradient norm."""
-    log = _canonical(log)
-    T, n = log.rewards.shape
-    adv = _td_errors(state, log, gamma)[2]
-    x = log.states[:T].reshape(T * n, 2)
-    a = log.actions.reshape(T * n, 2)
-    grads = state.actor.logprob_grad(x, a, weights=adv.reshape(-1))
+    """Advantage-weighted policy-gradient ascent step; returns the gradient norm.
+
+    The advantage is the TD error under the current critic.  The gradient
+    is summed over blocks of agents in ascending id order (see
+    :func:`_sum_over_agent_blocks`).
+    """
+    def block_terms(block, feats, hidden, delta):
+        T, n = delta.shape
+        x = block.states[:T].reshape(T * n, 2)
+        a = block.actions.reshape(T * n, 2)
+        return state.actor.logprob_grad(x, a, weights=delta.reshape(-1)), 0.0
+
+    grads, _ = _sum_over_agent_blocks(state, log, gamma, block_terms)
     norm = params_flat_norm(grads)
     descent = {k: -g for k, g in grads.items()}
     adam_step(state.actor_opt, state.actor.mean_net.params, descent,

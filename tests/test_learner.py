@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mfglearn.approx import DivergenceError, Mlp
-from mfglearn.envs import congestion_env, lqr_env
-from mfglearn.learner import (PAIR_BLOCK, EpisodeLog, Schedules, TrainState, TrainTrace,
-                              convergence_metrics, evaluate, init_train_state,
+from mfglearn.envs import congestion_env, demand_env, lqr_env
+from mfglearn.learner import (PAIR_BLOCK, UPDATE_BLOCK, EpisodeLog, Schedules, TrainState,
+                              TrainTrace, convergence_metrics, evaluate, init_train_state,
                               mean_pairwise_distance, pg_update, rollout, td_update, train,
                               write_trace)
 from mfglearn.meanfield import BeliefState, DensityGrid, GridSpec, belief_update, grid_distance
@@ -30,6 +30,21 @@ def fresh_state(spec, seed=0, **kw):
     return init_train_state(spec, GRID, seed=seed, **kw)
 
 
+def kw_id(kw):
+    return ",".join("%s=%s" % item for item in kw.items())
+
+
+# T = 4 and N = 1,500 give 7,500 critic rows: several update blocks plus a
+# remainder (checked by multi_block_counts)
+MULTI_BLOCK_HORIZON, MULTI_BLOCK_AGENTS = 4, 1500
+
+
+def multi_block_counts():
+    """(full blocks, agents in the last partial block) of the multi-block case."""
+    per_block = max(1, UPDATE_BLOCK // (MULTI_BLOCK_HORIZON + 1))
+    return divmod(MULTI_BLOCK_AGENTS, per_block)
+
+
 # --- schedules ----------------------------------------------------------------
 
 def test_belief_schedule_conditions():
@@ -38,6 +53,18 @@ def test_belief_schedule_conditions():
     for bad in (0.5, 0.3, 1.2):
         with pytest.raises(ValueError, match="exponent"):
             Schedules(belief_exponent=bad)
+
+
+@pytest.mark.parametrize("kw", [
+    {"mode": "theory", "belief_scale": 0.0}, {"belief_scale": -1.0}, {"belief_scale": math.inf},
+    {"actor_lr": -1.0}, {"actor_lr": 0.0}, {"actor_lr": math.nan},
+    {"critic_lr": 0.0}, {"critic_lr": math.inf},
+    {"actor_exponent": -0.5}, {"actor_exponent": math.nan}, {"actor_exponent": math.inf},
+], ids=kw_id)
+def test_schedule_rates_must_be_finite_and_positive(kw):
+    with pytest.raises(ValueError, match="must be finite"):
+        Schedules(**kw)
+    Schedules(mode="theory", actor_exponent=0.0)  # a constant actor rate is allowed
 
 
 def test_paper_schedule_is_exact_running_mean():
@@ -274,6 +301,15 @@ def test_evaluate_rejects_empty_population():
         evaluate(spec, fresh_state(spec), 0, np.random.default_rng(23))
 
 
+@pytest.mark.parametrize("kw", [
+    {"sigma": 0.0}, {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
+    {"hidden": 0}, {"hidden": -3}, {"hidden": 2.5},
+], ids=kw_id)
+def test_init_train_state_rejects_bad_sigma_and_hidden(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        fresh_state(congestion_env(), **kw)
+
+
 def test_unknown_coupling_rejected_by_state_and_evaluate():
     spec = congestion_env()
     message = "belief coupling must be averaged or instantaneous"
@@ -312,22 +348,53 @@ def test_snapshot_hook_fires_every_n_episodes():
     assert [ret for _, _, ret in calls] == [trace.mean_return[1], trace.mean_return[3]]
 
 
-def test_updates_bit_identical_under_agent_permutation():
-    spec = congestion_env(alpha=1.5)
-    state = fresh_state(spec)
-    log = rollout(spec, state, 100, np.random.default_rng(18))
-    perm = np.random.default_rng(19).permutation(100)
-    shuffled = log.permuted(perm)
+def test_update_rows_across_blocks(monkeypatch):
+    spec = demand_env(horizon=MULTI_BLOCK_HORIZON)
+    T, n = MULTI_BLOCK_HORIZON, MULTI_BLOCK_AGENTS
+    full, rest = multi_block_counts()
+    assert full >= 3 and rest > 0
+    forward_rows, backward = [], []
+    forward, backward_pass = Mlp.forward_with_hidden, Mlp.backward
 
-    s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
-    td_update(s1, log, spec.gamma)
-    pg_update(s1, log, spec.gamma)
-    td_update(s2, shuffled, spec.gamma)
-    pg_update(s2, shuffled, spec.gamma)
-    for k in s1.critic.params:
-        assert np.array_equal(s1.critic.params[k], s2.critic.params[k])
-    for k in s1.actor.mean_net.params:
-        assert np.array_equal(s1.actor.mean_net.params[k], s2.actor.mean_net.params[k])
+    def forward_spy(self, x):
+        forward_rows.append(np.atleast_2d(x).shape[0])
+        return forward(self, x)
+
+    def backward_spy(self, x, upstream, hidden=None):
+        up = np.atleast_2d(upstream)
+        backward.append((up.shape[0], int(np.count_nonzero(~up.any(axis=1))), hidden is not None))
+        return backward_pass(self, x, upstream, hidden)
+
+    monkeypatch.setattr(Mlp, "forward_with_hidden", forward_spy)
+    monkeypatch.setattr(Mlp, "backward", backward_spy)
+    train(spec, fresh_state(spec, hidden=8), n, 1, np.random.default_rng(26))
+    # rollout actor TN, critic (T+1)N in each update, actor TN in pg_update
+    assert sum(forward_rows) == 2 * (T + 1) * n + 2 * T * n
+    assert sum(rows for rows, _, _ in backward) == (T + 1) * n + T * n
+    assert sum(zero for _, zero, _ in backward) == n   # the critic's terminal rows
+    assert all(cached for _, _, cached in backward)
+    assert len(backward) == 2 * (full + 1)   # one critic and one actor backward per block
+
+
+def test_updates_bit_identical_under_agent_permutation():
+    # one update block, then several blocks plus a remainder
+    cases = [(congestion_env(alpha=1.5), 100, {}),
+             (demand_env(horizon=MULTI_BLOCK_HORIZON), MULTI_BLOCK_AGENTS, {"hidden": 8})]
+    for spec, n, kw in cases:
+        state = fresh_state(spec, **kw)
+        log = rollout(spec, state, n, np.random.default_rng(18))
+        perm = np.random.default_rng(19).permutation(n)
+        shuffled = log.permuted(perm)
+
+        s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
+        td_update(s1, log, spec.gamma)
+        pg_update(s1, log, spec.gamma)
+        td_update(s2, shuffled, spec.gamma)
+        pg_update(s2, shuffled, spec.gamma)
+        for k in s1.critic.params:
+            assert np.array_equal(s1.critic.params[k], s2.critic.params[k])
+        for k in s1.actor.mean_net.params:
+            assert np.array_equal(s1.actor.mean_net.params[k], s2.actor.mean_net.params[k])
 
 
 def test_instantaneous_coupling_mode():

@@ -1,0 +1,88 @@
+"""Reference for the critic and actor updates: one full-batch backward.
+
+The gradients, TD loss and gradient norm that ``td_update`` and
+``pg_update`` produce are compared with plain formulas that push every
+(step, agent) row through one ``Mlp.backward``.  The updates may sum their
+gradients in another order, so the comparison is to rtol 1e-12.  The run
+spans several blocks of agents plus a remainder.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from mfglearn import learner
+from mfglearn.approx import params_flat_norm
+from mfglearn.envs import demand_env
+from mfglearn.learner import Schedules, init_train_state, rollout
+from mfglearn.meanfield import GridSpec
+
+HORIZON = 4
+N_AGENTS = 1500   # (T+1)N = 7,500 critic rows and TN = 6,000 actor rows
+RTOL = 1e-12
+
+
+def _critic_inputs(log, uses_density):
+    if not uses_density:
+        return log.states.reshape(-1, 2)
+    return np.concatenate([log.states, np.log1p(log.densities)[..., None]], axis=-1).reshape(-1, 3)
+
+
+def _full_batch_td(state, log, gamma):
+    """(critic gradients, TD loss, TD errors) from one pass over all rows."""
+    T, n = log.rewards.shape
+    feats = _critic_inputs(log, state.critic_uses_density)
+    out, hidden = state.critic.forward_with_hidden(feats)
+    v = out.reshape(T + 1, n)
+    v_next = np.concatenate([v[1:T], np.zeros((1, n))])
+    delta = log.rewards + gamma * v_next - v[:T]
+    upstream = np.concatenate([-delta, np.zeros((1, n))]).reshape(-1, 1)
+    grads, _ = state.critic.backward(feats, upstream, hidden)
+    return grads, 0.5 * float((delta * delta).sum()), delta
+
+
+def _full_batch_pg(state, log, gamma):
+    """Actor score gradients weighted by the current critic's TD errors."""
+    T, n = log.rewards.shape
+    _, _, delta = _full_batch_td(state, log, gamma)
+    return state.actor.logprob_grad(log.states[:T].reshape(-1, 2), log.actions.reshape(-1, 2),
+                                    weights=delta.reshape(-1))
+
+
+def _assert_grads_close(got, want):
+    assert sorted(got) == sorted(want)
+    for k in want:
+        np.testing.assert_allclose(got[k], want[k], rtol=RTOL, atol=0, err_msg=k)
+
+
+@pytest.mark.parametrize("uses_density", [True, False])
+def test_updates_match_full_batch_gradients(monkeypatch, uses_density):
+    full, rest = divmod(N_AGENTS, max(1, learner.UPDATE_BLOCK // (HORIZON + 1)))
+    assert full >= 3 and rest > 0   # several blocks of agents plus a remainder
+    spec = demand_env(horizon=HORIZON)
+    state = init_train_state(spec, GridSpec(resolution=20), seed=3, hidden=8,
+                             schedules=Schedules(actor_lr=1e-2, critic_lr=1e-2),
+                             critic_uses_density=uses_density)
+    log = rollout(spec, state, N_AGENTS, np.random.default_rng(4))
+
+    seen = []
+    original = learner.adam_step
+
+    def spy(opt, params, grads, lr_scale=1.0):
+        seen.append({k: g.copy() for k, g in grads.items()})
+        return original(opt, params, grads, lr_scale)
+
+    monkeypatch.setattr(learner, "adam_step", spy)
+
+    want_critic, want_loss, _ = _full_batch_td(copy.deepcopy(state), log, spec.gamma)
+    loss = learner.td_update(state, log, spec.gamma)
+    _assert_grads_close(seen[0], want_critic)
+    assert loss == pytest.approx(want_loss, rel=RTOL, abs=0)
+
+    # the actor's advantage comes from the critic after its Adam step
+    want_actor = _full_batch_pg(copy.deepcopy(state), log, spec.gamma)
+    norm = learner.pg_update(state, log, spec.gamma)
+    _assert_grads_close(seen[1], {k: -g for k, g in want_actor.items()})
+    assert norm == pytest.approx(params_flat_norm(want_actor), rel=RTOL, abs=0)
+    assert len(seen) == 2
