@@ -87,7 +87,8 @@ class Mlp:
             raise ValueError("upstream shape %r != %r" % (dy.shape, (xx.shape[0], self.out_dim)))
         p = self.params
         h = self._hidden(xx) if hidden is None else np.atleast_2d(hidden)
-        dz = dy @ p["w2"]
+        # np.dot, not @: matmul skips BLAS when dy has one column, as the critic's does
+        dz = np.dot(dy, p["w2"])
         # dz *= 1 - h^2 a block of rows at a time, so no full-size temporary is made
         buf = np.empty((min(TANH_BLOCK, len(h)), h.shape[1]))
         for lo in range(0, len(h), TANH_BLOCK):

@@ -14,9 +14,13 @@ finite-game solvers call the reward once per backward sweep, on the whole
 stack of flows that sweep solves against: s has shape (S, 1), mass has shape
 (..., S, 1) and a has shape (A,), and the result must broadcast to
 (..., S, A).  A fictitious-play iteration is one such sweep and one forward
-pass.  Policies passed to the solvers must be (T, S, A) arrays whose rows are
-distributions over actions (``induced_flow`` also takes a (K, T, S, A) stack);
-anything else raises OracleError.
+pass.  The finite-N gap simulator calls the reward once per step on trials
+run side by side: s, mass and a are (trials, N) arrays of each agent's
+state, the mass at that state in the agent's own trial, and its action, and
+the result must broadcast to (trials, N).  Policies passed to the solvers
+must be (T, S, A) arrays whose rows are distributions over actions
+(``induced_flow`` also takes a (K, T, S, A) stack); anything else raises
+OracleError.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 PROB_TOL = 1e-12
+GAP_BLOCK = 2 ** 16  # uniform draws per chunk of side-by-side finite-N trials
 
 
 class OracleError(ValueError):
@@ -107,7 +112,12 @@ def _check_policy(game: DiscreteMFG, policy, stacked: bool = False) -> np.ndarra
         raise OracleError("policy shape %r, expected %r" % (policy.shape, shape))
     if not np.all(policy >= 0.0):
         raise OracleError("policy entries must be nonnegative")
-    if not np.all(np.abs(policy.sum(axis=-1) - 1.0) <= PROB_TOL):
+    # row sums by adding action columns: numpy's reduction over a short
+    # trailing axis costs several times more
+    row_sums = np.zeros(policy.shape[:-1])
+    for a in range(policy.shape[-1]):
+        row_sums += policy[..., a]
+    if not np.all(np.abs(row_sums - 1.0) <= PROB_TOL):
         raise OracleError("policy rows must sum to 1")
     return policy
 
@@ -122,29 +132,31 @@ def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = 
 
     One reward call covers the stack, and each step takes one
     (K', S) @ (S, S*A) product over all value columns.  Returns the best
-    actions (K, T, S), ties broken toward the lowest index, and the values
-    (K', T+1, S): values[k] is the optimum against flows[k] for k < K and,
-    when ``policy`` is given, values[K] is that policy's value against the
-    last flow.  Each values[k] is a contiguous (T+1, S) array.
+    actions (T, K, S), ties broken toward the lowest index, and the values
+    (T+1, K', S), time-major so that each step reads and writes contiguous
+    rows: values[:, k] is the optimum against flows[k] for k < K and, when
+    ``policy`` is given, values[:, K] is that policy's value against the
+    last flow.
     """
     flows = _check_flow(game, flows)
     T, S, A = game.horizon, game.n_states, game.n_actions
     K = len(flows)
-    rewards = game.reward_table(flows[:, :T])
+    columns = K + (policy is not None)
+    rewards = np.empty((T, columns, S * A))
+    rewards.reshape(T, columns, S, A)[:, :K] = game.reward_table(flows[:, :T]).swapaxes(0, 1)
     if policy is not None:
-        rewards = np.concatenate((rewards, rewards[-1:]))
+        rewards[:, K] = rewards[:, K - 1]
     kernel = game.transitions.reshape(S * A, S).T
-    values = np.zeros((len(rewards), T + 1, S))
-    best = np.zeros((K, T, S), dtype=int)
-    rows = np.arange(K * S)
+    values = np.zeros((T + 1, columns, S))
+    best = np.zeros((T, K, S), dtype=int)
+    first = np.arange(K * S).reshape(K, S) * A  # flat index of each (k, s) row's action 0
     for t in range(T - 1, -1, -1):
-        q = (values[:, t + 1] @ kernel).reshape(-1, S, A)
-        q += rewards[:, t]
-        b = q[:K].argmax(axis=2)  # first max = lowest action index
-        best[:, t] = b
-        values[:K, t] = q.reshape(-1, A)[rows, b.ravel()].reshape(K, S)
+        q = values[t + 1] @ kernel
+        q += rewards[t]
+        best[t] = q[:K].reshape(K, S, A).argmax(axis=2)  # first max = lowest action index
+        values[t, :K] = q.take(first + best[t])
         if policy is not None:
-            values[K, t] = (policy[t] * q[K]).sum(axis=1)
+            values[t, K] = (policy[t] * q[K].reshape(S, A)).sum(axis=1)
     return best, values
 
 
@@ -155,14 +167,14 @@ def best_response(game: DiscreteMFG, flow: np.ndarray):
     toward the lowest action index.
     """
     best, values = _backward(game, np.asarray(flow, dtype=float)[None])
-    return _one_hot(game, best[0]), values[0]
+    return _one_hot(game, best[:, 0]), values[:, 0].copy()
 
 
 def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Expected values (T+1, S) of a stochastic policy against a frozen flow."""
     policy = _check_policy(game, policy)
     _, values = _backward(game, np.asarray(flow, dtype=float)[None], policy)
-    return values[1]
+    return values[:, 1].copy()
 
 
 def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
@@ -193,7 +205,7 @@ def exploitability(game: DiscreteMFG, policy: np.ndarray, worst_case: bool = Fal
     """
     policy = _check_policy(game, policy)
     _, values = _backward(game, induced_flow(game, policy)[None], policy)
-    gap = values[0, 0] - values[1, 0]
+    gap = values[0, 0] - values[0, 1]
     if worst_case:
         return float(gap.max())
     return float(game.mu0 @ gap)
@@ -220,12 +232,12 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     avg_flow = np.zeros((T + 1, S))
     trace = np.zeros(iterations)
     for n in range(1, iterations + 1):
-        pol = _one_hot(game, best[0])
+        pol = _one_hot(game, best[:, 0])
         avg_policy += (pol - avg_policy) / n
         flow_n, own_flow = induced_flow(game, np.stack((pol, avg_policy)))
         avg_flow += (flow_n - avg_flow) / n
         best, values = _backward(game, np.stack((avg_flow, own_flow)), avg_policy)
-        trace[n - 1] = game.mu0 @ (values[1, 0] - values[2, 0])
+        trace[n - 1] = game.mu0 @ (values[0, 1] - values[0, 2])
     return avg_policy, avg_flow, trace
 
 
@@ -326,27 +338,72 @@ def random_policy(game: DiscreteMFG, rng) -> np.ndarray:
 
 # --- finite-population value gap (scaling experiment) ------------------------
 
-def _sample_rows(prob_rows: np.ndarray, rng) -> np.ndarray:
-    """Sample one index per row of a (n, k) stack of distributions."""
-    cdf = np.cumsum(prob_rows, axis=1)
-    u = rng.random(prob_rows.shape[0])
-    return (u[:, None] > cdf).sum(axis=1)
+def _cdf_table(prob: np.ndarray) -> np.ndarray:
+    """Inverse-cdf table of a stack of distributions over the last axis.
+
+    Row j of the (k-1, rows) result holds every distribution's cumulative
+    mass up to index j, so each row is contiguous.  The last cumulative
+    entry is taken as exactly 1.0 and not stored: a uniform draw below 1
+    then never lands past the last index, even in a row that sums to a
+    little under 1.
+    """
+    k = prob.shape[-1]
+    return np.ascontiguousarray(np.cumsum(prob, axis=-1).reshape(-1, k)[:, :k - 1].T)
+
+
+def _draw(cdf: np.ndarray, rows, u: np.ndarray) -> np.ndarray:
+    """The index each uniform in ``u`` picks from its row of a ``_cdf_table``:
+    the count of that row's cumulative entries below it."""
+    index = np.zeros(u.shape, dtype=int)
+    for column in cdf:
+        index += u > column[rows]
+    return index
+
+
+def _population_values(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: int,
+                       rng) -> np.ndarray:
+    """Mean realized payoff per trial of n agents sharing a policy, with
+    rewards driven by each trial's realized empirical measure.
+
+    A trial draws 1 + 2T uniforms per agent: its initial state, then an
+    action and a successor per step.  Trials run side by side as (c, N)
+    arrays, c of them per chunk of at most GAP_BLOCK draws.  A chunk draws
+    its (c, 1 + 2T, N) uniforms at once, which is the stream c one-trial
+    loops would draw in turn; a trial larger than the budget draws one step
+    at a time.  Either way the results and the generator's state afterwards
+    do not depend on the chunking.
+    """
+    if n_agents < 1:
+        raise OracleError("need at least one agent, got %r" % n_agents)
+    T, S, A = game.horizon, game.n_states, game.n_actions
+    start, act, move = _cdf_table(game.mu0), _cdf_table(policy), _cdf_table(game.transitions)
+    per_trial = (1 + 2 * T) * n_agents
+    chunk = max(1, GAP_BLOCK // per_trial)
+    values = np.empty(trials)
+    for lo in range(0, trials, chunk):
+        c = min(chunk, trials - lo)
+        if per_trial > GAP_BLOCK:
+            draws = (rng.random((1, n_agents)) for _ in range(1 + 2 * T))
+        else:
+            draws = iter(rng.random((c, 1 + 2 * T, n_agents)).swapaxes(0, 1))
+        offset = S * np.arange(c)[:, None]  # each trial counts its own agents
+        s = _draw(start, 0, next(draws))
+        total = np.zeros((c, n_agents))
+        for t in range(T):
+            cell = s + offset
+            mass = np.bincount(cell.ravel(), minlength=c * S) / float(n_agents)
+            a = _draw(act, t * S + s, next(draws))
+            total += game.reward(s, mass[cell], a)
+            s = _draw(move, s * A + a, next(draws))
+        values[lo:lo + c] = total.mean(axis=1)
+    return values
 
 
 def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: int, rng) -> float:
     """Mean realized payoff of n agents sharing a policy, with rewards driven
     by the realized empirical measure."""
     policy = _check_policy(game, policy)
-    if n_agents < 1:
-        raise OracleError("need at least one agent, got %r" % n_agents)
-    s = _sample_rows(np.tile(game.mu0, (n_agents, 1)), rng)
-    total = np.zeros(n_agents)
-    for t in range(game.horizon):
-        mass = np.bincount(s, minlength=game.n_states) / float(n_agents)
-        a = _sample_rows(policy[t, s], rng)
-        total += game.reward(s, mass[s], a)
-        s = _sample_rows(game.transitions[s, a], rng)
-    return float(total.mean())
+    return float(_population_values(game, policy, n_agents, 1, rng)[0])
 
 
 def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: int, rng):
@@ -355,8 +412,7 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
     if trials < 1:
         raise OracleError("need at least one trial, got %r" % trials)
     j_inf = float(game.mu0 @ policy_value(game, policy, induced_flow(game, policy))[0])
-    gaps = np.array([abs(simulate_population_value(game, policy, n_agents, rng) - j_inf)
-                     for _ in range(trials)])
+    gaps = np.abs(_population_values(game, policy, n_agents, trials, rng) - j_inf)
     return float(gaps.mean()), float(gaps.std())
 
 

@@ -7,9 +7,9 @@ import pytest
 import scipy.linalg
 
 from mfglearn.envs import lqr_env
-from mfglearn.oracle import (DiscreteMFG, OracleError, _joint_states, best_response,
-                             exploitability, fictitious_play, induced_flow, lqr_analytic,
-                             nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
+from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _joint_states,
+                             best_response, exploitability, fictitious_play, induced_flow,
+                             lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
                              policy_value, random_policy, ring_game, scaling_experiment,
                              simulate_population_value, two_state_congestion, uniform_policy)
 
@@ -280,6 +280,25 @@ def test_population_counts_below_one_fail_loudly(case):
         _COUNTS_BELOW_ONE[case](game, uniform_policy(game))
 
 
+# A = 9 is past numpy's 8-element pairwise summation block, where adding
+# action columns one by one sums in another order than a reduction would
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 9])
+@pytest.mark.parametrize("entry", sorted(_POLICY_ENTRY_POINTS))
+def test_policy_row_sum_tolerance_verdicts(entry, n_actions):
+    rng = np.random.default_rng(30 + n_actions)
+    game = random_game(rng, n_states=2, n_actions=n_actions, horizon=2)
+    policy = random_policy(game, rng)
+    for off in (5e-13, -5e-13):
+        near = policy.copy()
+        near[1, 0, -1] += off
+        _POLICY_ENTRY_POINTS[entry](game, near)
+    for off in (2e-12, -2e-12):
+        far = policy.copy()
+        far[1, 0, -1] += off
+        with pytest.raises(OracleError, match="sum to 1"):
+            _POLICY_ENTRY_POINTS[entry](game, far)
+
+
 def test_induced_flow_conserves_mass():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -414,6 +433,31 @@ def test_dp_and_enumeration_agree(n_agents, horizon, agent, seed):
 
 
 # --- finite-population gap ----------------------------------------------------
+
+def test_draw_never_lands_past_the_last_index():
+    # the first row sums to 1 - 5e-13, which the policy and kernel checks accept
+    cdf = _cdf_table(np.array([[0.1, 0.2, 0.7 - 5e-13], [0.5, 0.5, 0.0]]))
+    u = np.array([1.0 - 2.0 ** -53, 0.05, 0.15, 0.31, 1.0 - 2.0 ** -53, 0.7])
+    rows = np.array([0, 0, 0, 0, 1, 1])
+    assert _draw(cdf, rows, u).tolist() == [2, 0, 1, 2, 1, 1]
+
+
+class _TopDraws:
+    """A generator stand-in whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+def test_population_value_never_plays_an_action_past_the_last():
+    game = DiscreteMFG(1, 3, 2, np.ones((1, 3, 1)), lambda s, m, a: np.asarray(a, dtype=float),
+                       np.array([1.0]))
+    policy = np.tile([0.1, 0.2, 0.7 - 5e-13], (2, 1, 1))
+    # every agent draws the last action, 2, at both steps
+    assert simulate_population_value(game, policy, 4, _TopDraws()) == 4.0
+    j_inf = float(game.mu0 @ policy_value(game, policy, induced_flow(game, policy))[0])
+    assert nplayer_gap(game, policy, 4, 3, _TopDraws()) == (abs(4.0 - j_inf), 0.0)
+
 
 def test_gap_vanishes_without_coupling():
     rng = np.random.default_rng(16)
