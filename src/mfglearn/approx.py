@@ -18,6 +18,7 @@ class DivergenceError(RuntimeError):
 
 
 TANH_BLOCK = 1024   # rows per block of the tanh derivative in Mlp.backward
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator guard
 
 
 @dataclass
@@ -112,16 +113,13 @@ class AdamState:
     """Adam moments and step counter for one parameter dict."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict, lr: float, **kw) -> "AdamState":
-        state = cls(lr=lr, **kw)
+    def for_params(cls, params: dict, lr: float) -> "AdamState":
+        state = cls(lr=lr)
         state.m = {k: np.zeros_like(p) for k, p in params.items()}
         state.v = {k: np.zeros_like(p) for k, p in params.items()}
         return state
@@ -136,15 +134,15 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr_scale: float = 1.0
         if not np.all(np.isfinite(grads[k])):
             raise DivergenceError("diverged")
     state.t += 1
-    b1t = 1.0 - state.beta1 ** state.t
-    b2t = 1.0 - state.beta2 ** state.t
+    b1t = 1.0 - _BETA1 ** state.t
+    b2t = 1.0 - _BETA2 ** state.t
     for k in params:
         g = grads[k]
-        state.m[k] = state.beta1 * state.m[k] + (1.0 - state.beta1) * g
-        state.v[k] = state.beta2 * state.v[k] + (1.0 - state.beta2) * g * g
+        state.m[k] = _BETA1 * state.m[k] + (1.0 - _BETA1) * g
+        state.v[k] = _BETA2 * state.v[k] + (1.0 - _BETA2) * g * g
         mhat = state.m[k] / b1t
         vhat = state.v[k] / b2t
-        params[k] -= state.lr * lr_scale * mhat / (np.sqrt(vhat) + state.eps)
+        params[k] -= state.lr * lr_scale * mhat / (np.sqrt(vhat) + _EPS)
     return params
 
 

@@ -6,8 +6,8 @@ All three environments share the transition x' = a*x + b*u + sigma1*noise
 (matrices proportional to the 2x2 identity, so scalars suffice) and differ
 only in the reward:
 
-* congestion / congestion-bimodal: Gaussian desirability peaks discounted by
-  local crowding, one-shot by default.
+* congestion: Gaussian desirability peaks (one, or two for the bimodal
+  game) discounted by local crowding, one-shot by default.
 * demand: a desirability peak that travels along a piecewise-linear path,
   with a movement cost.
 * lqr: quadratic tracking cost toward a fixed target, no density coupling.
@@ -169,17 +169,17 @@ class EnvSpec:
     quartic_cost: bool = False   # demand option: eta*|u|^4 instead of 0.5*eta*|u|^2
 
     def __post_init__(self):
-        if self.kind not in ("congestion", "congestion-bimodal", "demand", "lqr"):
+        if self.kind not in ("congestion", "demand", "lqr"):
             raise EnvError("unknown environment kind %r" % self.kind)
-        if self.horizon < 1:
-            raise EnvError("horizon must be >= 1")
+        if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
+            raise EnvError("horizon must be an int >= 1, got %r" % (self.horizon,))
         if self.eta < 0.0:
             raise EnvError("marginal control cost eta must be >= 0")
         if not self.alpha > 0.0:
             raise EnvError("averseness alpha must be > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise EnvError("discount gamma must be in (0, 1]")
-        if self.kind in ("congestion", "congestion-bimodal") and self.congestion is None:
+        if self.kind == "congestion" and self.congestion is None:
             raise EnvError("congestion environment needs reward peaks")
         if self.kind == "demand" and self.path is None:
             raise EnvError("demand environment needs a path")
@@ -226,7 +226,7 @@ def movement_cost(spec: EnvSpec, u):
 
 def reward(spec: EnvSpec, t, x, u, density):
     """Per-step reward at arrival state x (time index t), net of movement cost."""
-    if spec.kind in ("congestion", "congestion-bimodal"):
+    if spec.kind == "congestion":
         base = congestion_reward(spec.congestion, x, density, spec.alpha)
     elif spec.kind == "demand":
         base = demand_reward(spec.path, t, x, density, spec.alpha, spec.path_spread)
@@ -255,7 +255,7 @@ def bimodal_env(alpha: float = 1.0, peaks=((-1.0, 0.0), (0.0, 0.0)),
                 spread: float = 0.05, eta: float = 0.0, **kw) -> EnvSpec:
     """One-shot congestion game with two equal-weight desirability peaks."""
     comps = tuple((tuple(p), spread) for p in peaks)
-    return EnvSpec(kind="congestion-bimodal", horizon=1, eta=eta, alpha=alpha,
+    return EnvSpec(kind="congestion", horizon=1, eta=eta, alpha=alpha,
                    congestion=CongestionReward(comps),
                    init_mean=kw.pop("init_mean", (1.0, 0.0)), **kw)
 
@@ -265,10 +265,11 @@ def demand_env(alpha: float = 0.1, eta: float = 2.0, horizon: int = 30,
                init_mean=(-0.2, 0.0), **kw) -> EnvSpec:
     """Demand-tracking game: a reward peak traverses a path over the horizon."""
     path = DemandPath() if waypoints is None else DemandPath(tuple(waypoints))
+    spec = EnvSpec(kind="demand", horizon=horizon, eta=eta, alpha=alpha,
+                   path=path, path_spread=path_spread, init_mean=init_mean, **kw)
     if path.t_max < horizon:
         raise EnvError("demand path must cover the horizon")
-    return EnvSpec(kind="demand", horizon=horizon, eta=eta, alpha=alpha,
-                   path=path, path_spread=path_spread, init_mean=init_mean, **kw)
+    return spec
 
 
 def lqr_env(target=(0.5, -0.5), q=None, eta: float = 1.0, horizon: int = 30,

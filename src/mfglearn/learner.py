@@ -3,9 +3,12 @@
 Each episode rolls out the whole population under one Gaussian policy,
 folds the realized per-step empirical measures into time-indexed belief
 averages, then takes one Adam step on the critic (TD(0)) and one on the
-actor (advantage-weighted policy gradient).  Rewards are evaluated against
-the averaged belief by default, so the population optimizes against the
-fictitious-play estimate of itself rather than the instantaneous crowd.
+actor (advantage-weighted policy gradient).  Training rewards are evaluated
+against the averaged belief, so the population optimizes against the
+fictitious-play estimate of itself rather than the instantaneous crowd;
+:func:`evaluate` scores a policy against the crowd it realizes.  The critic
+sees the belief density at an agent's state only when the environment's
+reward reads it (``EnvSpec.uses_density``).
 
 Both updates walk the episode log in consecutive blocks of agents, in
 ascending-agent-id order, with about ``UPDATE_BLOCK`` network rows per block,
@@ -86,8 +89,6 @@ class TrainState:
     schedules: Schedules
     episode: int = 0
     seed: int = 0
-    critic_uses_density: bool = True
-    belief_coupling: str = "averaged"   # averaged | instantaneous
 
     @property
     def belief(self) -> BeliefState:
@@ -103,16 +104,9 @@ class TrainState:
         check_finite(self.critic.params, PARAM_LIMIT)
 
 
-def _check_coupling(coupling: str):
-    if coupling not in ("averaged", "instantaneous"):
-        raise ValueError("belief coupling must be averaged or instantaneous")
-
-
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      schedules: Schedules | None = None, hidden: int = 64,
-                     sigma: float = 0.1, critic_uses_density: bool = True,
-                     belief_coupling: str = "averaged") -> TrainState:
-    _check_coupling(belief_coupling)
+                     sigma: float = 0.1) -> TrainState:
     if not (isinstance(hidden, (int, np.integer)) and hidden >= 1):
         raise ValueError("hidden width must be an int >= 1, got %r" % (hidden,))
     if not (np.isfinite(sigma) and sigma > 0):
@@ -120,7 +114,7 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))
     actor_net = Mlp.init(2, hidden, 2, rng)
-    critic = Mlp.init(3 if critic_uses_density else 2, hidden, 1, rng)
+    critic = Mlp.init(3 if spec.uses_density else 2, hidden, 1, rng)
     return TrainState(
         actor=GaussianPolicy(actor_net, sigma),
         critic=critic,
@@ -129,8 +123,6 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
         beliefs=[BeliefState.initial(grid) for _ in range(spec.horizon + 1)],
         schedules=sched,
         seed=seed,
-        critic_uses_density=critic_uses_density,
-        belief_coupling=belief_coupling,
     )
 
 
@@ -186,22 +178,21 @@ def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
 
     Noise is drawn up front and assigned by agent index, and per-step
     empirical measures are built by exact counting, so the result does not
-    depend on any processing order.  Rewards and critic features use the
-    fictitious-play belief grids unless the state couples instantaneously.
+    depend on any processing order.  Rewards and the densities agents see
+    come from the fictitious-play belief grids.
     """
     pol_noise = _noise(rng, spec.horizon, n_agents)
     dyn_noise = _noise(rng, spec.horizon, n_agents)
-    return _simulate(spec, state, rng, pol_noise, dyn_noise, state.belief_coupling)
+    return _simulate(spec, state, rng, pol_noise, dyn_noise, realized=False)
 
 
 def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
-              coupling: str) -> EpisodeLog:
+              realized: bool) -> EpisodeLog:
     """The population loop shared by :func:`rollout` and :func:`evaluate`.
 
-    ``coupling`` picks the grid rewards and densities see: the realized
-    measure of the step (``instantaneous``) or the belief average.
+    ``realized`` picks the grid rewards and densities see: the step's
+    realized measure (evaluation) or its belief average (training).
     """
-    _check_coupling(coupling)
     T, n_agents, _ = dyn_noise.shape
     states = np.zeros((T + 1, n_agents, 2))
     actions = np.zeros((T, n_agents, 2))
@@ -213,7 +204,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
     measures.append(build_empirical_measure(states[0], state.grid))
 
     def grid_for(k: int) -> DensityGrid:
-        if coupling == "instantaneous":
+        if realized:
             return measures[k]
         return state.beliefs[k].average
 
@@ -248,12 +239,14 @@ def fp_update_state(state: TrainState, log: EpisodeLog):
 
 
 def _critic_features(state: TrainState, states: np.ndarray, densities: np.ndarray) -> np.ndarray:
-    """Stack critic inputs over all steps and agents: (x, log1p(density)).
+    """Stack critic inputs over all steps and agents: (x, log1p(density)),
+    or x alone for a 2-input critic (an environment whose reward ignores
+    the density).
 
     The crowding discount is exactly linear in log1p(density), so the log
     keeps the feature on the same scale as the coordinates.
     """
-    if not state.critic_uses_density:
+    if state.critic.in_dim == 2:
         return states.reshape(-1, 2)
     feat = np.log1p(densities)[..., None]
     return np.concatenate([states, feat], axis=-1).reshape(-1, states.shape[-1] + 1)
@@ -364,12 +357,12 @@ class TrainTrace:
         return cls(np.array(cols[0], dtype=int), *(np.array(c) for c in cols[1:]))
 
 
-def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng,
-          snapshot_every: int = 0, snapshot_hook=None):
+def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     """Run the full loop: rollout, belief update, critic update, actor update.
 
     Returns (state, trace, last episode log).  Divergence aborts with the
-    partial trace attached to the raised error.
+    partial trace attached to the raised error.  Calling it k episodes at a
+    time continues the same run, so checkpoints go between calls.
     """
     rows = []
     last_log = None
@@ -384,8 +377,6 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng,
             norm = pg_update(state, log, spec.gamma)
             rows.append((n_ep, log.mean_return, drift, norm, loss))
             last_log = log
-            if snapshot_every and snapshot_hook and state.episode % snapshot_every == 0:
-                snapshot_hook(state, log)
     except DivergenceError as err:
         err.trace = TrainTrace.from_rows(rows)
         err.state = state
@@ -394,12 +385,12 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng,
 
 
 def evaluate(spec: EnvSpec, state: TrainState, n_agents: int, rng,
-             deterministic: bool = True, coupling: str = "instantaneous") -> EpisodeLog:
+             deterministic: bool = True) -> EpisodeLog:
     """Roll out the current policy for measurement, exploration noise off by
-    default and rewards driven by the realized population."""
+    default and rewards and densities driven by the realized population."""
     dyn_noise = _noise(rng, spec.horizon, n_agents)
     pol_noise = np.zeros_like(dyn_noise) if deterministic else _noise(rng, spec.horizon, n_agents)
-    return _simulate(spec, state, rng, pol_noise, dyn_noise, coupling)
+    return _simulate(spec, state, rng, pol_noise, dyn_noise, realized=True)
 
 
 def mean_pairwise_distance(points) -> float:
@@ -429,6 +420,8 @@ def convergence_metrics(trace: TrainTrace, terminal_positions=None, window: int 
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
+    if window < 1:
+        raise ValueError("window must be >= 1, got %r" % (window,))
     w = min(window, len(trace))
     returns = trace.mean_return
     window_std = float(returns[-w:].std())

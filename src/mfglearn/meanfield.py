@@ -33,8 +33,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise GridError("invalid grid: degenerate bounds")
-        if int(self.resolution) < 1:
-            raise GridError("invalid grid: resolution must be >= 1")
+        if not (isinstance(self.resolution, (int, np.integer)) and self.resolution >= 1):
+            raise GridError("invalid grid: resolution must be an int >= 1, got %r" % (self.resolution,))
 
     @property
     def bin_width(self) -> float:

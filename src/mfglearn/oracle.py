@@ -18,9 +18,11 @@ pass.  The finite-N gap simulator calls the reward once per step on trials
 run side by side: s, mass and a are (trials, N) arrays of each agent's
 state, the mass at that state in the agent's own trial, and its action, and
 the result must broadcast to (trials, N).  Policies passed to the solvers
-must be (T, S, A) arrays whose rows are distributions over actions
-(``induced_flow`` also takes a (K, T, S, A) stack); anything else raises
-OracleError.
+must be (T, S, A) arrays whose rows are distributions over actions, and
+flows (T+1, S) arrays whose rows are distributions over states; anything
+else, NaN entries included, raises OracleError.  The public entry points
+check their inputs once; the private sweeps they share take the oracle's
+own arrays unchecked.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ class DiscreteMFG:
         p = np.array(self.transitions, dtype=float)
         if p.shape != (self.n_states, self.n_actions, self.n_states):
             raise OracleError("transition kernel shape %r" % (p.shape,))
-        if np.any(p < 0) or np.any(np.abs(p.sum(axis=2) - 1.0) > PROB_TOL):
+        if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=2) - 1.0) <= PROB_TOL)):
             raise OracleError("transition rows must be distributions")
         mu = np.array(self.mu0, dtype=float)
-        if mu.shape != (self.n_states,) or np.any(mu < 0) or abs(mu.sum() - 1.0) > PROB_TOL:
+        if not (mu.shape == (self.n_states,) and np.all(mu >= 0)
+                and abs(mu.sum() - 1.0) <= PROB_TOL):
             raise OracleError("mu0 must be a distribution over states")
         p.setflags(write=False)
         mu.setflags(write=False)
@@ -92,23 +95,23 @@ def uniform_policy(game: DiscreteMFG) -> np.ndarray:
     return np.full((game.horizon, game.n_states, game.n_actions), 1.0 / game.n_actions)
 
 
-def _check_flow(game: DiscreteMFG, flows: np.ndarray):
-    """Validate a (K, T+1, S) stack of flows and return it as floats."""
-    flows = np.asarray(flows, dtype=float)
-    if flows.ndim != 3 or flows.shape[1:] != (game.horizon + 1, game.n_states):
-        raise OracleError("flow shape %r" % (flows.shape[1:],))
-    if np.any(flows < -PROB_TOL) or np.any(np.abs(flows.sum(axis=2) - 1.0) > 1e-9):
+def _check_flow(game: DiscreteMFG, flow) -> np.ndarray:
+    """Validate one (T+1, S) flow and return it as floats.  Every row must be
+    a distribution over states; NaN entries fail both tests."""
+    flow = np.asarray(flow, dtype=float)
+    if flow.shape != (game.horizon + 1, game.n_states):
+        raise OracleError("flow shape %r" % (flow.shape,))
+    if not (np.all(flow >= -PROB_TOL) and np.all(np.abs(flow.sum(axis=1) - 1.0) <= 1e-9)):
         raise OracleError("flow rows must be distributions")
-    return flows
+    return flow
 
 
-def _check_policy(game: DiscreteMFG, policy, stacked: bool = False) -> np.ndarray:
-    """Validate one (T, S, A) policy, or with ``stacked`` also a (K, T, S, A)
-    stack of them, and return it as floats.  Every row must be a distribution
-    over actions; NaN entries fail both tests."""
+def _check_policy(game: DiscreteMFG, policy) -> np.ndarray:
+    """Validate one (T, S, A) policy and return it as floats.  Every row must
+    be a distribution over actions; NaN entries fail both tests."""
     policy = np.asarray(policy, dtype=float)
     shape = (game.horizon, game.n_states, game.n_actions)
-    if policy.shape[-3:] != shape or policy.ndim not in ((3, 4) if stacked else (3,)):
+    if policy.shape != shape:
         raise OracleError("policy shape %r, expected %r" % (policy.shape, shape))
     if not np.all(policy >= 0.0):
         raise OracleError("policy entries must be nonnegative")
@@ -138,7 +141,6 @@ def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = 
     ``policy`` is given, values[:, K] is that policy's value against the
     last flow.
     """
-    flows = _check_flow(game, flows)
     T, S, A = game.horizon, game.n_states, game.n_actions
     K = len(flows)
     columns = K + (policy is not None)
@@ -166,34 +168,34 @@ def best_response(game: DiscreteMFG, flow: np.ndarray):
     Returns (deterministic policy (T,S,A), values (T+1,S)); ties break
     toward the lowest action index.
     """
-    best, values = _backward(game, np.asarray(flow, dtype=float)[None])
+    best, values = _backward(game, _check_flow(game, flow)[None])
     return _one_hot(game, best[:, 0]), values[:, 0].copy()
 
 
 def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Expected values (T+1, S) of a stochastic policy against a frozen flow."""
     policy = _check_policy(game, policy)
-    _, values = _backward(game, np.asarray(flow, dtype=float)[None], policy)
+    _, values = _backward(game, _check_flow(game, flow)[None], policy)
     return values[:, 1].copy()
 
 
-def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
-    """Forward-propagate the population under a shared policy.
-
-    ``policy`` is one (T, S, A) policy, giving its (T+1, S) flow, or a
-    (K, T, S, A) stack, giving the (K, T+1, S) stack of their flows; each
-    step is one (K, S*A) @ (S*A, S) product.
-    """
-    policy = _check_policy(game, policy, stacked=True)
+def _forward(game: DiscreteMFG, policies: np.ndarray) -> np.ndarray:
+    """The (K, T+1, S) flows of a (K, T, S, A) stack of policies; each step
+    is one (K, S*A) @ (S*A, S) product."""
     T, S, A = game.horizon, game.n_states, game.n_actions
-    stack = policy.reshape(-1, T, S, A)
     kernel = game.transitions.reshape(S * A, S)
-    flows = np.zeros((len(stack), T + 1, S))
+    flows = np.zeros((len(policies), T + 1, S))
     flows[:, 0] = game.mu0
     for t in range(T):
-        joint = flows[:, t, :, None] * stack[:, t]                # (K, S, A)
+        joint = flows[:, t, :, None] * policies[:, t]             # (K, S, A)
         flows[:, t + 1] = joint.reshape(-1, S * A) @ kernel
-    return flows.reshape(policy.shape[:-3] + (T + 1, S))
+    return flows
+
+
+def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
+    """Forward-propagate the population under a shared (T, S, A) policy;
+    returns its (T+1, S) flow."""
+    return _forward(game, _check_policy(game, policy)[None])[0]
 
 
 def exploitability(game: DiscreteMFG, policy: np.ndarray, worst_case: bool = False) -> float:
@@ -204,7 +206,7 @@ def exploitability(game: DiscreteMFG, policy: np.ndarray, worst_case: bool = Fal
     gives both the best response's and the policy's values.
     """
     policy = _check_policy(game, policy)
-    _, values = _backward(game, induced_flow(game, policy)[None], policy)
+    _, values = _backward(game, _forward(game, policy[None]), policy)
     gap = values[0, 0] - values[0, 1]
     if worst_case:
         return float(gap.max())
@@ -227,14 +229,14 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     if iterations < 1:
         raise OracleError("iterations must be >= 1")
     T, S, A = game.horizon, game.n_states, game.n_actions
-    best, _ = _backward(game, induced_flow(game, uniform_policy(game))[None])
+    best, _ = _backward(game, _forward(game, uniform_policy(game)[None]))
     avg_policy = np.zeros((T, S, A))
     avg_flow = np.zeros((T + 1, S))
     trace = np.zeros(iterations)
     for n in range(1, iterations + 1):
         pol = _one_hot(game, best[:, 0])
         avg_policy += (pol - avg_policy) / n
-        flow_n, own_flow = induced_flow(game, np.stack((pol, avg_policy)))
+        flow_n, own_flow = _forward(game, np.stack((pol, avg_policy)))
         avg_flow += (flow_n - avg_flow) / n
         best, values = _backward(game, np.stack((avg_flow, own_flow)), avg_policy)
         trace[n - 1] = game.mu0 @ (values[0, 1] - values[0, 2])
@@ -411,7 +413,8 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
     policy = _check_policy(game, policy)
     if trials < 1:
         raise OracleError("need at least one trial, got %r" % trials)
-    j_inf = float(game.mu0 @ policy_value(game, policy, induced_flow(game, policy))[0])
+    _, values = _backward(game, _forward(game, policy[None]), policy)
+    j_inf = float(game.mu0 @ values[0, 1])
     gaps = np.abs(_population_values(game, policy, n_agents, trials, rng) - j_inf)
     return float(gaps.mean()), float(gaps.std())
 

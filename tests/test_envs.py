@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,20 @@ def test_reward_batch_equivariance():
     r = reward(spec, 1, xs, us, dens)
     perm = rng.permutation(40)
     np.testing.assert_array_equal(r[perm], reward(spec, 1, xs[perm], us[perm], dens[perm]))
+
+
+def test_bimodal_is_a_congestion_game():
+    env = bimodal_env()
+    assert env.kind == "congestion" and env.uses_density
+    with pytest.raises(EnvError, match="unknown environment kind"):
+        dataclasses.replace(env, kind="congestion-bimodal")
+
+
+@pytest.mark.parametrize("horizon", [0, -1, 2.5, 3.0, None])
+@pytest.mark.parametrize("make_env", [demand_env, lqr_env], ids=lambda f: f.__name__)
+def test_horizon_must_be_an_int_at_least_one(make_env, horizon):
+    with pytest.raises(EnvError, match="horizon must be an int >= 1"):
+        make_env(horizon=horizon)
 
 
 def test_env_validation():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from mfglearn.approx import DivergenceError, Mlp
-from mfglearn.envs import congestion_env, demand_env, lqr_env
+from mfglearn.envs import bimodal_env, congestion_env, demand_env, lqr_env
 from mfglearn.learner import (PAIR_BLOCK, UPDATE_BLOCK, EpisodeLog, Schedules, TrainState,
                               TrainTrace, convergence_metrics, evaluate, init_train_state,
                               mean_pairwise_distance, pg_update, rollout, td_update, train,
                               write_trace)
-from mfglearn.meanfield import BeliefState, DensityGrid, GridSpec, belief_update, grid_distance
+from mfglearn.meanfield import (BeliefState, DensityGrid, GridSpec, belief_update, density_at,
+                                grid_distance)
 
 GRID = GridSpec(resolution=20)
 
@@ -166,12 +167,12 @@ def test_td_zero_rewards_zero_critic():
 
 def test_td_single_transition_is_regression():
     # gamma=0 and one transition: TD gradient equals the regression gradient
-    # of 0.5*(r - v(x0))^2
+    # of 0.5*(r - v(x0))^2; the lqr critic sees the position alone
     spec = bandit_spec()
     state = fresh_state(spec)
     log = rollout(spec, state, 1, np.random.default_rng(11))
     log.rewards[0, 0] = 2.5
-    feats = np.concatenate([log.states[0, 0], [math.log1p(log.densities[0, 0])]])
+    feats = log.states[0, 0]
     v0 = state.critic.forward(feats).item()
     expected_upstream = -(2.5 - v0)
     grads, _ = state.critic.backward(feats, np.array([expected_upstream]))
@@ -310,13 +311,15 @@ def test_init_train_state_rejects_bad_sigma_and_hidden(kw):
         fresh_state(congestion_env(), **kw)
 
 
-def test_unknown_coupling_rejected_by_state_and_evaluate():
-    spec = congestion_env()
-    message = "belief coupling must be averaged or instantaneous"
-    with pytest.raises(ValueError, match=message):
-        fresh_state(spec, belief_coupling="instantanous")
-    with pytest.raises(ValueError, match=message):
-        evaluate(spec, fresh_state(spec), 4, np.random.default_rng(23), coupling="instantanous")
+@pytest.mark.parametrize("make_env, width", [(demand_env, 3), (congestion_env, 3),
+                                             (bimodal_env, 3), (lqr_env, 2)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_critic_width_follows_the_environment(make_env, width):
+    spec = make_env()
+    state = fresh_state(spec, hidden=8)
+    assert state.critic.in_dim == width   # the density input only where the reward reads it
+    _, trace, _ = train(spec, state, 8, 1, np.random.default_rng(27))
+    assert len(trace) == 1 and np.isfinite(trace.critic_loss[0])
 
 
 def test_train_passes_cached_hidden_to_every_backward(monkeypatch):
@@ -332,20 +335,6 @@ def test_train_passes_cached_hidden_to_every_backward(monkeypatch):
     train(spec, fresh_state(spec), 16, 2, np.random.default_rng(25))
     assert len(hiddens) == 4  # one critic and one actor backward per episode
     assert all(h is not None for h in hiddens)
-
-
-def test_snapshot_hook_fires_every_n_episodes():
-    spec = bandit_spec()
-    state = fresh_state(spec)
-    calls = []
-
-    def hook(live, log):
-        calls.append((live.episode, live is state, log.mean_return))
-
-    state, trace, _ = train(spec, state, n_agents=4, episodes=5, rng=np.random.default_rng(24),
-                            snapshot_every=2, snapshot_hook=hook)
-    assert [(ep, live) for ep, live, _ in calls] == [(2, True), (4, True)]
-    assert [ret for _, _, ret in calls] == [trace.mean_return[1], trace.mean_return[3]]
 
 
 def test_update_rows_across_blocks(monkeypatch):
@@ -398,13 +387,18 @@ def test_updates_bit_identical_under_agent_permutation():
 
 
 def test_instantaneous_coupling_mode():
-    spec = congestion_env(alpha=2.0)
-    state = fresh_state(spec, belief_coupling="instantaneous")
-    log = rollout(spec, state, 128, np.random.default_rng(20))
-    # under self-coupling, the density column must match the episode's own measure
-    from mfglearn.meanfield import density_at
-    np.testing.assert_array_equal(log.densities[1],
-                                  density_at(log.measures[1], log.states[1]))
+    # evaluate couples to the crowd it realizes, training rollouts to the beliefs
+    spec = demand_env(horizon=3)
+    state = fresh_state(spec)
+    train(spec, state, 64, 2, np.random.default_rng(20))
+    evaluated = evaluate(spec, state, 128, np.random.default_rng(21))
+    trained = rollout(spec, state, 128, np.random.default_rng(21))
+    for k in range(spec.horizon + 1):
+        np.testing.assert_array_equal(evaluated.densities[k],
+                                      density_at(evaluated.measures[k], evaluated.states[k]))
+        np.testing.assert_array_equal(trained.densities[k],
+                                      density_at(state.beliefs[k].average, trained.states[k]))
+    assert not np.array_equal(evaluated.densities, trained.densities)
 
 
 # --- diagnostics ----------------------------------------------------------------
@@ -415,6 +409,13 @@ def test_convergence_metrics_constant_trace():
     assert out["window_std"] == 0.0
     assert out["stabilization_ratio"] == 0.0
     assert out["final_belief_drift"] == 0.0
+
+
+@pytest.mark.parametrize("window", [0, -2])
+def test_convergence_metrics_rejects_window_below_one(window):
+    trace = TrainTrace(np.arange(10), np.arange(10.0), np.zeros(10), np.zeros(10), np.zeros(10))
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        convergence_metrics(trace, window=window)
 
 
 def test_dispersion_unit_square_corners():

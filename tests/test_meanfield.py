@@ -66,6 +66,12 @@ def test_degenerate_bounds_rejected():
         GridSpec(0.0, 0.0, 0.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("resolution", [0, -2, 2.5, 3.0, "4", None])
+def test_resolution_must_be_an_int_at_least_one(resolution):
+    with pytest.raises(GridError, match="resolution must be an int >= 1"):
+        GridSpec(resolution=resolution)
+
+
 def test_permutation_invariance_exact():
     rng = np.random.default_rng(3)
     spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 20)

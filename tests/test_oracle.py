@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from mfglearn.envs import lqr_env
-from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _joint_states,
+from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _forward, _joint_states,
                              best_response, exploitability, fictitious_play, induced_flow,
                              lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
                              policy_value, random_policy, ring_game, scaling_experiment,
@@ -208,12 +208,13 @@ def test_induced_flow_matches_monte_carlo():
 
 
 def test_induced_flow_of_a_stack_matches_per_policy_calls():
+    # the private forward pass fictitious play runs on a stack of policies
     rng = np.random.default_rng(22)
     for _ in range(20):
         game = random_game(rng, n_states=int(rng.integers(1, 8)),
                            n_actions=int(rng.integers(1, 4)), horizon=int(rng.integers(1, 6)))
         stack = np.stack([random_policy(game, rng) for _ in range(int(rng.integers(1, 4)))])
-        flows = induced_flow(game, stack)
+        flows = _forward(game, stack)
         assert flows.shape == (len(stack), game.horizon + 1, game.n_states)
         for policy, flow in zip(stack, flows):
             np.testing.assert_allclose(flow, induced_flow(game, policy), rtol=0, atol=1e-12)
@@ -245,15 +246,39 @@ _POLICY_ENTRY_POINTS = {
 }
 
 
-# induced_flow takes a (K, T, S, A) stack, so only the single-policy entry points reject one
 @pytest.mark.parametrize("entry, case", [(entry, case) for case in sorted(_malformed_policies())
-                                         for entry in sorted(_POLICY_ENTRY_POINTS)
-                                         if (entry, case) != ("induced_flow", "stacked")])
+                                         for entry in sorted(_POLICY_ENTRY_POINTS)])
 def test_malformed_policy_fails_loudly(entry, case):
     game = ring_game(6, 4)
     policy = _malformed_policies()[case]
     with pytest.raises(OracleError, match="policy"):
         _POLICY_ENTRY_POINTS[entry](game, policy)
+
+
+def _malformed_flows():
+    """Flows for ring_game() that are not (T+1, S) distributions over states."""
+    uniform = induced_flow(ring_game(), uniform_policy(ring_game()))
+    negative = uniform.copy()
+    negative[2] = [0.5, -0.25, 0.5, 0.25]
+    off_sum = uniform.copy()
+    off_sum[4, 1] += 1e-8
+    not_a_number = uniform.copy()
+    not_a_number[1, 3] = np.nan
+    return {"no time axis": np.full(4, 0.25), "stacked": uniform[None],
+            "negative entry": negative, "row sum off": off_sum, "nan entry": not_a_number}
+
+
+_FLOW_ENTRY_POINTS = {
+    "best_response": best_response,
+    "policy_value": lambda g, f: policy_value(g, uniform_policy(g), f),
+}
+
+
+@pytest.mark.parametrize("entry, case", [(entry, case) for case in sorted(_malformed_flows())
+                                         for entry in sorted(_FLOW_ENTRY_POINTS)])
+def test_malformed_flow_fails_loudly(entry, case):
+    with pytest.raises(OracleError, match="flow"):
+        _FLOW_ENTRY_POINTS[entry](ring_game(), _malformed_flows()[case])
 
 
 @pytest.mark.parametrize("agent", [-1, 2, 3])
@@ -570,8 +595,12 @@ def test_game_validation():
     with pytest.raises(OracleError):
         ring = ring_game()
         best_response(ring, np.ones((2, 4)))
-    stacked_flow = induced_flow(ring, uniform_policy(ring))[None]  # one flow, not a stack
-    with pytest.raises(OracleError, match="flow shape"):
-        best_response(ring, stacked_flow)
-    with pytest.raises(OracleError, match="flow shape"):
-        policy_value(ring, uniform_policy(ring), stacked_flow)
+
+
+@pytest.mark.parametrize("field", ["transitions", "mu0"])
+def test_game_rejects_nan_distributions(field):
+    game = two_state_congestion()
+    bad = getattr(game, field).copy()
+    bad.flat[0] = np.nan
+    with pytest.raises(OracleError, match="distribution"):
+        dataclasses.replace(game, **{field: bad})

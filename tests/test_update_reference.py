@@ -14,7 +14,7 @@ import pytest
 
 from mfglearn import learner
 from mfglearn.approx import params_flat_norm
-from mfglearn.envs import demand_env
+from mfglearn.envs import demand_env, lqr_env
 from mfglearn.learner import Schedules, init_train_state, rollout
 from mfglearn.meanfield import GridSpec
 
@@ -24,15 +24,17 @@ RTOL = 1e-12
 
 
 def _critic_inputs(log, uses_density):
+    """(x, log1p(density)) rows, or x alone where the reward ignores the density."""
     if not uses_density:
         return log.states.reshape(-1, 2)
     return np.concatenate([log.states, np.log1p(log.densities)[..., None]], axis=-1).reshape(-1, 3)
 
 
-def _full_batch_td(state, log, gamma):
+def _full_batch_td(spec, state, log):
     """(critic gradients, TD loss, TD errors) from one pass over all rows."""
     T, n = log.rewards.shape
-    feats = _critic_inputs(log, state.critic_uses_density)
+    gamma = spec.gamma
+    feats = _critic_inputs(log, spec.uses_density)
     out, hidden = state.critic.forward_with_hidden(feats)
     v = out.reshape(T + 1, n)
     v_next = np.concatenate([v[1:T], np.zeros((1, n))])
@@ -42,10 +44,10 @@ def _full_batch_td(state, log, gamma):
     return grads, 0.5 * float((delta * delta).sum()), delta
 
 
-def _full_batch_pg(state, log, gamma):
+def _full_batch_pg(spec, state, log):
     """Actor score gradients weighted by the current critic's TD errors."""
     T, n = log.rewards.shape
-    _, _, delta = _full_batch_td(state, log, gamma)
+    _, _, delta = _full_batch_td(spec, state, log)
     return state.actor.logprob_grad(log.states[:T].reshape(-1, 2), log.actions.reshape(-1, 2),
                                     weights=delta.reshape(-1))
 
@@ -56,14 +58,15 @@ def _assert_grads_close(got, want):
         np.testing.assert_allclose(got[k], want[k], rtol=RTOL, atol=0, err_msg=k)
 
 
-@pytest.mark.parametrize("uses_density", [True, False])
-def test_updates_match_full_batch_gradients(monkeypatch, uses_density):
+# a 3-input critic (demand reads the density) and a 2-input one (lqr does not)
+@pytest.mark.parametrize("make_env", [demand_env, lqr_env], ids=lambda f: f.__name__)
+def test_updates_match_full_batch_gradients(monkeypatch, make_env):
     full, rest = divmod(N_AGENTS, max(1, learner.UPDATE_BLOCK // (HORIZON + 1)))
     assert full >= 3 and rest > 0   # several blocks of agents plus a remainder
-    spec = demand_env(horizon=HORIZON)
+    spec = make_env(horizon=HORIZON)
     state = init_train_state(spec, GridSpec(resolution=20), seed=3, hidden=8,
-                             schedules=Schedules(actor_lr=1e-2, critic_lr=1e-2),
-                             critic_uses_density=uses_density)
+                             schedules=Schedules(actor_lr=1e-2, critic_lr=1e-2))
+    assert state.critic.in_dim == (3 if spec.uses_density else 2)
     log = rollout(spec, state, N_AGENTS, np.random.default_rng(4))
 
     seen = []
@@ -75,13 +78,13 @@ def test_updates_match_full_batch_gradients(monkeypatch, uses_density):
 
     monkeypatch.setattr(learner, "adam_step", spy)
 
-    want_critic, want_loss, _ = _full_batch_td(copy.deepcopy(state), log, spec.gamma)
+    want_critic, want_loss, _ = _full_batch_td(spec, copy.deepcopy(state), log)
     loss = learner.td_update(state, log, spec.gamma)
     _assert_grads_close(seen[0], want_critic)
     assert loss == pytest.approx(want_loss, rel=RTOL, abs=0)
 
     # the actor's advantage comes from the critic after its Adam step
-    want_actor = _full_batch_pg(copy.deepcopy(state), log, spec.gamma)
+    want_actor = _full_batch_pg(spec, copy.deepcopy(state), log)
     norm = learner.pg_update(state, log, spec.gamma)
     _assert_grads_close(seen[1], {k: -g for k, g in want_actor.items()})
     assert norm == pytest.approx(params_flat_norm(want_actor), rel=RTOL, abs=0)
