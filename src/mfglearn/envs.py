@@ -173,8 +173,14 @@ class EnvSpec:
             raise EnvError("unknown environment kind %r" % self.kind)
         if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
             raise EnvError("horizon must be an int >= 1, got %r" % (self.horizon,))
-        if self.eta < 0.0:
-            raise EnvError("marginal control cost eta must be >= 0")
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise EnvError("%s must be finite, got %r" % (name, value))
+        for name in ("eta", "sigma1", "sigma_eps", "init_std"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise EnvError("%s must be finite and >= 0, got %r" % (name, value))
         if not self.alpha > 0.0:
             raise EnvError("averseness alpha must be > 0")
         if not 0.0 < self.gamma <= 1.0:

@@ -10,13 +10,17 @@ fictitious-play estimate of itself rather than the instantaneous crowd;
 sees the belief density at an agent's state only when the environment's
 reward reads it (``EnvSpec.uses_density``).
 
-Both updates walk the episode log in consecutive blocks of agents, in
-ascending-agent-id order, with about ``UPDATE_BLOCK`` network rows per block,
-so the hidden layers stay cache-sized and memory does not grow with N.  The
-per-block gradients (and the TD loss) are added in block order before the one
-Adam step.  Block contents and order depend only on agent ids, so permuting
-the agent order of an episode log leaves every parameter update
-bit-identical.
+An episode holds its log and little else.  The rollout draws its noise
+straight into the log (policy noise into the action array, dynamics noise
+into the state slots it will become), and runs the actor over near-equal
+blocks of at most ``UPDATE_BLOCK`` agents, so only one block of actor
+activations is alive at a time.  Both updates walk the episode log in
+consecutive blocks of agents, in ascending-agent-id order, with about
+``UPDATE_BLOCK`` network rows per block, so the hidden layers stay
+cache-sized and memory beyond the log does not grow with N.  The per-block
+gradients (and the TD loss) are added in block order before the one Adam
+step.  Block contents and order depend only on agent ids, so permuting the
+agent order of an episode log leaves every parameter update bit-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_
 
 PARAM_LIMIT = 1e6
 PAIR_BLOCK = 128   # rows per block in mean_pairwise_distance
-UPDATE_BLOCK = 2048   # critic rows per block of agents in td_update and pg_update
+# network rows per block: the most agents per actor pass in a rollout step,
+# and about the critic rows per block of agents in td_update and pg_update
+UPDATE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,8 @@ class EpisodeLog:
     """Per-step record of one population rollout: states, actions, rewards,
     the densities agents saw and the realized measures.  No log-probabilities
     are kept; :func:`pg_update` takes the score from states and actions.
+    The rollout's noise is drawn into ``states`` and ``actions`` and turned
+    into states and actions in place, so no separate noise arrays exist.
 
     Arrays are indexed [step, agent]; ``agent_ids`` identifies columns so
     consumers can reduce in canonical id order.
@@ -167,35 +175,57 @@ class EpisodeLog:
                           self.measures, self.agent_ids[cols], self.mean_return)
 
 
-def _noise(rng, horizon: int, n_agents: int) -> np.ndarray:
+def _log_arrays(horizon: int, n_agents: int):
+    """Zeroed (T+1, N, 2) state and (T, N, 2) action arrays for one episode."""
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    return rng.standard_normal((horizon, n_agents, 2))
+    return np.zeros((horizon + 1, n_agents, 2)), np.zeros((horizon, n_agents, 2))
+
+
+def _row_blocks(n: int) -> list:
+    """ceil(n / UPDATE_BLOCK) consecutive (lo, hi) ranges covering 0..n whose
+    sizes differ by at most one.
+
+    Near-equal blocks keep every block at least UPDATE_BLOCK / 2 rows long
+    once n > UPDATE_BLOCK.  At those sizes the blocked actor pass gives the
+    same floats as one pass over all n rows (tests/test_rollout_reference.py
+    pins it); a small remainder block's 64 -> 2 product can differ in the
+    last bits.
+    """
+    k = -(-n // UPDATE_BLOCK)
+    bounds = [i * n // k for i in range(k + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     """Simulate the whole population for one episode under the current policy.
 
-    Noise is drawn up front and assigned by agent index, and per-step
-    empirical measures are built by exact counting, so the result does not
-    depend on any processing order.  Rewards and the densities agents see
-    come from the fictitious-play belief grids.
+    Noise is drawn up front, straight into the log: the policy noise into
+    ``actions`` and then the dynamics noise into ``states[1:]``, before the
+    initial states.  It is assigned by agent index, and per-step empirical
+    measures are built by exact counting, so the result does not depend on
+    any processing order.  Rewards and the densities agents see come from the
+    fictitious-play belief grids.
     """
-    pol_noise = _noise(rng, spec.horizon, n_agents)
-    dyn_noise = _noise(rng, spec.horizon, n_agents)
-    return _simulate(spec, state, rng, pol_noise, dyn_noise, realized=False)
+    states, actions = _log_arrays(spec.horizon, n_agents)
+    rng.standard_normal(out=actions)
+    rng.standard_normal(out=states[1:])
+    return _simulate(spec, state, rng, states, actions, realized=False)
 
 
-def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
+def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
               realized: bool) -> EpisodeLog:
     """The population loop shared by :func:`rollout` and :func:`evaluate`.
 
-    ``realized`` picks the grid rewards and densities see: the step's
-    realized measure (evaluation) or its belief average (training).
+    ``actions`` holds the standard-normal policy noise and ``states[1:]`` the
+    dynamics noise; both are overwritten step by step with the episode.  An
+    action slot becomes noise * sigma + mean, which is bit for bit the
+    mean + sigma * noise of a separate noise array.  The actor runs over the
+    near-equal agent blocks of :func:`_row_blocks`.  ``realized`` picks the
+    grid rewards and densities see: the step's realized measure (evaluation)
+    or its belief average (training).
     """
-    T, n_agents, _ = dyn_noise.shape
-    states = np.zeros((T + 1, n_agents, 2))
-    actions = np.zeros((T, n_agents, 2))
+    T, n_agents, _ = actions.shape
     rewards = np.zeros((T, n_agents))
     densities = np.zeros((T + 1, n_agents))
     measures = []
@@ -210,13 +240,17 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, pol_noise, dyn_noise,
 
     densities[0] = density_at(grid_for(0), states[0])
     sigma = state.actor.sigma
+    blocks = _row_blocks(n_agents)
     for k in range(T):
-        mu = state.actor.mean_net.forward(states[k])
-        a = mu + sigma * pol_noise[k]
+        for lo, hi in blocks:
+            a = actions[k, lo:hi]
+            a *= sigma
+            a += state.actor.mean_net.forward(states[k, lo:hi])
+        a = actions[k]
         if not np.all(np.isfinite(a)):
             raise DivergenceError("diverged")
-        actions[k] = a
-        nxt = step(spec, states[k], a, dyn_noise[k])
+        # the dynamics noise is read from the slot before the step overwrites it
+        nxt = step(spec, states[k], a, states[k + 1])
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError("diverged")
         states[k + 1] = nxt
@@ -360,14 +394,17 @@ class TrainTrace:
 def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     """Run the full loop: rollout, belief update, critic update, actor update.
 
-    Returns (state, trace, last episode log).  Divergence aborts with the
-    partial trace attached to the raised error.  Calling it k episodes at a
-    time continues the same run, so checkpoints go between calls.
+    Returns (state, trace, last episode log).  One episode log is alive at a
+    time: the previous one is let go before the next rollout.  Divergence
+    aborts with the partial trace attached to the raised error.  Calling it
+    k episodes at a time continues the same run, so checkpoints go between
+    calls.
     """
     rows = []
-    last_log = None
+    log = None
     try:
         for _ in range(episodes):
+            log = None   # let the previous log go before the rollout allocates the next
             log = rollout(spec, state, n_agents, rng)
             old_terminal = state.belief.average
             n_ep = state.episode
@@ -376,21 +413,25 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
             loss = td_update(state, log, spec.gamma)
             norm = pg_update(state, log, spec.gamma)
             rows.append((n_ep, log.mean_return, drift, norm, loss))
-            last_log = log
     except DivergenceError as err:
         err.trace = TrainTrace.from_rows(rows)
         err.state = state
         raise
-    return state, TrainTrace.from_rows(rows), last_log
+    return state, TrainTrace.from_rows(rows), log
 
 
 def evaluate(spec: EnvSpec, state: TrainState, n_agents: int, rng,
              deterministic: bool = True) -> EpisodeLog:
     """Roll out the current policy for measurement, exploration noise off by
-    default and rewards and densities driven by the realized population."""
-    dyn_noise = _noise(rng, spec.horizon, n_agents)
-    pol_noise = np.zeros_like(dyn_noise) if deterministic else _noise(rng, spec.horizon, n_agents)
-    return _simulate(spec, state, rng, pol_noise, dyn_noise, realized=True)
+    default and rewards and densities driven by the realized population.
+
+    The dynamics noise is drawn first, then the policy noise (when on), into
+    the log as in :func:`rollout`."""
+    states, actions = _log_arrays(spec.horizon, n_agents)
+    rng.standard_normal(out=states[1:])
+    if not deterministic:
+        rng.standard_normal(out=actions)
+    return _simulate(spec, state, rng, states, actions, realized=True)
 
 
 def mean_pairwise_distance(points) -> float:

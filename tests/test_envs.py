@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,29 @@ def test_bimodal_is_a_congestion_game():
 def test_horizon_must_be_an_int_at_least_one(make_env, horizon):
     with pytest.raises(EnvError, match="horizon must be an int >= 1"):
         make_env(horizon=horizon)
+
+
+@pytest.mark.parametrize("kw", [
+    {"a": math.nan}, {"a": math.inf}, {"b": -math.inf}, {"b": math.nan},
+], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
+@pytest.mark.parametrize("make_env", [lqr_env, congestion_env], ids=lambda f: f.__name__)
+def test_dynamics_coefficients_must_be_finite(make_env, kw):
+    with pytest.raises(EnvError, match="%s must be finite" % next(iter(kw))):
+        make_env(**kw)
+    make_env(a=-0.5, b=-2.0)   # any finite sign is allowed
+
+
+@pytest.mark.parametrize("kw", [
+    {"eta": math.nan}, {"eta": -1.0}, {"eta": math.inf},
+    {"sigma1": math.nan}, {"sigma1": -1.0}, {"sigma1": math.inf},
+    {"sigma_eps": math.nan}, {"sigma_eps": -0.5}, {"sigma_eps": math.inf},
+    {"init_std": math.nan}, {"init_std": -0.1}, {"init_std": math.inf},
+], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
+@pytest.mark.parametrize("make_env", [lqr_env, congestion_env], ids=lambda f: f.__name__)
+def test_scales_must_be_finite_and_non_negative(make_env, kw):
+    with pytest.raises(EnvError, match="%s must be finite and >= 0" % next(iter(kw))):
+        make_env(**kw)
+    make_env(eta=0.0, sigma1=0.0, sigma_eps=0.0, init_std=0.0)   # zero switches a term off
 
 
 def test_env_validation():
