@@ -18,6 +18,7 @@ congestion game scores the terminal position reached by the single move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,14 @@ import numpy as np
 
 class EnvError(ValueError):
     """Raised for malformed environment parameters or inputs."""
+
+
+def _finite_point(p, what: str) -> tuple:
+    """``p`` as a (float, float) pair, or EnvError when a coordinate is not finite."""
+    point = (float(p[0]), float(p[1]))
+    if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+        raise EnvError("%s must be finite, got %r" % (what, point))
+    return point
 
 
 @dataclass(frozen=True)
@@ -44,9 +53,9 @@ class CongestionReward:
             raise EnvError("congestion reward needs at least one component")
         comps = []
         for mu, spread in self.components:
-            if not spread > 0.0:
-                raise EnvError("singular spread %r" % spread)
-            comps.append(((float(mu[0]), float(mu[1])), float(spread)))
+            if not (spread > 0.0 and math.isfinite(spread)):
+                raise EnvError("singular spread %r: must be finite and > 0" % spread)
+            comps.append((_finite_point(mu, "peak centre"), float(spread)))
         object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
@@ -64,8 +73,8 @@ def congestion_reward(params: CongestionReward, x, density, alpha: float):
         raise EnvError("averseness alpha must be > 0")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     m = np.asarray(density, dtype=float)
-    if np.any(m < 0.0):
-        raise EnvError("negative density")
+    if not np.all(np.isfinite(m) & (m >= 0.0)):
+        raise EnvError("density must be finite and >= 0")
     k = len(params.components)
     desirability = np.zeros(pts.shape[0])
     for mu, spread in params.components:
@@ -88,7 +97,9 @@ class DemandPath:
     waypoints: tuple = ((0, (0.2, -0.2)), (15, (0.2, 0.4)), (30, (0.8, 0.4)))
 
     def __post_init__(self):
-        wps = tuple((float(t), (float(p[0]), float(p[1]))) for t, p in self.waypoints)
+        wps = tuple((float(t), _finite_point(p, "demand path point")) for t, p in self.waypoints)
+        if not all(math.isfinite(t) for t, _ in wps):
+            raise EnvError("demand path times must be finite")
         if len(wps) < 2:
             raise EnvError("demand path needs at least two waypoints")
         times = [t for t, _ in wps]
@@ -127,11 +138,13 @@ class LqrReward:
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
+        if not np.all(np.isfinite(q)):
+            raise EnvError("Q must be finite")
         if q.shape != (2, 2) or not np.allclose(q, q.T):
             raise EnvError("Q must be symmetric 2x2")
         if np.any(np.linalg.eigvalsh(q) < -1e-12):
             raise EnvError("Q must be positive semidefinite")
-        object.__setattr__(self, "target", (float(self.target[0]), float(self.target[1])))
+        object.__setattr__(self, "target", _finite_point(self.target, "tracking target"))
         object.__setattr__(self, "q", tuple(map(tuple, q)))
 
     @property
@@ -181,19 +194,19 @@ class EnvSpec:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise EnvError("%s must be finite and >= 0, got %r" % (name, value))
-        if not self.alpha > 0.0:
-            raise EnvError("averseness alpha must be > 0")
+        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
+            raise EnvError("averseness alpha must be finite and > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise EnvError("discount gamma must be in (0, 1]")
         if self.kind == "congestion" and self.congestion is None:
             raise EnvError("congestion environment needs reward peaks")
         if self.kind == "demand" and self.path is None:
             raise EnvError("demand environment needs a path")
-        if self.kind == "demand" and not self.path_spread > 0.0:
-            raise EnvError("singular path spread %r" % self.path_spread)
+        if self.kind == "demand" and not (self.path_spread > 0.0 and math.isfinite(self.path_spread)):
+            raise EnvError("singular path spread %r: must be finite and > 0" % self.path_spread)
         if self.kind == "lqr" and self.lqr is None:
             raise EnvError("lqr environment needs tracking parameters")
-        object.__setattr__(self, "init_mean", (float(self.init_mean[0]), float(self.init_mean[1])))
+        object.__setattr__(self, "init_mean", _finite_point(self.init_mean, "init_mean"))
 
     @property
     def r_matrix(self) -> np.ndarray:

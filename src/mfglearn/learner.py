@@ -13,18 +13,28 @@ reward reads it (``EnvSpec.uses_density``).
 An episode holds its log and little else.  The rollout draws its noise
 straight into the log (policy noise into the action array, dynamics noise
 into the state slots it will become), and runs the actor over near-equal
-blocks of at most ``UPDATE_BLOCK`` agents, so only one block of actor
-activations is alive at a time.  Both updates walk the episode log in
-consecutive blocks of agents, in ascending-agent-id order, with about
+blocks of at most ``UPDATE_BLOCK`` agents.  Both updates walk the episode
+log in consecutive blocks of agents, in ascending-agent-id order, with about
 ``UPDATE_BLOCK`` network rows per block, so the hidden layers stay
-cache-sized and memory beyond the log does not grow with N.  The per-block
-gradients (and the TD loss) are added in block order before the one Adam
-step.  Block contents and order depend only on agent ids, so permuting the
-agent order of an episode log leaves every parameter update bit-identical.
+cache-sized and do not grow with N.  The per-block gradients (and the TD
+loss) are added in block order before the one Adam step.  Block contents
+and order depend only on agent ids, so permuting the agent order of an
+episode log leaves every parameter update bit-identical.
+
+Agents are independent given the mean field, so the blocks of one actor
+pass or one update run on every core the process may use: the calling
+thread and a pool of helper threads each take one block at a time (numpy's
+kernels release the interpreter lock).  One block of activations is alive
+per worker; an update keeps each block's parameter-sized gradient until its
+last block is done (about 3 KB per block at width 64).  The blocks and the
+order their results are added in do not depend on the number of workers, so
+neither does any result.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +46,12 @@ from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_
 PARAM_LIMIT = 1e6
 PAIR_BLOCK = 128   # rows per block in mean_pairwise_distance
 # network rows per block: the most agents per actor pass in a rollout step,
-# and about the critic rows per block of agents in td_update and pg_update
+# and about the critic rows per block of agents in td_update and pg_update;
+# each worker of _map_blocks holds one block's activations at a time
 UPDATE_BLOCK = 2048
+# workers for the blocks: the calling thread plus _WORKERS - 1 pool threads
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+_pool = None   # (ThreadPoolExecutor, its thread count), made on first use
 
 
 @dataclass(frozen=True)
@@ -197,6 +211,58 @@ def _row_blocks(n: int) -> list:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _helper_pool(threads: int):
+    """A thread pool with at least ``threads`` threads, made on first use."""
+    global _pool
+    if _pool is None or _pool[1] < threads:
+        from concurrent.futures import ThreadPoolExecutor
+        # a smaller pool left behind ends its threads when it is collected
+        _pool = (ThreadPoolExecutor(threads, thread_name_prefix="mfglearn-block"), threads)
+    return _pool[0]
+
+
+def _map_blocks(fn, items) -> list:
+    """[fn(item) for item in items], run on up to ``_WORKERS`` threads.
+
+    Worker j takes items j, j + W, j + 2W, ... in turn; worker 0 is the
+    calling thread and the others come from a module thread pool.  The
+    results come back in item order, so a caller that reduces them in that
+    order gets the same floats for any W.  When fn raises, no later item
+    starts, every item that did start is waited for, and the error of the
+    earliest failing item is raised: the one a plain loop would raise.
+    """
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results = [None] * len(items)
+    errors = {}
+    lock = threading.Lock()
+
+    def run_share(first):
+        for i in range(first, len(items), workers):
+            with lock:
+                if errors and i > min(errors):
+                    return
+            try:
+                results[i] = fn(items[i])
+            except Exception as err:
+                with lock:
+                    errors[i] = err
+                return
+
+    pool = _helper_pool(workers - 1)
+    helpers = [pool.submit(run_share, j) for j in range(1, workers)]
+    try:
+        run_share(0)
+    finally:
+        for helper in helpers:
+            helper.result()   # waits; run_share keeps what fn raises in ``errors``
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     """Simulate the whole population for one episode under the current policy.
 
@@ -221,9 +287,10 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
     dynamics noise; both are overwritten step by step with the episode.  An
     action slot becomes noise * sigma + mean, which is bit for bit the
     mean + sigma * noise of a separate noise array.  The actor runs over the
-    near-equal agent blocks of :func:`_row_blocks`.  ``realized`` picks the
-    grid rewards and densities see: the step's realized measure (evaluation)
-    or its belief average (training).
+    near-equal agent blocks of :func:`_row_blocks`, side by side
+    (:func:`_map_blocks`), each block writing its own slice of ``actions``.
+    ``realized`` picks the grid rewards and densities see: the step's
+    realized measure (evaluation) or its belief average (training).
     """
     T, n_agents, _ = actions.shape
     rewards = np.zeros((T, n_agents))
@@ -242,10 +309,12 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
     sigma = state.actor.sigma
     blocks = _row_blocks(n_agents)
     for k in range(T):
-        for lo, hi in blocks:
+        def act(block):
+            lo, hi = block
             a = actions[k, lo:hi]
             a *= sigma
             a += state.actor.mean_net.forward(states[k, lo:hi])
+        _map_blocks(act, blocks)
         a = actions[k]
         if not np.all(np.isfinite(a)):
             raise DivergenceError("diverged")
@@ -306,22 +375,21 @@ def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
     return feats, hidden, log.rewards + gamma * v_next - v[:T]
 
 
-def _sum_over_agent_blocks(state: TrainState, log: EpisodeLog, gamma: float, block_terms):
-    """Sum ``block_terms(block, feats, hidden, delta) -> (grads, value)`` over
-    consecutive blocks of agents of the canonical log.
+def _sum_over_agent_blocks(log: EpisodeLog, block_terms):
+    """Sum ``block_terms(block) -> (grads, value)`` over consecutive blocks
+    of agents of the canonical log.
 
-    A block holds UPDATE_BLOCK // (T+1) agents (at least one); ``feats``,
-    ``hidden`` and ``delta`` are the block's critic inputs, critic hidden
-    layer and (T, n_block) TD errors.  Gradients and values are added in
-    block order.
+    A block holds UPDATE_BLOCK // (T+1) agents (at least one).  The blocks
+    run side by side (:func:`_map_blocks`); their gradients and values are
+    added in block order.
     """
     log = _canonical(log)
     T, n = log.rewards.shape
     per_block = max(1, UPDATE_BLOCK // (T + 1))
+    terms = _map_blocks(lambda lo: block_terms(log._agents(slice(lo, lo + per_block))),
+                        range(0, n, per_block))
     grads, total = None, 0.0
-    for lo in range(0, n, per_block):
-        block = log._agents(slice(lo, lo + per_block))
-        block_grads, value = block_terms(block, *_td_errors(state, block, gamma))
+    for block_grads, value in terms:
         total += value
         grads = block_grads if grads is None else {k: grads[k] + block_grads[k] for k in grads}
     return grads, total
@@ -333,14 +401,15 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     The loss and the critic gradient are summed over blocks of agents in
     ascending id order (see :func:`_sum_over_agent_blocks`).
     """
-    def block_terms(block, feats, hidden, delta):
+    def block_terms(block):
+        feats, hidden, delta = _td_errors(state, block, gamma)
         T, n = delta.shape
         upstream = np.zeros((T + 1, n))
         upstream[:T] = -delta  # semi-gradient: targets held fixed
         grads, _ = state.critic.backward(feats, upstream.reshape(-1, 1), hidden)
         return grads, 0.5 * float((delta * delta).sum())
 
-    grads, loss = _sum_over_agent_blocks(state, log, gamma, block_terms)
+    grads, loss = _sum_over_agent_blocks(log, block_terms)
     adam_step(state.critic_opt, state.critic.params, grads,
               state.schedules.lr_scale(state.episode))
     state.check_finite()
@@ -354,13 +423,16 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     is summed over blocks of agents in ascending id order (see
     :func:`_sum_over_agent_blocks`).
     """
-    def block_terms(block, feats, hidden, delta):
+    def block_terms(block):
+        # only the TD errors are kept: the critic's inputs and hidden layer
+        # are let go before the actor pass
+        delta = _td_errors(state, block, gamma)[2]
         T, n = delta.shape
         x = block.states[:T].reshape(T * n, 2)
         a = block.actions.reshape(T * n, 2)
         return state.actor.logprob_grad(x, a, weights=delta.reshape(-1)), 0.0
 
-    grads, _ = _sum_over_agent_blocks(state, log, gamma, block_terms)
+    grads, _ = _sum_over_agent_blocks(log, block_terms)
     norm = params_flat_norm(grads)
     descent = {k: -g for k, g in grads.items()}
     adam_step(state.actor_opt, state.actor.mean_net.params, descent,

@@ -267,3 +267,50 @@ def test_env_validation():
         congestion_env(eta=-1.0)
     with pytest.raises(EnvError):
         demand_env(horizon=40)  # default path covers 30 steps only
+
+
+# Non-finite inputs used to build, then made training diverge or score zero
+# rewards; they must fail at construction instead.
+
+@pytest.mark.parametrize("make", [
+    lambda: CongestionReward.single((math.nan, 0.0), 0.3),
+    lambda: congestion_env(mu=(math.inf, 0.0)),
+], ids=["nan centre", "inf centre"])
+def test_congestion_peak_centre_must_be_finite(make):
+    with pytest.raises(EnvError, match="peak centre must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("waypoints, message", [
+    (((0, (0.0, 0.0)), (math.nan, (1.0, 0.0))), "times must be finite"),
+    (((0, (0.0, 0.0)), (10, (math.nan, 0.0))), "point must be finite"),
+], ids=["nan time", "nan point"])
+def test_demand_path_waypoints_must_be_finite(waypoints, message):
+    with pytest.raises(EnvError, match=message):
+        DemandPath(waypoints)
+
+
+@pytest.mark.parametrize("init_mean", [(math.nan, 0.0), (0.0, -math.inf)], ids=["nan", "-inf"])
+@pytest.mark.parametrize("make_env", [congestion_env, demand_env, lqr_env], ids=lambda f: f.__name__)
+def test_init_mean_must_be_finite(make_env, init_mean):
+    with pytest.raises(EnvError, match="init_mean must be finite"):
+        make_env(init_mean=init_mean)
+
+
+@pytest.mark.parametrize("density", [math.nan, math.inf, [0.1, math.nan]])
+def test_congestion_density_must_be_finite(density):
+    x = np.zeros((1 if np.ndim(density) == 0 else len(density), 2))
+    with pytest.raises(EnvError, match="density must be finite and >= 0"):
+        congestion_reward(CongestionReward(), x, density, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CongestionReward.single((0.0, 0.0), math.inf),
+    lambda: congestion_env(alpha=math.inf),
+    lambda: demand_env(path_spread=math.inf),
+    lambda: lqr_env(target=(math.nan, 0.0)),
+    lambda: lqr_env(q=((math.inf, 0.0), (0.0, 1.0))),
+], ids=["inf spread", "inf alpha", "inf path spread", "nan target", "inf q"])
+def test_other_reward_parameters_must_be_finite(make):
+    with pytest.raises(EnvError, match="finite"):
+        make()

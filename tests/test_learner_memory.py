@@ -1,8 +1,10 @@
 """Memory bounds: an episode holds its log and a fixed margin beyond it.
 
 Measured with ``tracemalloc`` at N = 20,000 agents and T = 10 steps, where
-the episode log is about 10 MB.  The margin covers one block of actor
-activations (UPDATE_BLOCK x 64 floats, about 1 MB), a few per-step (N, 2)
+the episode log is about 10 MB.  The blocks run on two workers whatever the
+machine (the private worker count is forced to 2), so two blocks are in
+flight at once.  The margin covers one block of actor activations per worker
+(UPDATE_BLOCK x 64 floats, about 1 MB each), a few per-step (N, 2)
 temporaries of 0.32 MB each, and the small update blocks.  Two separate
 (T, N, 2) noise arrays would add 6.4 MB, a full (N, 64) hidden layer 10 MB,
 and a second episode log another 10 MB, so each of them breaks the bound.
@@ -11,6 +13,7 @@ and a second episode log another 10 MB, so each of them breaks the bound.
 import numpy as np
 import pytest
 
+from mfglearn import learner
 from mfglearn.envs import demand_env
 from mfglearn.learner import UPDATE_BLOCK, evaluate, init_train_state, rollout, train
 from mfglearn.meanfield import GridSpec
@@ -18,6 +21,11 @@ from tracemem import traced_peak
 
 N_AGENTS, HORIZON = 20_000, 10
 MARGIN = 3 * 2 ** 20   # bytes allowed beyond the episode log
+
+
+@pytest.fixture(autouse=True)
+def two_workers(monkeypatch):
+    monkeypatch.setattr(learner, "_WORKERS", 2)
 
 
 def log_bytes(log) -> int:

@@ -1,0 +1,182 @@
+"""The learner runs its agent blocks on several threads (``_map_blocks``).
+
+No result may depend on how many threads there are, and a block that raises
+must leave no thread still working on the episode when the error reaches
+the caller.  The worker count is forced through the private module value.
+"""
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from mfglearn import learner
+from mfglearn.approx import DivergenceError, Mlp
+from mfglearn.envs import EnvError, demand_env
+from mfglearn.learner import UPDATE_BLOCK, _map_blocks, _row_blocks, evaluate, init_train_state, train
+from mfglearn.meanfield import GridSpec
+
+# 3 row blocks per rollout step and 13 agent blocks per update
+HORIZON, N_AGENTS = 4, 5_000
+PER_BLOCK = UPDATE_BLOCK // (HORIZON + 1)
+
+
+def _setup():
+    spec = demand_env(horizon=HORIZON)
+    return spec, init_train_state(spec, GridSpec(resolution=20), seed=2, hidden=8)
+
+
+def _run():
+    spec, state = _setup()
+    state, trace, log = train(spec, state, N_AGENTS, 2, np.random.default_rng(3))
+    ev = evaluate(spec, state, N_AGENTS, np.random.default_rng(4), deterministic=False)
+    return state, trace, log, ev
+
+
+def test_the_run_has_several_blocks():
+    assert len(_row_blocks(N_AGENTS)) == 3
+    assert len(range(0, N_AGENTS, PER_BLOCK)) == 13
+
+
+def test_results_do_not_depend_on_worker_count(monkeypatch):
+    original = Mlp.forward_with_hidden
+    threads = set()
+
+    def recorded(self, x):
+        threads.add(threading.current_thread() is threading.main_thread())
+        return original(self, x)
+
+    monkeypatch.setattr(Mlp, "forward_with_hidden", recorded)
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(learner, "_WORKERS", workers)
+        threads.clear()
+        runs[workers] = _run()
+        assert threads == ({True} if workers == 1 else {True, False})
+    ref_state, ref_trace, ref_log, ref_ev = runs[1]
+    for state, trace, log, ev in (runs[2], runs[3]):
+        for net, ref in ((state.actor.mean_net, ref_state.actor.mean_net),
+                         (state.critic, ref_state.critic)):
+            for k in ref.params:
+                assert np.array_equal(net.params[k], ref.params[k])
+        for col in ("episode", "mean_return", "belief_drift", "actor_grad_norm", "critic_loss"):
+            assert np.array_equal(getattr(trace, col), getattr(ref_trace, col))
+        assert np.array_equal(log.states, ref_log.states)
+        assert np.array_equal(log.rewards, ref_log.rewards)
+        for field in ("states", "actions", "rewards", "densities"):
+            assert np.array_equal(getattr(ev, field), getattr(ref_ev, field))
+
+
+def test_map_blocks_keeps_item_order(monkeypatch):
+    monkeypatch.setattr(learner, "_WORKERS", 3)
+    assert _map_blocks(lambda i: i * i, range(10)) == [i * i for i in range(10)]
+    assert _map_blocks(lambda i: i, []) == []
+
+
+def test_map_blocks_raises_the_earliest_error_after_every_started_item(monkeypatch):
+    monkeypatch.setattr(learner, "_WORKERS", 3)
+    running, lock = [], threading.Lock()
+
+    def fn(i):
+        with lock:
+            running.append(i)
+        try:
+            if i == 4:   # fails after item 5 has failed
+                time.sleep(0.05)
+                raise EnvError("item 4")
+            if i == 5:
+                raise DivergenceError("item 5")
+            time.sleep(0.02)
+            return i
+        finally:
+            with lock:
+                running.remove(i)
+
+    with pytest.raises(EnvError, match="item 4"):
+        _map_blocks(fn, range(12))
+    assert running == []
+
+
+def test_map_blocks_starts_no_item_after_a_failed_one(monkeypatch):
+    monkeypatch.setattr(learner, "_WORKERS", 2)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            raise EnvError("item 0")
+        time.sleep(0.05)   # item 0 has failed before this item ends
+
+    with pytest.raises(EnvError, match="item 0"):
+        _map_blocks(fn, range(10))
+    assert sorted(started) in ([0], [0, 1])   # item 1 may start before item 0 fails
+
+
+def test_map_blocks_under_frequent_thread_switches(monkeypatch):
+    # more workers than cores, switching threads every microsecond
+    monkeypatch.setattr(learner, "_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert _map_blocks(lambda i: float(np.full(64, i).sum()), range(200)) == [64.0 * i for i in range(200)]
+
+            def fn(i):
+                if i % 37 == 36:
+                    raise EnvError("item %d" % i)
+                return i
+
+            with pytest.raises(EnvError, match="item 36$"):
+                _map_blocks(fn, range(200))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _poison_forward(monkeypatch, error, poisoned_rows):
+    """Make Mlp.forward_with_hidden raise ``error`` on a helper thread's block
+    of ``poisoned_rows`` rows, and slow every other call so that blocks are
+    still in flight when the error is raised.  Returns the count of calls
+    running, in a one-element list."""
+    original = Mlp.forward_with_hidden
+    live, lock = [0], threading.Lock()
+
+    def poisoned(self, x):
+        with lock:
+            live[0] += 1
+        try:
+            if len(x) in poisoned_rows and threading.current_thread() is not threading.main_thread():
+                raise error("poisoned block")
+            time.sleep(0.01)
+            return original(self, x)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    monkeypatch.setattr(Mlp, "forward_with_hidden", poisoned)
+    return live
+
+
+@pytest.mark.parametrize("error, poisoned_rows", [
+    (DivergenceError, {hi - lo for lo, hi in _row_blocks(N_AGENTS)}),   # the rollout
+    (EnvError, {(HORIZON + 1) * PER_BLOCK}),                            # td_update
+], ids=["rollout", "update"])
+def test_a_raising_block_stops_train_cleanly(monkeypatch, error, poisoned_rows):
+    monkeypatch.setattr(learner, "_WORKERS", 2)
+    with monkeypatch.context() as patch:
+        live = _poison_forward(patch, error, poisoned_rows)
+        spec, state = _setup()
+        with pytest.raises(error, match="poisoned block"):
+            train(spec, state, N_AGENTS, 1, np.random.default_rng(3))
+        assert live == [0]   # no block is still running
+    # the next train call in the same process runs as if nothing had failed
+    spec, state = _setup()
+    _, trace, _ = train(spec, state, N_AGENTS, 1, np.random.default_rng(3))
+    monkeypatch.setattr(learner, "_WORKERS", 1)
+    spec, ref = _setup()
+    _, ref_trace, _ = train(spec, ref, N_AGENTS, 1, np.random.default_rng(3))
+    for col in ("mean_return", "actor_grad_norm", "critic_loss"):
+        assert np.array_equal(getattr(trace, col), getattr(ref_trace, col))
+    for k in ref.critic.params:
+        assert np.array_equal(state.critic.params[k], ref.critic.params[k])
