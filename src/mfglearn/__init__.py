@@ -8,8 +8,7 @@ from .envs import (CongestionReward, DemandPath, EnvSpec, LqrReward,
                    demand_env, demand_reward, lqr_env, lqr_reward, sample_initial, step)
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
 from .learner import (EpisodeLog, Schedules, TrainState, TrainTrace,
-                      convergence_metrics, init_train_state, pg_update, rollout,
-                      td_update, train)
+                      init_train_state, pg_update, rollout, td_update, train)
 from .oracle import (DiscreteMFG, best_response, exploitability, fictitious_play,
                      induced_flow, lqr_analytic, nplayer_gap, ring_game)
 

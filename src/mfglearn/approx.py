@@ -186,33 +186,3 @@ def check_finite(params: dict, limit: float = 1e6):
     for k, p in params.items():
         if not np.all(np.isfinite(p)) or np.abs(p).max() > limit:
             raise DivergenceError("diverged")
-
-
-def save_params(path, named_params: dict):
-    """Checkpoint a {name: array} dict as CSV lines name,shape,values...
-
-    The shape is the dims joined by "x": empty for a 0-d scalar, "0" for a
-    length-0 vector; an array with no elements has an empty value field.
-    """
-    lines = []
-    for name in sorted(named_params):
-        arr = np.asarray(named_params[name], dtype=float)
-        shape = "x".join(str(d) for d in arr.shape)
-        vals = ",".join(repr(float(v)) for v in arr.ravel())
-        lines.append("%s,%s,%s" % (name, shape, vals))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_params(path) -> dict:
-    out = {}
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            name, shape, rest = line.split(",", 2)
-            dims = tuple(int(d) for d in shape.split("x")) if shape else ()
-            vals = np.array([float(v) for v in rest.split(",")] if rest else [])
-            out[name] = vals.reshape(dims)
-    return out

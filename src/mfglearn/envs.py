@@ -179,7 +179,6 @@ class EnvSpec:
     path: DemandPath | None = None
     path_spread: float = 0.1
     lqr: LqrReward | None = None
-    quartic_cost: bool = False   # demand option: eta*|u|^4 instead of 0.5*eta*|u|^2
 
     def __post_init__(self):
         if self.kind not in ("congestion", "demand", "lqr"):
@@ -232,12 +231,9 @@ def step(spec: EnvSpec, x, u, noise):
 
 
 def movement_cost(spec: EnvSpec, u):
-    """Movement penalty: 0.5*eta*|u|^2, or eta*|u|^4 with the quartic flag."""
+    """Movement penalty 0.5*eta*|u|^2 for one action (2,) or a batch (n, 2)."""
     uu = np.atleast_2d(np.asarray(u, dtype=float))
-    if spec.quartic_cost:
-        cost = spec.eta * (uu ** 2).sum(axis=1) ** 2
-    else:
-        cost = 0.5 * spec.eta * (uu ** 2).sum(axis=1)
+    cost = 0.5 * spec.eta * (uu ** 2).sum(axis=1)
     if np.asarray(u).ndim == 1:
         return float(cost[0])
     return cost

@@ -44,7 +44,6 @@ from .envs import EnvSpec, reward, sample_initial, step
 from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
-PAIR_BLOCK = 128   # rows per block in mean_pairwise_distance
 # network rows per block: the most agents per actor pass in a rollout step,
 # and about the critic rows per block of agents in td_update and pg_update;
 # each worker of _map_blocks holds one block's activations at a time
@@ -504,60 +503,3 @@ def evaluate(spec: EnvSpec, state: TrainState, n_agents: int, rng,
     if not deterministic:
         rng.standard_normal(out=actions)
     return _simulate(spec, state, rng, states, actions, realized=True)
-
-
-def mean_pairwise_distance(points) -> float:
-    """Mean Euclidean distance over unordered distinct pairs.
-
-    Distances are summed PAIR_BLOCK rows at a time, so memory stays linear
-    in the number of points.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = len(pts)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for lo in range(0, n - 1, PAIR_BLOCK):
-        rows = pts[lo:lo + PAIR_BLOCK]
-        dist = np.hypot(rows[:, None, 0] - pts[None, lo:, 0], rows[:, None, 1] - pts[None, lo:, 1])
-        total += float(np.triu(dist, k=1).sum())  # column j > row i only
-    return total / (n * (n - 1) / 2)
-
-
-def convergence_metrics(trace: TrainTrace, terminal_positions=None, window: int = 200) -> dict:
-    """Stabilization-window statistics plus terminal dispersion.
-
-    ``window_std`` is the standard deviation of mean returns over the last
-    ``window`` episodes; ``return_range`` spans the whole run; their ratio is
-    the stabilization score (small = settled).
-    """
-    if len(trace) == 0:
-        raise ValueError("empty trace")
-    if window < 1:
-        raise ValueError("window must be >= 1, got %r" % (window,))
-    w = min(window, len(trace))
-    returns = trace.mean_return
-    window_std = float(returns[-w:].std())
-    rng_span = float(returns.max() - returns.min())
-    out = {
-        "window": w,
-        "window_std": window_std,
-        "return_range": rng_span,
-        "stabilization_ratio": window_std / rng_span if rng_span > 0 else 0.0,
-        "final_belief_drift": float(trace.belief_drift[-1]),
-        "max_belief_drift": float(trace.belief_drift.max()),
-    }
-    if terminal_positions is not None:
-        out["dispersion"] = mean_pairwise_distance(terminal_positions)
-    return out
-
-
-def write_trace(trace: TrainTrace, path):
-    lines = ["episode,mean_return,belief_drift,actor_grad_norm,critic_loss"]
-    for i in range(len(trace)):
-        lines.append("%d,%s,%s,%s,%s" % (trace.episode[i], repr(float(trace.mean_return[i])),
-                                         repr(float(trace.belief_drift[i])),
-                                         repr(float(trace.actor_grad_norm[i])),
-                                         repr(float(trace.critic_loss[i]))))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

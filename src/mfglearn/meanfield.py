@@ -9,6 +9,7 @@ far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class GridSpec:
             raise GridError("invalid grid: degenerate bounds")
         if not (isinstance(self.resolution, (int, np.integer)) and self.resolution >= 1):
             raise GridError("invalid grid: resolution must be an int >= 1, got %r" % (self.resolution,))
+        # an infinite bound, or a span or area past the largest float, gives
+        # infinite bins, in which density_at reads 0 everywhere
+        if not 0.0 < self.bin_area < math.inf:
+            raise GridError("invalid grid: bin area %r is not finite and positive" % (self.bin_area,))
 
     @property
     def bin_width(self) -> float:
@@ -165,28 +170,3 @@ def grid_distance(a: DensityGrid, b: DensityGrid) -> float:
     """L1 distance between two same-shape grids; ranges over [0, 2]."""
     _check_same_shape(a, b)
     return float(np.abs(a.mass - b.mass).sum())
-
-
-def save_grid(grid: DensityGrid, path):
-    """CSV: header + geometry row, then one mass value per line, row-major."""
-    s = grid.spec
-    lines = ["x_bins,y_bins,x_min,x_max,y_min,y_max"]
-    lines.append("%d,%d,%s,%s,%s,%s" % (s.resolution, s.resolution,
-                                        repr(s.x_min), repr(s.x_max),
-                                        repr(s.y_min), repr(s.y_max)))
-    lines.extend(repr(float(v)) for v in grid.mass.ravel())
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_grid(path) -> DensityGrid:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "x_bins,y_bins,x_min,x_max,y_min,y_max":
-            raise GridError("invalid grid file: bad header %r" % header)
-        xb, yb, x0, x1, y0, y1 = f.readline().strip().split(",")
-        if int(xb) != int(yb):
-            raise GridError("invalid grid file: non-square grid")
-        spec = GridSpec(float(x0), float(x1), float(y0), float(y1), int(xb))
-        mass = np.array([float(line) for line in f if line.strip()])
-    return DensityGrid(spec, mass.reshape(spec.resolution, spec.resolution))

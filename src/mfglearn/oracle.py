@@ -35,10 +35,18 @@ import numpy as np
 
 PROB_TOL = 1e-12
 GAP_BLOCK = 2 ** 16  # uniform draws per chunk of side-by-side finite-N trials
+# most S^N joint states the exact N-player payoffs take on; the DP's table
+# of joint states alone is S^N * N int64s, 168 MB at the limit with S = 2
+_JOINT_STATE_LIMIT = 2 ** 20
 
 
 class OracleError(ValueError):
     pass
+
+
+def _check_count(value, what: str):
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise OracleError("%s must be an int of at least one, got %r" % (what, value))
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,7 @@ class DiscreteMFG:
     mu0: np.ndarray
 
     def __post_init__(self):
+        _check_count(self.horizon, "horizon")
         p = np.array(self.transitions, dtype=float)
         if p.shape != (self.n_states, self.n_actions, self.n_states):
             raise OracleError("transition kernel shape %r" % (p.shape,))
@@ -226,8 +235,7 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     average policy's own flow gives the next iteration's best response and
     this iteration's certificate.
     """
-    if iterations < 1:
-        raise OracleError("iterations must be >= 1")
+    _check_count(iterations, "iterations")
     T, S, A = game.horizon, game.n_states, game.n_actions
     best, _ = _backward(game, _forward(game, uniform_policy(game)[None]))
     avg_policy = np.zeros((T, S, A))
@@ -250,9 +258,13 @@ def _joint_states(n_states: int, n_agents: int) -> np.ndarray:
     return np.indices((n_states,) * n_agents).reshape(n_agents, n_states ** n_agents).T
 
 
-def _check_agent(agent: int, n_agents: int):
+def _check_players(game: DiscreteMFG, agent: int, n_agents: int):
     if not 0 <= agent < n_agents:
         raise OracleError("agent %r out of range for %d policies" % (agent, n_agents))
+    joint = game.n_states ** n_agents
+    if joint > _JOINT_STATE_LIMIT:
+        raise OracleError("%d agents over %d states make %d joint states, more than %d"
+                          % (n_agents, game.n_states, joint, _JOINT_STATE_LIMIT))
 
 
 def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
@@ -261,11 +273,12 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     ``policies`` is one (T,S,A) array per agent; rewards couple through the
     empirical measure of all agents (self included).  Forward dynamic
     programming over the joint-state distribution with per-agent marginalized
-    transition matrices.
+    transition matrices.  More than 2^20 joint states (S^N) raise OracleError
+    before anything is allocated.
     """
     policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
-    _check_agent(agent, n)
+    _check_players(game, agent, n)
     joint = _joint_states(game.n_states, n)
     own_s = joint[:, agent]
     # empirical mass at the tracked agent's own state, per joint state row
@@ -298,7 +311,7 @@ def nplayer_payoff_enumerated(game: DiscreteMFG, policies, agent: int) -> float:
     """
     policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
-    _check_agent(agent, n)
+    _check_players(game, agent, n)
     S, A, T = game.n_states, game.n_actions, game.horizon
     actions = list(itertools.product(range(A), repeat=n))
     states = list(itertools.product(range(S), repeat=n))
@@ -375,8 +388,7 @@ def _population_values(game: DiscreteMFG, policy: np.ndarray, n_agents: int, tri
     at a time.  Either way the results and the generator's state afterwards
     do not depend on the chunking.
     """
-    if n_agents < 1:
-        raise OracleError("need at least one agent, got %r" % n_agents)
+    _check_count(n_agents, "agents")
     T, S, A = game.horizon, game.n_states, game.n_actions
     start, act, move = _cdf_table(game.mu0), _cdf_table(policy), _cdf_table(game.transitions)
     per_trial = (1 + 2 * T) * n_agents
@@ -411,8 +423,7 @@ def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: i
 def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: int, rng):
     """(mean, std) over trials of |finite-N mean payoff - exact limit value|."""
     policy = _check_policy(game, policy)
-    if trials < 1:
-        raise OracleError("need at least one trial, got %r" % trials)
+    _check_count(trials, "trials")
     _, values = _backward(game, _forward(game, policy[None]), policy)
     j_inf = float(game.mu0 @ values[0, 1])
     gaps = np.abs(_population_values(game, policy, n_agents, trials, rng) - j_inf)
@@ -420,11 +431,15 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
 
 
 def scaling_experiment(game: DiscreteMFG, policy: np.ndarray, sizes, trials: int, rng):
-    """Gap-vs-N table [(N, trials, mean, std)] and the log-log slope."""
+    """Gap-vs-N table [(N, trials, mean, std)] and the log-log slope, fitted
+    over at least two distinct N."""
+    sizes = [int(n) for n in sizes]
+    if len(set(sizes)) < 2:
+        raise OracleError("a slope needs at least two distinct sizes, got %r" % (sizes,))
     rows = []
     for n in sizes:
-        mean, std = nplayer_gap(game, policy, int(n), trials, rng)
-        rows.append((int(n), trials, mean, std))
+        mean, std = nplayer_gap(game, policy, n, trials, rng)
+        rows.append((n, trials, mean, std))
     logn = np.log([r[0] for r in rows])
     logg = np.log([max(r[2], 1e-300) for r in rows])
     slope = float(np.polyfit(logn, logg, 1)[0])

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfglearn.approx import (TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp,
-                             adam_step, load_params, save_params)
+from mfglearn.approx import TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
 from mfglearn.envs import lqr_env
 from mfglearn.learner import init_train_state, rollout
 from mfglearn.meanfield import GridSpec
@@ -312,17 +311,3 @@ def test_seeded_training_is_bit_reproducible():
     a, b = run(), run()
     for k in a:
         assert np.array_equal(a[k], b[k])
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    net = Mlp.init(3, 4, 2, rng)
-    named = {"actor.%s" % k: v for k, v in net.params.items()}
-    named.update({"empty": np.zeros(0), "empty2d": np.zeros((2, 0)), "scalar": np.float64(1.5)})
-    path = tmp_path / "params.csv"
-    save_params(path, named)
-    loaded = load_params(path)
-    assert set(loaded) == set(named)
-    for k in named:
-        assert loaded[k].shape == np.shape(named[k])
-        assert np.array_equal(loaded[k], named[k])

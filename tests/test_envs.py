@@ -203,12 +203,6 @@ def test_reward_dispatch_subtracts_movement():
     assert reward(spec, 3, x, u, dens) == pytest.approx(base - 0.5 * 2.0 * 0.25)
 
 
-def test_quartic_movement_cost():
-    spec = demand_env(eta=2.0, quartic_cost=True)
-    u = np.array([1.0, 1.0])
-    assert movement_cost(spec, u) == pytest.approx(2.0 * 4.0)
-
-
 def test_reward_batch_equivariance():
     # no agent identity anywhere: permuting a batch permutes the rewards
     spec = congestion_env(alpha=1.5)

@@ -6,12 +6,9 @@ import pytest
 
 from mfglearn.approx import DivergenceError, Mlp
 from mfglearn.envs import bimodal_env, congestion_env, demand_env, lqr_env
-from mfglearn.learner import (PAIR_BLOCK, UPDATE_BLOCK, EpisodeLog, Schedules, TrainState,
-                              TrainTrace, convergence_metrics, evaluate, init_train_state,
-                              mean_pairwise_distance, pg_update, rollout, td_update, train,
-                              write_trace)
-from mfglearn.meanfield import (BeliefState, DensityGrid, GridSpec, belief_update, density_at,
-                                grid_distance)
+from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, init_train_state, pg_update,
+                              rollout, td_update, train)
+from mfglearn.meanfield import BeliefState, DensityGrid, GridSpec, belief_update, density_at
 
 GRID = GridSpec(resolution=20)
 
@@ -399,48 +396,3 @@ def test_instantaneous_coupling_mode():
         np.testing.assert_array_equal(trained.densities[k],
                                       density_at(state.beliefs[k].average, trained.states[k]))
     assert not np.array_equal(evaluated.densities, trained.densities)
-
-
-# --- diagnostics ----------------------------------------------------------------
-
-def test_convergence_metrics_constant_trace():
-    trace = TrainTrace(np.arange(10), np.full(10, 1.5), np.zeros(10), np.zeros(10), np.zeros(10))
-    out = convergence_metrics(trace, window=5)
-    assert out["window_std"] == 0.0
-    assert out["stabilization_ratio"] == 0.0
-    assert out["final_belief_drift"] == 0.0
-
-
-@pytest.mark.parametrize("window", [0, -2])
-def test_convergence_metrics_rejects_window_below_one(window):
-    trace = TrainTrace(np.arange(10), np.arange(10.0), np.zeros(10), np.zeros(10), np.zeros(10))
-    with pytest.raises(ValueError, match="window must be >= 1"):
-        convergence_metrics(trace, window=window)
-
-
-def test_dispersion_unit_square_corners():
-    corners = [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert mean_pairwise_distance(corners) == pytest.approx((4 + 2 * math.sqrt(2)) / 6)
-
-
-def test_dispersion_matches_direct_formula_across_blocks():
-    pts = np.random.default_rng(25).standard_normal((2 * PAIR_BLOCK + 5, 2))
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    direct = dist[np.triu_indices(len(pts), k=1)].mean()
-    assert mean_pairwise_distance(pts) == pytest.approx(direct, rel=1e-12)
-
-
-def test_dispersion_degenerate():
-    assert mean_pairwise_distance([[1.0, 2.0]]) == 0.0
-    assert mean_pairwise_distance([[1.0, 2.0], [1.0, 2.0]]) == 0.0
-
-
-def test_trace_csv(tmp_path):
-    spec = bandit_spec()
-    state = fresh_state(spec)
-    state, trace, _ = train(spec, state, n_agents=4, episodes=5, rng=np.random.default_rng(21))
-    path = tmp_path / "trace.csv"
-    write_trace(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "episode,mean_return,belief_drift,actor_grad_norm,critic_loss"
-    assert len(lines) == 6

@@ -3,7 +3,7 @@ import pytest
 
 from mfglearn.meanfield import (BeliefState, DensityGrid, GridError, GridSpec,
                                 belief_update, build_empirical_measure, density_at,
-                                grid_distance, load_grid, save_grid)
+                                grid_distance)
 
 
 def brute_force_bin(points, spec):
@@ -64,6 +64,24 @@ def test_empty_population_rejected():
 def test_degenerate_bounds_rejected():
     with pytest.raises(GridError, match="invalid grid"):
         GridSpec(0.0, 0.0, 0.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("bounds", [
+    (-np.inf, 2.0, -2.0, 2.0),
+    (-2.0, 2.0, -2.0, np.inf),
+    (-1e308, 1e308, -2.0, 2.0),      # x_max - x_min overflows
+    (-2.0, 2.0, -1e308, 1e308),
+    (-1e200, 1e200, -1e200, 1e200),  # width and height finite, area not
+])
+def test_unbounded_bins_rejected(bounds):
+    with pytest.raises(GridError, match="bin area"):
+        GridSpec(*bounds, 4)
+
+
+@pytest.mark.parametrize("bounds", [(np.nan, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, np.nan)])
+def test_nan_bounds_rejected(bounds):
+    with pytest.raises(GridError, match="degenerate bounds"):
+        GridSpec(*bounds, 4)
 
 
 @pytest.mark.parametrize("resolution", [0, -2, 2.5, 3.0, "4", None])
@@ -215,19 +233,6 @@ def test_builds_normalize_over_random_inputs():
         grid = build_empirical_measure(pts, spec)
         assert abs(grid.mass.sum() - 1.0) <= 1e-9
         assert grid.mass.min() >= 0.0
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    spec = GridSpec(-2.0, 2.0, -1.0, 1.0, 7)
-    grid = random_grid(rng, spec)
-    path = tmp_path / "grid.csv"
-    save_grid(grid, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_bins,y_bins,x_min,x_max,y_min,y_max"
-    loaded = load_grid(path)
-    assert loaded.spec == grid.spec
-    assert np.array_equal(loaded.mass, grid.mass)
 
 
 def test_grid_immutable():

@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mfglearn import oracle
 from mfglearn.envs import lqr_env
 from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _forward, _joint_states,
                              best_response, exploitability, fictitious_play, induced_flow,
@@ -305,6 +307,24 @@ def test_population_counts_below_one_fail_loudly(case):
         _COUNTS_BELOW_ONE[case](game, uniform_policy(game))
 
 
+_COUNTS_NOT_INTS = {
+    "horizon 0": lambda g: dataclasses.replace(g, horizon=0),
+    "horizon -1": lambda g: dataclasses.replace(g, horizon=-1),
+    "horizon 2.5": lambda g: dataclasses.replace(g, horizon=2.5),
+    "horizon nan": lambda g: dataclasses.replace(g, horizon=math.nan),
+    "iterations 0": lambda g: fictitious_play(g, 0),
+    "iterations 2.5": lambda g: fictitious_play(g, 2.5),
+    "trials 2.5": lambda g: nplayer_gap(g, uniform_policy(g), 10, 2.5, np.random.default_rng(0)),
+    "agents 2.5": lambda g: nplayer_gap(g, uniform_policy(g), 2.5, 3, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COUNTS_NOT_INTS))
+def test_counts_must_be_ints_of_at_least_one(case):
+    with pytest.raises(OracleError, match="must be an int of at least one"):
+        _COUNTS_NOT_INTS[case](ring_game())
+
+
 # A = 9 is past numpy's 8-element pairwise summation block, where adding
 # action columns one by one sums in another order than a reduction would
 @pytest.mark.parametrize("n_actions", [1, 2, 3, 9])
@@ -434,6 +454,21 @@ def test_joint_states_match_product_order(n_states, n_agents):
     assert np.array_equal(joint, expected)
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("joint states built past the limit")
+
+
+@pytest.mark.parametrize("payoff", [nplayer_payoff, nplayer_payoff_enumerated])
+def test_payoff_rejects_joint_states_past_the_limit(payoff, monkeypatch):
+    # 4^11 joint states, one agent past the 2^20 limit; the stubs keep a
+    # missing check from building the 4^11-row tables
+    monkeypatch.setattr(oracle, "_joint_states", _never_called)
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=_never_called))
+    game = ring_game()
+    with pytest.raises(OracleError, match="4194304 joint states"):
+        payoff(game, [uniform_policy(game)] * 11, 0)
+
+
 def test_payoff_invariant_under_permuting_others():
     rng = np.random.default_rng(14)
     game = random_game(rng, n_states=2, n_actions=2, horizon=2)
@@ -509,6 +544,13 @@ def test_scaling_slope_matches_root_n():
     rows, slope = scaling_experiment(game, policy, [8, 16, 32, 64, 128, 256, 512, 1024], 200, rng)
     assert -0.7 <= slope <= -0.3
     assert all(r[1] == 200 for r in rows)
+
+
+@pytest.mark.parametrize("sizes", [[10], [10, 10], []])
+def test_scaling_needs_two_distinct_sizes(sizes):
+    game = ring_game()
+    with pytest.raises(OracleError, match="two distinct sizes"):
+        scaling_experiment(game, uniform_policy(game), sizes, 3, np.random.default_rng(0))
 
 
 # --- Riccati ------------------------------------------------------------------
