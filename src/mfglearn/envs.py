@@ -1,19 +1,22 @@
 """Benchmark environments behind one contract: linear-Gaussian transitions,
-a Gaussian initial-state sampler, and a per-step reward coupled to the local
-population density.
+a Gaussian initial-state sampler, a movement cost and one reward object.
 
 All three environments share the transition x' = a*x + b*u + sigma1*noise
-(matrices proportional to the 2x2 identity, so scalars suffice) and differ
-only in the reward:
+(matrices proportional to the 2x2 identity, so scalars suffice) and the
+movement cost 0.5*eta*|u|^2.  They differ only in ``EnvSpec.reward``, a
+frozen object called as ``r(t, x, density) -> (n,)``:
 
-* congestion: Gaussian desirability peaks (one, or two for the bimodal
+* CongestionReward: Gaussian desirability peaks (one, or two for the bimodal
   game) discounted by local crowding, one-shot by default.
-* demand: a desirability peak that travels along a piecewise-linear path,
-  with a movement cost.
-* lqr: quadratic tracking cost toward a fixed target, no density coupling.
+* DemandReward: one such peak that travels along a piecewise-linear path.
+* LqrReward: quadratic tracking cost toward a fixed target.
 
-Rewards are evaluated at the state an action *arrives* at, so the one-shot
-congestion game scores the terminal position reached by the single move.
+``t`` is the step 1..T, ``x`` the (n, 2) states the step's actions *arrive*
+at (so the one-shot congestion game scores the terminal position reached by
+the single move) and ``density`` the population density at each of them.  A
+reward's ``uses_density`` says whether it reads the density; the congestion
+and demand rewards do, the LQR reward does not.  Each reward object checks
+its parameters once, when it is built.
 """
 
 from __future__ import annotations
@@ -36,65 +39,69 @@ def _finite_point(p, what: str) -> tuple:
     return point
 
 
+def _check_positive(value, what: str):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise EnvError("%s %r: must be finite and > 0" % (what, value))
+
+
+def _crowded_peaks(x, density, peaks, alpha):
+    """sum_i L_i(x) / (1+m)^alpha over Gaussian peaks (mu_i, spread_i), where
+    L_i(x) = exp(-|x-mu_i|^2/spread_i) / (2*pi*k*spread_i) for k peaks."""
+    pts = np.asarray(x, dtype=float)
+    m = np.asarray(density, dtype=float)
+    if not np.all(np.isfinite(m) & (m >= 0.0)):
+        raise EnvError("density must be finite and >= 0")
+    k = len(peaks)
+    desirability = 0.0
+    for (c0, c1), spread in peaks:
+        d0 = pts[..., 0] - c0
+        d1 = pts[..., 1] - c1
+        desirability += np.exp(-(d0 * d0 + d1 * d1) / spread) / (2.0 * np.pi * k * spread)
+    return desirability / (1.0 + m) ** alpha
+
+
 @dataclass(frozen=True)
 class CongestionReward:
-    """Mixture of isotropic Gaussian desirability peaks.
+    """Mixture of isotropic Gaussian desirability peaks over (1+m)^alpha.
 
     Each component is (mu, spread) with covariance spread * I.  Peak i
     contributes exp(-|x-mu_i|^2/spread_i) / (2*pi*k*spread_i) where k is the
     number of components, so a single peak has height 1/(2*pi*spread) and a
-    two-peak mixture halves each prefactor.
+    two-peak mixture halves each prefactor.  Strictly decreasing in the
+    density m, for crowd averseness alpha > 0.
     """
 
     components: tuple = (((0.0, 0.0), 0.3),)
+    alpha: float = 1.0
+    uses_density = True
 
     def __post_init__(self):
         if len(self.components) == 0:
             raise EnvError("congestion reward needs at least one component")
         comps = []
         for mu, spread in self.components:
-            if not (spread > 0.0 and math.isfinite(spread)):
-                raise EnvError("singular spread %r: must be finite and > 0" % spread)
+            _check_positive(spread, "singular spread")
             comps.append((_finite_point(mu, "peak centre"), float(spread)))
+        _check_positive(self.alpha, "averseness alpha")
         object.__setattr__(self, "components", tuple(comps))
 
-    @classmethod
-    def single(cls, mu, spread) -> "CongestionReward":
-        return cls(((tuple(mu), spread),))
-
-
-def congestion_reward(params: CongestionReward, x, density, alpha: float):
-    """Gaussian desirability discounted by crowding: sum_i L_i(x) / (1+m)^alpha.
-
-    ``x`` may be a single point (2,) or a batch (n, 2); ``density`` broadcasts
-    against it.  Strictly decreasing in ``density`` for alpha > 0.
-    """
-    if not alpha > 0.0:
-        raise EnvError("averseness alpha must be > 0")
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    m = np.asarray(density, dtype=float)
-    if not np.all(np.isfinite(m) & (m >= 0.0)):
-        raise EnvError("density must be finite and >= 0")
-    k = len(params.components)
-    desirability = np.zeros(pts.shape[0])
-    for mu, spread in params.components:
-        d2 = ((pts - np.asarray(mu)) ** 2).sum(axis=1)
-        desirability += np.exp(-d2 / spread) / (2.0 * np.pi * k * spread)
-    value = desirability / (1.0 + m) ** alpha
-    if np.asarray(x).ndim == 1:
-        return float(value[0])
-    return value
+    def __call__(self, t, x, density):
+        return _crowded_peaks(x, density, self.components, self.alpha)
 
 
 @dataclass(frozen=True)
-class DemandPath:
-    """Piecewise-linear path of the demand peak through the plane.
+class DemandReward:
+    """A single congestion peak (covariance spread * I) whose centre travels
+    along a piecewise-linear path through the plane.
 
-    Waypoints are (time step, point) pairs with strictly increasing times
-    covering the full horizon.
+    Waypoints are (time step, point) pairs with strictly increasing times;
+    an ``EnvSpec`` holding this reward checks that they cover its steps.
     """
 
     waypoints: tuple = ((0, (0.2, -0.2)), (15, (0.2, 0.4)), (30, (0.8, 0.4)))
+    spread: float = 0.1
+    alpha: float = 0.1
+    uses_density = True
 
     def __post_init__(self):
         wps = tuple((float(t), _finite_point(p, "demand path point")) for t, p in self.waypoints)
@@ -105,28 +112,21 @@ class DemandPath:
         times = [t for t, _ in wps]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise EnvError("demand path times must be strictly increasing")
+        _check_positive(self.spread, "singular path spread")
+        _check_positive(self.alpha, "averseness alpha")
         object.__setattr__(self, "waypoints", wps)
-
-    @property
-    def t_max(self) -> float:
-        return self.waypoints[-1][0]
+        object.__setattr__(self, "spread", float(self.spread))
 
     def position(self, t: float) -> np.ndarray:
-        if not self.waypoints[0][0] <= t <= self.t_max:
+        if not self.waypoints[0][0] <= t <= self.waypoints[-1][0]:
             raise EnvError("time %r outside demand path coverage" % t)
         times = np.array([w[0] for w in self.waypoints])
         pts = np.array([w[1] for w in self.waypoints])
         return np.array([np.interp(t, times, pts[:, 0]),
                          np.interp(t, times, pts[:, 1])])
 
-
-def demand_reward(path: DemandPath, t, x, density, alpha: float, spread: float = 0.1):
-    """Congestion-style reward around the path position at time t.
-
-    The movement penalty is charged separately through :func:`movement_cost`.
-    """
-    mu = path.position(t)
-    return congestion_reward(CongestionReward.single(mu, spread), x, density, alpha)
+    def __call__(self, t, x, density):
+        return _crowded_peaks(x, density, ((self.position(t), self.spread),), self.alpha)
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ class LqrReward:
 
     target: tuple = (0.5, -0.5)
     q: tuple = ((1.0, 0.0), (0.0, 1.0))
+    uses_density = False
 
     def __post_init__(self):
         q = np.array(self.q, dtype=float)
@@ -151,38 +152,34 @@ class LqrReward:
     def q_matrix(self) -> np.ndarray:
         return np.array(self.q)
 
-
-def lqr_reward(params: LqrReward, x):
-    pts = np.atleast_2d(np.asarray(x, dtype=float)) - np.asarray(params.target)
-    value = -np.einsum("ni,ij,nj->n", pts, params.q_matrix, pts)
-    if np.asarray(x).ndim == 1:
-        return float(value[0])
-    return value
+    def __call__(self, t, x, density):
+        d = np.asarray(x, dtype=float) - self.target
+        return -np.einsum("...i,ij,...j->...", d, self.q_matrix, d)
 
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """One environment definition: dynamics, reward parameters, horizon."""
+    """One environment definition: dynamics, reward object, horizon.
 
-    kind: str
+    ``reward(t, x, density)`` scores the arrival states x of step t = 1..T
+    (see the module docstring); a demand path must cover those steps.
+    """
+
+    reward: CongestionReward | DemandReward | LqrReward
     horizon: int
     a: float = 1.0            # A = a * I
     b: float = 1.0            # B = b * I
     sigma1: float = 0.1
     sigma_eps: float = 1.0
     eta: float = 0.0          # R = eta * I
-    alpha: float = 1.0        # crowd averseness
     gamma: float = 0.99
     init_mean: tuple = (1.0, 0.0)
     init_std: float = 0.1
-    congestion: CongestionReward | None = None
-    path: DemandPath | None = None
-    path_spread: float = 0.1
-    lqr: LqrReward | None = None
 
     def __post_init__(self):
-        if self.kind not in ("congestion", "demand", "lqr"):
-            raise EnvError("unknown environment kind %r" % self.kind)
+        if not isinstance(self.reward, (CongestionReward, DemandReward, LqrReward)):
+            raise EnvError("reward must be a CongestionReward, DemandReward or LqrReward, got %r"
+                           % (self.reward,))
         if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
             raise EnvError("horizon must be an int >= 1, got %r" % (self.horizon,))
         for name in ("a", "b"):
@@ -193,18 +190,13 @@ class EnvSpec:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise EnvError("%s must be finite and >= 0, got %r" % (name, value))
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise EnvError("averseness alpha must be finite and > 0")
         if not 0.0 < self.gamma <= 1.0:
             raise EnvError("discount gamma must be in (0, 1]")
-        if self.kind == "congestion" and self.congestion is None:
-            raise EnvError("congestion environment needs reward peaks")
-        if self.kind == "demand" and self.path is None:
-            raise EnvError("demand environment needs a path")
-        if self.kind == "demand" and not (self.path_spread > 0.0 and math.isfinite(self.path_spread)):
-            raise EnvError("singular path spread %r: must be finite and > 0" % self.path_spread)
-        if self.kind == "lqr" and self.lqr is None:
-            raise EnvError("lqr environment needs tracking parameters")
+        if isinstance(self.reward, DemandReward):
+            first, last = self.reward.waypoints[0][0], self.reward.waypoints[-1][0]
+            if not first <= 1 <= self.horizon <= last:
+                raise EnvError("demand path covers times %g..%g, not the reward steps 1..%d"
+                               % (first, last, self.horizon))
         object.__setattr__(self, "init_mean", _finite_point(self.init_mean, "init_mean"))
 
     @property
@@ -213,7 +205,7 @@ class EnvSpec:
 
     @property
     def uses_density(self) -> bool:
-        return self.kind != "lqr"
+        return self.reward.uses_density
 
 
 def step(spec: EnvSpec, x, u, noise):
@@ -232,22 +224,13 @@ def step(spec: EnvSpec, x, u, noise):
 
 def movement_cost(spec: EnvSpec, u):
     """Movement penalty 0.5*eta*|u|^2 for one action (2,) or a batch (n, 2)."""
-    uu = np.atleast_2d(np.asarray(u, dtype=float))
-    cost = 0.5 * spec.eta * (uu ** 2).sum(axis=1)
-    if np.asarray(u).ndim == 1:
-        return float(cost[0])
-    return cost
+    uu = np.asarray(u, dtype=float)
+    return 0.5 * spec.eta * (uu[..., 0] * uu[..., 0] + uu[..., 1] * uu[..., 1])
 
 
 def reward(spec: EnvSpec, t, x, u, density):
-    """Per-step reward at arrival state x (time index t), net of movement cost."""
-    if spec.kind == "congestion":
-        base = congestion_reward(spec.congestion, x, density, spec.alpha)
-    elif spec.kind == "demand":
-        base = demand_reward(spec.path, t, x, density, spec.alpha, spec.path_spread)
-    else:
-        base = lqr_reward(spec.lqr, x)
-    return base - movement_cost(spec, u)
+    """Per-step reward at arrival state x (step t), net of movement cost."""
+    return spec.reward(t, x, density) - movement_cost(spec, u)
 
 
 def sample_initial(spec: EnvSpec, rng, n: int | None = None):
@@ -261,35 +244,27 @@ def sample_initial(spec: EnvSpec, rng, n: int | None = None):
 def congestion_env(alpha: float = 1.0, mu=(0.0, 0.0), spread: float = 0.3,
                    eta: float = 0.0, **kw) -> EnvSpec:
     """One-shot spatial congestion game, agents starting near (1, 0)."""
-    return EnvSpec(kind="congestion", horizon=1, eta=eta, alpha=alpha,
-                   congestion=CongestionReward.single(mu, spread),
-                   init_mean=kw.pop("init_mean", (1.0, 0.0)), **kw)
+    return EnvSpec(CongestionReward(((mu, spread),), alpha), horizon=1, eta=eta, **kw)
 
 
 def bimodal_env(alpha: float = 1.0, peaks=((-1.0, 0.0), (0.0, 0.0)),
                 spread: float = 0.05, eta: float = 0.0, **kw) -> EnvSpec:
     """One-shot congestion game with two equal-weight desirability peaks."""
-    comps = tuple((tuple(p), spread) for p in peaks)
-    return EnvSpec(kind="congestion", horizon=1, eta=eta, alpha=alpha,
-                   congestion=CongestionReward(comps),
-                   init_mean=kw.pop("init_mean", (1.0, 0.0)), **kw)
+    comps = tuple((p, spread) for p in peaks)
+    return EnvSpec(CongestionReward(comps, alpha), horizon=1, eta=eta, **kw)
 
 
 def demand_env(alpha: float = 0.1, eta: float = 2.0, horizon: int = 30,
                waypoints=None, path_spread: float = 0.1,
                init_mean=(-0.2, 0.0), **kw) -> EnvSpec:
     """Demand-tracking game: a reward peak traverses a path over the horizon."""
-    path = DemandPath() if waypoints is None else DemandPath(tuple(waypoints))
-    spec = EnvSpec(kind="demand", horizon=horizon, eta=eta, alpha=alpha,
-                   path=path, path_spread=path_spread, init_mean=init_mean, **kw)
-    if path.t_max < horizon:
-        raise EnvError("demand path must cover the horizon")
-    return spec
+    path = DemandReward.waypoints if waypoints is None else tuple(waypoints)
+    return EnvSpec(DemandReward(path, path_spread, alpha), horizon=horizon, eta=eta,
+                   init_mean=init_mean, **kw)
 
 
 def lqr_env(target=(0.5, -0.5), q=None, eta: float = 1.0, horizon: int = 30,
             init_mean=(0.0, 0.0), **kw) -> EnvSpec:
     """Mean-field linear-quadratic tracking problem."""
-    lqr = LqrReward(tuple(target), tuple(map(tuple, q)) if q is not None else ((1.0, 0.0), (0.0, 1.0)))
-    return EnvSpec(kind="lqr", horizon=horizon, eta=eta, lqr=lqr,
-                   init_mean=init_mean, **kw)
+    lqr = LqrReward(target, LqrReward.q if q is None else q)
+    return EnvSpec(lqr, horizon=horizon, eta=eta, init_mean=init_mean, **kw)

@@ -33,11 +33,16 @@ from typing import Callable
 
 import numpy as np
 
+from .envs import LqrReward
+
 PROB_TOL = 1e-12
 GAP_BLOCK = 2 ** 16  # uniform draws per chunk of side-by-side finite-N trials
 # most S^N joint states the exact N-player payoffs take on; the DP's table
 # of joint states alone is S^N * N int64s, 168 MB at the limit with S = 2
 _JOINT_STATE_LIMIT = 2 ** 20
+# most agents: the DP stacks one axis per agent under a leading axis, and a
+# numpy array has at most 64 axes
+_AGENT_LIMIT = 63
 
 
 class OracleError(ValueError):
@@ -261,6 +266,8 @@ def _joint_states(n_states: int, n_agents: int) -> np.ndarray:
 def _check_players(game: DiscreteMFG, agent: int, n_agents: int):
     if not 0 <= agent < n_agents:
         raise OracleError("agent %r out of range for %d policies" % (agent, n_agents))
+    if n_agents > _AGENT_LIMIT:
+        raise OracleError("%d policies, more than %d" % (n_agents, _AGENT_LIMIT))
     joint = game.n_states ** n_agents
     if joint > _JOINT_STATE_LIMIT:
         raise OracleError("%d agents over %d states make %d joint states, more than %d"
@@ -273,8 +280,8 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     ``policies`` is one (T,S,A) array per agent; rewards couple through the
     empirical measure of all agents (self included).  Forward dynamic
     programming over the joint-state distribution with per-agent marginalized
-    transition matrices.  More than 2^20 joint states (S^N) raise OracleError
-    before anything is allocated.
+    transition matrices.  More than 2^20 joint states (S^N) or 63 policies
+    raise OracleError before anything is allocated.
     """
     policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
@@ -497,13 +504,13 @@ def lqr_analytic(spec, tol: float = 1e-12, max_iter: int = 10 ** 5) -> LqrSoluti
     the controlled process x' = F x + g + sigma*noise then gives the
     stationary mean (I-F)^{-1} g and the Lyapunov covariance.
     """
-    if spec.kind != "lqr":
+    if not isinstance(spec.reward, LqrReward):
         raise OracleError("lqr_analytic needs an lqr environment")
-    q = spec.lqr.q_matrix
+    q = spec.reward.q_matrix
     r = spec.r_matrix
     a_mat = spec.a * np.eye(2)
     b_mat = spec.b * np.eye(2)
-    alpha = np.asarray(spec.lqr.target)
+    alpha = np.asarray(spec.reward.target)
     gamma = spec.gamma
     sigma = spec.sigma1 * spec.sigma_eps
 

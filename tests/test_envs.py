@@ -4,10 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from mfglearn.envs import (CongestionReward, DemandPath, EnvError, LqrReward,
-                           bimodal_env, congestion_env, congestion_reward,
-                           demand_env, demand_reward, lqr_env,
-                           lqr_reward, movement_cost, reward, sample_initial, step)
+from mfglearn.envs import (CongestionReward, DemandReward, EnvError, EnvSpec, LqrReward,
+                           bimodal_env, congestion_env, demand_env, lqr_env,
+                           movement_cost, reward, sample_initial, step)
+from mfglearn.learner import init_train_state, train
+from mfglearn.meanfield import GridSpec
+
+
+def _peak(mu, spread, alpha=1.0):
+    return CongestionReward(((mu, spread),), alpha)
+
+
+def _path(spread=0.1, alpha=0.1):
+    return DemandReward(((0, (0.0, 0.0)), (10, (1.0, 0.0))), spread, alpha)
 
 
 def test_step_noiseless_linear():
@@ -46,58 +55,57 @@ def test_step_affine():
 
 
 def test_congestion_peak_value():
-    params = CongestionReward.single((0.3, -0.2), 1.0)
-    assert congestion_reward(params, [0.3, -0.2], 0.0, 1.0) == pytest.approx(1.0 / (2.0 * np.pi))
+    r = _peak((0.3, -0.2), 1.0)
+    assert r(1, [0.3, -0.2], 0.0) == pytest.approx(1.0 / (2.0 * np.pi))
 
 
 def test_congestion_crowding_quarter():
-    params = CongestionReward.single((0.0, 0.0), 0.5)
+    r = _peak((0.0, 0.0), 0.5, alpha=2.0)
     x = [0.2, 0.1]
-    clear = congestion_reward(params, x, 0.0, 2.0)
-    crowded = congestion_reward(params, x, 1.0, 2.0)
+    clear = r(1, x, 0.0)
+    crowded = r(1, x, 1.0)
     assert crowded == pytest.approx(clear / 4.0)
 
 
 def test_congestion_crowding_limit():
-    params = CongestionReward.single((0.0, 0.0), 0.5)
-    clear = congestion_reward(params, [0.0, 0.0], 0.0, 1.0)
-    packed = congestion_reward(params, [0.0, 0.0], 1e3, 1.0)
+    r = _peak((0.0, 0.0), 0.5)
+    clear = r(1, [0.0, 0.0], 0.0)
+    packed = r(1, [0.0, 0.0], 1e3)
     assert packed < 1e-3 * clear
 
 
 def test_congestion_bounds():
     rng = np.random.default_rng(1)
     spread = 0.4
-    params = CongestionReward.single((0.0, 0.0), spread)
+    r = _peak((0.0, 0.0), spread, alpha=1.5)
     upper = 1.0 / (2.0 * np.pi * spread)
     for _ in range(200):
         x = rng.uniform(-2, 2, 2)
         m = rng.uniform(0, 50)
-        v = congestion_reward(params, x, m, 1.5)
+        v = r(1, x, m)
         assert 0.0 < v <= upper + 1e-15
 
 
 def test_congestion_strictly_monotone_in_density():
     rng = np.random.default_rng(2)
-    params = CongestionReward.single((0.0, 0.0), 0.3)
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
         m1, m2 = sorted(rng.uniform(0, 20, 2))
         if m1 == m2:
             continue
-        alpha = rng.uniform(0.1, 3.0)
-        assert congestion_reward(params, x, m2, alpha) < congestion_reward(params, x, m1, alpha)
+        r = _peak((0.0, 0.0), 0.3, alpha=rng.uniform(0.1, 3.0))
+        assert r(1, x, m2) < r(1, x, m1)
 
 
 def test_congestion_singular_spread_rejected():
     with pytest.raises(EnvError, match="singular"):
-        CongestionReward.single((0.0, 0.0), 0.0)
+        _peak((0.0, 0.0), 0.0)
 
 
 def test_bimodal_sums_components():
     env = bimodal_env(spread=0.05)
     x = np.array([-1.0, 0.0])
-    total = congestion_reward(env.congestion, x, 0.0, 1.0)
+    total = env.reward(1, x, 0.0)
     # two components, each with prefactor 1/(4*pi*spread)
     near = 1.0 / (4.0 * np.pi * 0.05)
     far = np.exp(-1.0 / 0.05) / (4.0 * np.pi * 0.05)
@@ -117,38 +125,55 @@ def test_control_cost_basics():
 
 
 def test_demand_peak_on_path():
-    path = DemandPath(((0, (0.0, 0.0)), (10, (1.0, 0.0))))
-    v = demand_reward(path, 5, [0.5, 0.0], 0.0, 0.1, spread=0.1)
+    v = _path(spread=0.1)(5, [0.5, 0.0], 0.0)
     assert v == pytest.approx(1.0 / (2.0 * np.pi * 0.1))
 
 
 def test_demand_radial_monotone_decay():
-    path = DemandPath(((0, (0.0, 0.0)), (10, (1.0, 0.0))))
+    path = _path()
     center = path.position(4)
     direction = np.array([0.6, -0.8])
     last = np.inf
     for radius in np.linspace(0.0, 1.5, 12):
-        v = demand_reward(path, 4, center + radius * direction, 0.0, 0.1)
+        v = path(4, center + radius * direction, 0.0)
         assert v <= last + 1e-15
         last = v
 
 
 def test_demand_path_interpolation():
-    path = DemandPath(((0, (0.0, 0.0)), (10, (1.0, 0.0))))
+    path = _path()
     np.testing.assert_allclose(path.position(5), [0.5, 0.0])
     np.testing.assert_allclose(path.position(0), [0.0, 0.0])
     np.testing.assert_allclose(path.position(10), [1.0, 0.0])
 
 
 def test_demand_time_out_of_range():
-    path = DemandPath(((0, (0.0, 0.0)), (10, (1.0, 0.0))))
     with pytest.raises(EnvError, match="outside demand path"):
-        demand_reward(path, 11, [0.0, 0.0], 0.0, 0.1)
+        _path()(11, [0.0, 0.0], 0.0)
+
+
+@pytest.mark.parametrize("waypoints", [
+    ((3, (0.0, 0.0)), (10, (1.0, 1.0))),
+    ((0, (0.0, 0.0)), (3, (1.0, 1.0))),
+], ids=["starts after step 1", "ends before the horizon"])
+def test_demand_path_must_cover_the_reward_steps(waypoints):
+    # rewards are read at steps 1..T; an uncovered step used to fail only in
+    # the middle of the first rollout
+    with pytest.raises(EnvError, match="not the reward steps 1..4"):
+        demand_env(horizon=4, waypoints=waypoints)
+    with pytest.raises(EnvError, match="not the reward steps 1..4"):
+        EnvSpec(DemandReward(waypoints), horizon=4)
+
+
+def test_demand_path_covering_exactly_the_reward_steps_trains():
+    spec = demand_env(horizon=4, waypoints=((1, (0.0, 0.0)), (4, (1.0, 1.0))))
+    state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=4)
+    train(spec, state, 10, 1, np.random.default_rng(0))
 
 
 def test_demand_waypoints_must_increase():
     with pytest.raises(EnvError, match="strictly increasing"):
-        DemandPath(((0, (0.0, 0.0)), (0, (1.0, 0.0))))
+        DemandReward(((0, (0.0, 0.0)), (0, (1.0, 0.0))))
 
 
 @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan")])
@@ -158,12 +183,12 @@ def test_demand_singular_path_spread_rejected(spread):
 
 
 def test_lqr_reward_values():
-    params = LqrReward((0.5, -0.5))
-    assert lqr_reward(params, [0.5, -0.5]) == 0.0
-    assert lqr_reward(params, [1.5, -0.5]) == pytest.approx(-1.0)
+    r = LqrReward((0.5, -0.5))
+    assert r(1, [0.5, -0.5], None) == 0.0
+    assert r(1, [1.5, -0.5], None) == pytest.approx(-1.0)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        assert lqr_reward(params, rng.uniform(-3, 3, 2)) <= 0.0
+        assert r(1, rng.uniform(-3, 3, 2), None) <= 0.0
 
 
 def test_lqr_q_must_be_psd():
@@ -199,7 +224,7 @@ def test_reward_dispatch_subtracts_movement():
     u = np.array([0.3, -0.4])
     dens = 0.7
     x = np.array([0.2, 0.2])
-    base = demand_reward(spec.path, 3, x, dens, spec.alpha, spec.path_spread)
+    base = spec.reward(3, x, dens)
     assert reward(spec, 3, x, u, dens) == pytest.approx(base - 0.5 * 2.0 * 0.25)
 
 
@@ -215,11 +240,27 @@ def test_reward_batch_equivariance():
     np.testing.assert_array_equal(r[perm], reward(spec, 1, xs[perm], us[perm], dens[perm]))
 
 
+@pytest.mark.parametrize("make_env, uses_density", [
+    (congestion_env, True), (bimodal_env, True), (lambda: demand_env(horizon=3), True), (lqr_env, False),
+], ids=["congestion", "bimodal", "demand", "lqr"])
+def test_reward_object_scores_a_batch_row_by_row(make_env, uses_density):
+    spec = make_env()
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(-1, 1, (6, 2))
+    dens = rng.uniform(0, 5, 6)
+    batch = spec.reward(2, xs, dens)
+    assert batch.shape == (6,)
+    np.testing.assert_array_equal(batch, [spec.reward(2, x, m) for x, m in zip(xs, dens)])
+    assert spec.uses_density is uses_density
+    if not uses_density:
+        np.testing.assert_array_equal(spec.reward(2, xs, None), batch)
+
+
 def test_bimodal_is_a_congestion_game():
     env = bimodal_env()
-    assert env.kind == "congestion" and env.uses_density
-    with pytest.raises(EnvError, match="unknown environment kind"):
-        dataclasses.replace(env, kind="congestion-bimodal")
+    assert isinstance(env.reward, CongestionReward) and env.uses_density
+    with pytest.raises(EnvError, match="reward must be a CongestionReward"):
+        dataclasses.replace(env, reward="congestion-bimodal")
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 2.5, 3.0, None])
@@ -267,7 +308,7 @@ def test_env_validation():
 # rewards; they must fail at construction instead.
 
 @pytest.mark.parametrize("make", [
-    lambda: CongestionReward.single((math.nan, 0.0), 0.3),
+    lambda: _peak((math.nan, 0.0), 0.3),
     lambda: congestion_env(mu=(math.inf, 0.0)),
 ], ids=["nan centre", "inf centre"])
 def test_congestion_peak_centre_must_be_finite(make):
@@ -281,7 +322,7 @@ def test_congestion_peak_centre_must_be_finite(make):
 ], ids=["nan time", "nan point"])
 def test_demand_path_waypoints_must_be_finite(waypoints, message):
     with pytest.raises(EnvError, match=message):
-        DemandPath(waypoints)
+        DemandReward(waypoints)
 
 
 @pytest.mark.parametrize("init_mean", [(math.nan, 0.0), (0.0, -math.inf)], ids=["nan", "-inf"])
@@ -295,11 +336,11 @@ def test_init_mean_must_be_finite(make_env, init_mean):
 def test_congestion_density_must_be_finite(density):
     x = np.zeros((1 if np.ndim(density) == 0 else len(density), 2))
     with pytest.raises(EnvError, match="density must be finite and >= 0"):
-        congestion_reward(CongestionReward(), x, density, 1.0)
+        CongestionReward()(1, x, density)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: CongestionReward.single((0.0, 0.0), math.inf),
+    lambda: _peak((0.0, 0.0), math.inf),
     lambda: congestion_env(alpha=math.inf),
     lambda: demand_env(path_spread=math.inf),
     lambda: lqr_env(target=(math.nan, 0.0)),

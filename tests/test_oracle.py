@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from mfglearn import oracle
-from mfglearn.envs import lqr_env
+from mfglearn.envs import congestion_env, demand_env, lqr_env
 from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _forward, _joint_states,
                              best_response, exploitability, fictitious_play, induced_flow,
                              lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
@@ -469,6 +469,17 @@ def test_payoff_rejects_joint_states_past_the_limit(payoff, monkeypatch):
         payoff(game, [uniform_policy(game)] * 11, 0)
 
 
+@pytest.mark.parametrize("payoff", [nplayer_payoff, nplayer_payoff_enumerated])
+def test_payoff_caps_the_policy_count_at_63(payoff):
+    # one state makes a single joint state for any N, under the 2^20 limit;
+    # the DP's joint-state table takes one numpy axis per agent plus one
+    game = DiscreteMFG(1, 1, 1, np.ones((1, 1, 1)), lambda s, m, a: np.ones(np.shape(s)), np.ones(1))
+    policy = uniform_policy(game)
+    assert payoff(game, [policy] * 63, 0) == 1.0
+    with pytest.raises(OracleError, match="64 policies, more than 63"):
+        payoff(game, [policy] * 64, 0)
+
+
 def test_payoff_invariant_under_permuting_others():
     rng = np.random.default_rng(14)
     game = random_game(rng, n_states=2, n_actions=2, horizon=2)
@@ -616,12 +627,18 @@ def test_lqr_analytic_stationary_moments():
     assert sol.variance == pytest.approx(expected_var, rel=1e-9)
     # simulate the closed loop as an independent check on the moments
     rng = np.random.default_rng(20)
-    x = np.tile(np.array(spec.lqr.target), (20000, 1))
+    x = np.tile(np.array(spec.reward.target), (20000, 1))
     for _ in range(200):
         u = -(x @ sol.gain.T) + sol.offset
         x = spec.a * x + spec.b * u + spec.sigma1 * rng.standard_normal(x.shape)
     assert np.abs(x.mean(axis=0) - sol.mean).max() < 0.01
     assert np.abs(x.var(axis=0).mean() - sol.variance) < 0.15 * sol.variance
+
+
+@pytest.mark.parametrize("spec", [congestion_env(), demand_env()], ids=["congestion", "demand"])
+def test_lqr_analytic_needs_a_quadratic_reward(spec):
+    with pytest.raises(OracleError, match="needs an lqr environment"):
+        lqr_analytic(spec)
 
 
 def test_lqr_analytic_rejects_unstable():
