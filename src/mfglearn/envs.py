@@ -32,8 +32,15 @@ class EnvError(ValueError):
 
 
 def _finite_point(p, what: str) -> tuple:
-    """``p`` as a (float, float) pair, or EnvError when a coordinate is not finite."""
-    point = (float(p[0]), float(p[1]))
+    """``p`` as a (float, float) pair, or EnvError when it is not a sequence
+    of exactly two numbers or a coordinate is not finite."""
+    try:
+        coords = np.asarray(p, dtype=float)
+    except (TypeError, ValueError):
+        coords = None
+    if coords is None or coords.shape != (2,):
+        raise EnvError("%s must be a pair of numbers, got %r" % (what, p))
+    point = (float(coords[0]), float(coords[1]))
     if not (math.isfinite(point[0]) and math.isfinite(point[1])):
         raise EnvError("%s must be finite, got %r" % (what, point))
     return point

@@ -349,3 +349,32 @@ def test_congestion_density_must_be_finite(density):
 def test_other_reward_parameters_must_be_finite(make):
     with pytest.raises(EnvError, match="finite"):
         make()
+
+
+# A point that was not a pair used to build with its extra coordinates
+# dropped, or fail with an IndexError or TypeError; it must raise EnvError.
+
+_NOT_PAIRS = {"three coordinates": (0.5, -0.5, 3.0), "one coordinate": (1.0,),
+              "scalar": 1.0, "nested": ((0.0, 0.0),), "string": "12"}
+
+
+@pytest.mark.parametrize("point", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
+@pytest.mark.parametrize("make, message", [
+    (lambda p: congestion_env(mu=p), "peak centre"),
+    (lambda p: bimodal_env(peaks=((-1.0, 0.0), p)), "peak centre"),
+    (lambda p: congestion_env(init_mean=p), "init_mean"),
+    (lambda p: lqr_env(target=p), "tracking target"),
+    (lambda p: DemandReward(((0, (0.0, 0.0)), (10, p))), "demand path point"),
+], ids=["congestion mu", "bimodal peak", "init_mean", "lqr target", "demand path point"])
+def test_points_must_be_pairs(make, message, point):
+    with pytest.raises(EnvError, match="%s must be a pair of numbers" % message):
+        make(point)
+
+
+@pytest.mark.parametrize("point", [[0.25, -1.0], np.array([0.25, -1.0]), (1, -4)],
+                         ids=["list", "array", "ints"])
+def test_points_accept_any_pair_of_numbers(point):
+    spec = lqr_env(target=point, init_mean=point)
+    expected = (float(point[0]), float(point[1]))
+    assert spec.reward.target == expected and spec.init_mean == expected
+    assert all(type(c) is float for c in spec.reward.target + spec.init_mean)
