@@ -23,6 +23,13 @@ flows (T+1, S) arrays whose rows are distributions over states; anything
 else, NaN entries included, raises OracleError.  The public entry points
 check their inputs once; the private sweeps they share take the oracle's
 own arrays unchecked.
+
+Each call runs its sweeps on one private workspace (``_Sweeps``) of
+preallocated, time-major buffers: time is the leading axis, so every step
+of a sweep reads and writes contiguous blocks, through views bound once per
+workspace.  Fictitious play runs all its iterations on one workspace.  The
+public entry points copy out what they return, so no result aliases a
+workspace, and writing into a result changes no later call.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ class DiscreteMFG:
         """L(s, flow(s), a) for all s, a as a read-only (..., S, A) array.
 
         ``flow`` is one (S,) marginal or any stack of them, such as the
-        (K, T, S) flows of one backward sweep.  The reward is called once,
+        (T, K, S) flows of one backward sweep.  The reward is called once,
         with s of shape (S, 1), mass of shape (..., S, 1) and a of shape (A,);
         a result that does not broadcast to (..., S, A) raises OracleError.
         """
@@ -144,36 +151,101 @@ def _one_hot(game: DiscreteMFG, best: np.ndarray) -> np.ndarray:
     return (best[:, :, None] == np.arange(game.n_actions)).astype(float)
 
 
+class _Sweeps:
+    """One call's workspace for forward and backward sweeps over K columns.
+
+    Every buffer is allocated here and is time-major, so each step reads and
+    writes contiguous blocks: the policy stack (T, K, S, A) and flow stack
+    (T+1, K, S) of the forward pass; the rewards (T, K', S*A), values
+    (T+1, K', S) and best actions (T, K, S) of the backward pass, with
+    K' = K + 1 when ``policy_column`` keeps a policy's value; and the q,
+    joint, index and weighted scratch.  The views each step touches are
+    bound once, here, and the steps write through ``out=`` without making
+    arrays.  A caller fills ``policies`` and ``flows`` in place, runs the
+    sweeps, and copies out whatever it returns.
+    """
+
+    def __init__(self, game: DiscreteMFG, k: int, policy_column: bool = False):
+        T, S, A = game.horizon, game.n_states, game.n_actions
+        columns = k + policy_column
+        self.game, self.k, self.policy_column = game, k, policy_column
+        self.policies = np.zeros((T, k, S, A))
+        self.flows = np.zeros((T + 1, k, S))
+        self.flows[0] = game.mu0
+        self.rewards = np.empty((T, columns, S * A))
+        self.values = np.zeros((T + 1, columns, S))
+        self.best = np.zeros((T, k, S), dtype=int)
+        self._q = np.empty((columns, S * A))
+        self._joint = np.empty((k, S, A))
+        self._index = np.empty((k, S), dtype=int)
+        self._weighted = np.empty((S, A))
+        self._first = np.arange(k * S).reshape(k, S) * A  # flat index of each (k, s) row's action 0
+        self._kernel = game.transitions.reshape(S * A, S)
+        self._q_best = self._q[:k].reshape(k, S, A)
+        self._q_policy = self._q[k].reshape(S, A) if policy_column else None
+        self._reward_rows = self.rewards.reshape(T, columns, S, A)[:, :k]
+        self._forward_steps = [(self.flows[t][..., None], self.policies[t], self.flows[t + 1])
+                               for t in range(T)]
+        self._backward_steps = [
+            (self.values[t + 1], self.rewards[t], self.best[t], self.values[t, :k])
+            + ((self.policies[t, k - 1], self.values[t, k]) if policy_column else (None, None))
+            for t in range(T - 1, -1, -1)]
+
+    def forward(self):
+        """Propagate ``flows[0]`` under the policy stack: each step is one
+        (K, S*A) @ (S*A, S) product into the next flow rows."""
+        joint, joint_rows, kernel = self._joint, self._joint.reshape(self.k, -1), self._kernel
+        multiply, matmul = np.multiply, np.matmul
+        for flow_t, policy_t, flow_next in self._forward_steps:
+            multiply(flow_t, policy_t, joint)
+            matmul(joint_rows, kernel, flow_next)
+
+    def backward(self):
+        """Backward induction against the flow stack, one reward call for
+        all of it and one (K', S) @ (S, S*A) product per step.
+
+        ``best[:, k]`` and ``values[:, k]`` are the best actions, ties broken
+        toward the lowest index, and the optimum against flow column k; with
+        a policy column, ``values[:, K]`` is the last policy column's value
+        against the last flow column.
+        """
+        k, q, index, first = self.k, self._q, self._index, self._first
+        self._reward_rows[...] = self.game.reward_table(self.flows[:-1])
+        if self.policy_column:
+            self.rewards[:, k] = self.rewards[:, k - 1]
+        # the F-ordered transpose of the forward kernel: a C-ordered copy
+        # would change the product's bits
+        kernel, q_best, q_policy, weighted = self._kernel.T, self._q_best, self._q_policy, self._weighted
+        add, multiply, matmul = np.add, np.multiply, np.matmul
+        # ndarray methods and positional ufunc arguments: the numpy wrappers
+        # and keyword parsing cost more than these small steps' arithmetic
+        for values_next, rewards_t, best_t, values_t, policy_t, policy_value_t in self._backward_steps:
+            matmul(values_next, kernel, q)
+            q += rewards_t
+            q_best.argmax(2, best_t)  # first max = lowest action index
+            add(first, best_t, index)
+            q.take(index, None, values_t, "clip")  # in range by construction; skips the check
+            if policy_t is not None:
+                multiply(policy_t, q_policy, weighted)
+                weighted.sum(1, None, policy_value_t)
+
+
 def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = None):
     """Backward induction against a (K, T+1, S) stack of flows at once.
 
-    One reward call covers the stack, and each step takes one
-    (K', S) @ (S, S*A) product over all value columns.  Returns the best
-    actions (T, K, S), ties broken toward the lowest index, and the values
-    (T+1, K', S), time-major so that each step reads and writes contiguous
-    rows: values[:, k] is the optimum against flows[k] for k < K and, when
-    ``policy`` is given, values[:, K] is that policy's value against the
-    last flow.
+    A thin wrapper: the flows (and ``policy``, when given) are copied into a
+    new workspace, whose time-major backward sweep runs once.  Returns its
+    best actions (T, K, S) and values (T+1, K', S): values[:, k] is the
+    optimum against flows[k] for k < K and, when ``policy`` is given,
+    values[:, K] is that policy's value against the last flow.  Both are the
+    workspace's own buffers; a public caller copies what it returns.
     """
-    T, S, A = game.horizon, game.n_states, game.n_actions
-    K = len(flows)
-    columns = K + (policy is not None)
-    rewards = np.empty((T, columns, S * A))
-    rewards.reshape(T, columns, S, A)[:, :K] = game.reward_table(flows[:, :T]).swapaxes(0, 1)
+    sweeps = _Sweeps(game, len(flows), policy is not None)
+    sweeps.flows[...] = flows.swapaxes(0, 1)
     if policy is not None:
-        rewards[:, K] = rewards[:, K - 1]
-    kernel = game.transitions.reshape(S * A, S).T
-    values = np.zeros((T + 1, columns, S))
-    best = np.zeros((T, K, S), dtype=int)
-    first = np.arange(K * S).reshape(K, S) * A  # flat index of each (k, s) row's action 0
-    for t in range(T - 1, -1, -1):
-        q = values[t + 1] @ kernel
-        q += rewards[t]
-        best[t] = q[:K].reshape(K, S, A).argmax(axis=2)  # first max = lowest action index
-        values[t, :K] = q.take(first + best[t])
-        if policy is not None:
-            values[t, K] = (policy[t] * q[K].reshape(S, A)).sum(axis=1)
-    return best, values
+        sweeps.policies[:, -1] = policy
+    sweeps.backward()
+    return sweeps.best, sweeps.values
 
 
 def best_response(game: DiscreteMFG, flow: np.ndarray):
@@ -194,22 +266,22 @@ def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.
 
 
 def _forward(game: DiscreteMFG, policies: np.ndarray) -> np.ndarray:
-    """The (K, T+1, S) flows of a (K, T, S, A) stack of policies; each step
-    is one (K, S*A) @ (S*A, S) product."""
-    T, S, A = game.horizon, game.n_states, game.n_actions
-    kernel = game.transitions.reshape(S * A, S)
-    flows = np.zeros((len(policies), T + 1, S))
-    flows[:, 0] = game.mu0
-    for t in range(T):
-        joint = flows[:, t, :, None] * policies[:, t]             # (K, S, A)
-        flows[:, t + 1] = joint.reshape(-1, S * A) @ kernel
-    return flows
+    """The (K, T+1, S) flows of a (K, T, S, A) stack of policies.
+
+    A thin wrapper: the policies are copied into a new workspace, whose
+    time-major forward sweep runs once.  Returns a (K, T+1, S) view of its
+    (T+1, K, S) flow stack; a public caller copies what it returns.
+    """
+    sweeps = _Sweeps(game, len(policies))
+    sweeps.policies[...] = policies.swapaxes(0, 1)
+    sweeps.forward()
+    return sweeps.flows.swapaxes(0, 1)
 
 
 def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
     """Forward-propagate the population under a shared (T, S, A) policy;
     returns its (T+1, S) flow."""
-    return _forward(game, _check_policy(game, policy)[None])[0]
+    return _forward(game, _check_policy(game, policy)[None])[0].copy()
 
 
 def exploitability(game: DiscreteMFG, policy: np.ndarray, worst_case: bool = False) -> float:
@@ -234,26 +306,41 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     averages.  Returns (average policy, average flow, exploitability trace of
     the average policy per iteration).
 
-    Each iteration is one forward and one backward sweep: the forward pass
-    gives the flows of the new best response and of the updated average
-    policy together, and the backward sweep against the average flow and the
-    average policy's own flow gives the next iteration's best response and
-    this iteration's certificate.
+    All iterations run on one two-column workspace.  Its policy stack holds
+    the best response and the average policy, both updated in place.  The
+    forward sweep gives their flows together; the new best response's flow
+    is folded into the running average, which then takes its column, so the
+    backward sweep against the average flow and the average policy's own
+    flow gives the next best response and this iteration's certificate.
     """
     _check_count(iterations, "iterations")
     T, S, A = game.horizon, game.n_states, game.n_actions
-    best, _ = _backward(game, _forward(game, uniform_policy(game)[None]))
-    avg_policy = np.zeros((T, S, A))
+    # the first best response comes from one-column sweeps: a one-row
+    # product takes numpy's matrix-vector route, whose bits differ from a row
+    # of a two-row product
+    first_best, _ = _backward(game, _forward(game, uniform_policy(game)[None]))
+    sweeps = _Sweeps(game, 2, policy_column=True)
+    sweeps.best[:, 0] = first_best[:, 0]
+    best, values = sweeps.best[:, 0, :, None], sweeps.values[0]
+    pol, avg_policy = sweeps.policies[:, 0], sweeps.policies[:, 1]
+    new_flow = sweeps.flows[:, 0]  # the best response's flow, then the average flow
     avg_flow = np.zeros((T + 1, S))
+    step = np.empty((T, S, A))
+    actions = np.arange(A)
     trace = np.zeros(iterations)
     for n in range(1, iterations + 1):
-        pol = _one_hot(game, best[:, 0])
-        avg_policy += (pol - avg_policy) / n
-        flow_n, own_flow = _forward(game, np.stack((pol, avg_policy)))
-        avg_flow += (flow_n - avg_flow) / n
-        best, values = _backward(game, np.stack((avg_flow, own_flow)), avg_policy)
-        trace[n - 1] = game.mu0 @ (values[0, 1] - values[0, 2])
-    return avg_policy, avg_flow, trace
+        np.equal(best, actions, out=pol)  # the one-hot best response
+        np.subtract(pol, avg_policy, out=step)
+        step /= n
+        avg_policy += step
+        sweeps.forward()
+        new_flow -= avg_flow
+        new_flow /= n
+        avg_flow += new_flow
+        new_flow[...] = avg_flow
+        sweeps.backward()
+        trace[n - 1] = game.mu0 @ (values[1] - values[2])
+    return avg_policy.copy(), avg_flow, trace
 
 
 # --- exact N-player evaluation ------------------------------------------------

@@ -443,6 +443,45 @@ def test_ring_game_fp_certificate():
     assert running_min[-1] < 1e-3
 
 
+# --- sweep workspaces ------------------------------------------------------------
+# Each call runs on its own workspace and copies out what it returns, so a
+# second call gives the same bits and writing into a result changes nothing.
+
+def _workspace_games():
+    rng = np.random.default_rng(31)
+    return [two_state_congestion(3), ring_game(6, 5, reward_state=2),
+            random_game(rng, n_states=5, n_actions=3, horizon=4),
+            random_game(rng, n_states=4, n_actions=9, horizon=3)]
+
+
+@pytest.mark.parametrize("game", _workspace_games(), ids=["two-state", "ring", "A=3", "A=9"])
+def test_fictitious_play_twice_on_one_game_is_identical(game):
+    first = fictitious_play(game, 15)
+    second = fictitious_play(game, 15)
+    for a, b in zip(first, second):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(first + second, 2))
+
+
+@pytest.mark.parametrize("game", _workspace_games(), ids=["two-state", "ring", "A=3", "A=9"])
+def test_writing_into_results_changes_no_later_call(game):
+    policy = random_policy(game, np.random.default_rng(32))
+    calls = {
+        "best_response": lambda: best_response(game, induced_flow(game, uniform_policy(game))),
+        "policy_value": lambda: (policy_value(game, policy, induced_flow(game, policy)),),
+        "induced_flow": lambda: (induced_flow(game, policy),),
+        "fictitious_play": lambda: fictitious_play(game, 6),
+    }
+    expected = {name: [a.copy() for a in call()] for name, call in calls.items()}
+    for call in calls.values():
+        for result in call():
+            result[...] = np.nan  # every result is a writable array of its own
+    for name, call in calls.items():
+        for a, b in zip(call(), expected[name]):
+            assert np.array_equal(a, b), name
+    assert exploitability(game, policy) == exploitability(game, policy.copy())
+
+
 # --- exact N-player payoff ------------------------------------------------------
 
 @pytest.mark.parametrize("n_states,n_agents", [(4, 6), (3, 5), (2, 1)])
