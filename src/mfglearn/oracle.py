@@ -24,12 +24,12 @@ else, NaN entries included, raises OracleError.  The public entry points
 check their inputs once; the private sweeps they share take the oracle's
 own arrays unchecked.
 
-Each call runs its sweeps on one private workspace (``_Sweeps``) of
-preallocated, time-major buffers: time is the leading axis, so every step
-of a sweep reads and writes contiguous blocks, through views bound once per
-workspace.  Fictitious play runs all its iterations on one workspace.  The
-public entry points copy out what they return, so no result aliases a
-workspace, and writing into a result changes no later call.
+The sweeps run on workspaces (``_Sweeps``) of preallocated, time-major
+buffers: time is the leading axis, so every step of a sweep reads and
+writes contiguous blocks, through views bound once per workspace.  A
+workspace belongs to one call, and fictitious play runs all its iterations
+on one.  The public entry points copy out what they return, so no result
+aliases a workspace, and writing into a result changes no later call.
 """
 
 from __future__ import annotations
