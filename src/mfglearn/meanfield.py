@@ -56,14 +56,27 @@ class GridSpec:
     def bin_index(self, points):
         """Map points (n, 2) to (ix, iy) bin indices.
 
-        Out-of-bounds points are clamped to the nearest boundary bin.
+        Out-of-bounds points are clamped to the nearest boundary bin.  The
+        clamp is taken in float, on the coordinates, before the cast to int,
+        so a point however far out lands in its edge bin; non-finite points
+        raise GridError.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ix = np.floor((pts[:, 0] - self.x_min) / self.bin_width).astype(np.intp)
-        iy = np.floor((pts[:, 1] - self.y_min) / self.bin_height).astype(np.intp)
-        np.clip(ix, 0, self.resolution - 1, out=ix)
-        np.clip(iy, 0, self.resolution - 1, out=iy)
-        return ix, iy
+        if not np.isfinite(pts).all():
+            raise GridError("points must be finite")
+        top = self.resolution - 1
+        return (_clamped_bins(pts[:, 0], self.x_min, self.x_max, self.bin_width, top),
+                _clamped_bins(pts[:, 1], self.y_min, self.y_max, self.bin_height, top))
+
+
+def _clamped_bins(coords, lo: float, hi: float, width: float, top: int):
+    """Bin index along one axis of finite coordinates clipped to [lo, hi]."""
+    bins = np.clip(coords, lo, hi)
+    bins -= lo
+    bins /= width
+    np.floor(bins, bins)
+    np.minimum(bins, top, out=bins)  # a coordinate on the upper bound
+    return bins.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,8 @@ def build_empirical_measure(positions, template: GridSpec) -> DensityGrid:
     """Bin agent positions into a normalized histogram.
 
     Each position contributes exactly 1/N to its containing bin; positions
-    outside the bounds are clamped to the nearest boundary bin.  Counting is
+    outside the bounds are clamped to the nearest boundary bin, and
+    non-finite positions raise GridError.  Counting is
     integer-exact, so the result is bit-identical under permutation of the
     position list.
     """
@@ -138,7 +152,7 @@ def density_at(grid: DensityGrid, x):
     """Density (mass per unit area) of the bin containing x.
 
     Accepts a single point (2,) or a batch (n, 2); points outside the bounds
-    use the clamped bin.
+    use the clamped bin, and non-finite points raise GridError.
     """
     ix, iy = grid.spec.bin_index(x)
     dens = grid.mass[ix, iy] / grid.spec.bin_area

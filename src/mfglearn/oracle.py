@@ -30,6 +30,12 @@ writes contiguous blocks, through views bound once per workspace.  A
 workspace belongs to one call, and fictitious play runs all its iterations
 on one.  The public entry points copy out what they return, so no result
 aliases a workspace, and writing into a result changes no later call.
+Besides flows and values, a workspace keeps each forward step's joint
+(s, a) mass, flow times policy, and each backward step's q table.  From
+these fictitious play certifies its average policy without a third sweep
+column: by the performance-difference lemma (Kakade & Langford 2002), the
+exploitability (Perrin et al. 2020) is the joint-weighted sum of the best
+response's advantages V*(s) - Q*(s, a), all >= 0.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ class OracleError(ValueError):
 
 
 def _check_count(value, what: str):
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
+    # a bool is an int to isinstance, but numpy rejects it as an array size
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
         raise OracleError("%s must be an int of at least one, got %r" % (what, value))
 
 
@@ -79,6 +86,8 @@ class DiscreteMFG:
     mu0: np.ndarray
 
     def __post_init__(self):
+        _check_count(self.n_states, "n_states")
+        _check_count(self.n_actions, "n_actions")
         _check_count(self.horizon, "horizon")
         p = np.array(self.transitions, dtype=float)
         if p.shape != (self.n_states, self.n_actions, self.n_states):
@@ -155,14 +164,19 @@ class _Sweeps:
     """One call's workspace for forward and backward sweeps over K columns.
 
     Every buffer is allocated here and is time-major, so each step reads and
-    writes contiguous blocks: the policy stack (T, K, S, A) and flow stack
-    (T+1, K, S) of the forward pass; the rewards (T, K', S*A), values
-    (T+1, K', S) and best actions (T, K, S) of the backward pass, with
-    K' = K + 1 when ``policy_column`` keeps a policy's value; and the q,
-    joint, index and weighted scratch.  The views each step touches are
-    bound once, here, and the steps write through ``out=`` without making
-    arrays.  A caller fills ``policies`` and ``flows`` in place, runs the
-    sweeps, and copies out whatever it returns.
+    writes contiguous blocks: the policy stack (T, K, S, A), joint stack
+    (T, K, S, A) and flow stack (T+1, K, S) of the forward pass; the rewards
+    (T, K', S*A), q tables (T, K', S, A), values (T+1, K', S) and best
+    actions (T, K, S) of the backward pass, with K' = K + 1 when
+    ``policy_column`` keeps a policy's value; and the index and weighted
+    scratch.  ``joints[t, k]`` is flow column k times policy column k at step
+    t, the (s, a) mass that the forward step pushes through the kernel, and
+    ``q[t, k]`` is column k's reward plus expected next value of each
+    (s, a).  Both stay in place after the sweeps, so a caller reads a
+    policy's advantage-weighted certificate off them without another pass.
+    The views each step touches are bound once, here, and the steps write
+    through ``out=`` without making arrays.  A caller fills ``policies`` and
+    ``flows`` in place, runs the sweeps, and copies out whatever it returns.
     """
 
     def __init__(self, game: DiscreteMFG, k: int, policy_column: bool = False):
@@ -170,35 +184,35 @@ class _Sweeps:
         columns = k + policy_column
         self.game, self.k, self.policy_column = game, k, policy_column
         self.policies = np.zeros((T, k, S, A))
+        self.joints = np.empty((T, k, S, A))
         self.flows = np.zeros((T + 1, k, S))
         self.flows[0] = game.mu0
         self.rewards = np.empty((T, columns, S * A))
+        self.q = np.empty((T, columns, S, A))
         self.values = np.zeros((T + 1, columns, S))
         self.best = np.zeros((T, k, S), dtype=int)
-        self._q = np.empty((columns, S * A))
-        self._joint = np.empty((k, S, A))
         self._index = np.empty((k, S), dtype=int)
         self._weighted = np.empty((S, A))
         self._first = np.arange(k * S).reshape(k, S) * A  # flat index of each (k, s) row's action 0
         self._kernel = game.transitions.reshape(S * A, S)
-        self._q_best = self._q[:k].reshape(k, S, A)
-        self._q_policy = self._q[k].reshape(S, A) if policy_column else None
         self._reward_rows = self.rewards.reshape(T, columns, S, A)[:, :k]
-        self._forward_steps = [(self.flows[t][..., None], self.policies[t], self.flows[t + 1])
+        self._forward_steps = [(self.flows[t][..., None], self.policies[t], self.joints[t],
+                                self.joints[t].reshape(k, S * A), self.flows[t + 1])
                                for t in range(T)]
         self._backward_steps = [
-            (self.values[t + 1], self.rewards[t], self.best[t], self.values[t, :k])
-            + ((self.policies[t, k - 1], self.values[t, k]) if policy_column else (None, None))
+            (self.values[t + 1], self.rewards[t], self.q[t].reshape(columns, S * A), self.q[t, :k],
+             self.best[t], self.values[t, :k])
+            + ((self.policies[t, k - 1], self.q[t, k], self.values[t, k]) if policy_column
+               else (None, None, None))
             for t in range(T - 1, -1, -1)]
 
     def forward(self):
         """Propagate ``flows[0]`` under the policy stack: each step is one
-        (K, S*A) @ (S*A, S) product into the next flow rows."""
-        joint, joint_rows, kernel = self._joint, self._joint.reshape(self.k, -1), self._kernel
-        multiply, matmul = np.multiply, np.matmul
-        for flow_t, policy_t, flow_next in self._forward_steps:
-            multiply(flow_t, policy_t, joint)
-            matmul(joint_rows, kernel, flow_next)
+        (K, S*A) @ (S*A, S) product of its joint rows into the next flow rows."""
+        kernel, multiply, dot = self._kernel, np.multiply, np.dot
+        for flow_t, policy_t, joint_t, joint_rows, flow_next in self._forward_steps:
+            multiply(flow_t, policy_t, joint_t)
+            dot(joint_rows, kernel, flow_next)
 
     def backward(self):
         """Backward induction against the flow stack, one reward call for
@@ -209,25 +223,25 @@ class _Sweeps:
         a policy column, ``values[:, K]`` is the last policy column's value
         against the last flow column.
         """
-        k, q, index, first = self.k, self._q, self._index, self._first
+        k, index, first, weighted = self.k, self._index, self._first, self._weighted
         self._reward_rows[...] = self.game.reward_table(self.flows[:-1])
         if self.policy_column:
             self.rewards[:, k] = self.rewards[:, k - 1]
         # the F-ordered transpose of the forward kernel: a C-ordered copy
         # would change the product's bits
-        kernel, q_best, q_policy, weighted = self._kernel.T, self._q_best, self._q_policy, self._weighted
-        add, multiply, matmul = np.add, np.multiply, np.matmul
+        kernel, add, multiply, dot, add_reduce = self._kernel.T, np.add, np.multiply, np.dot, np.add.reduce
         # ndarray methods and positional ufunc arguments: the numpy wrappers
         # and keyword parsing cost more than these small steps' arithmetic
-        for values_next, rewards_t, best_t, values_t, policy_t, policy_value_t in self._backward_steps:
-            matmul(values_next, kernel, q)
-            q += rewards_t
+        for (values_next, rewards_t, q_t, q_best, best_t, values_t,
+             policy_t, q_policy, policy_value_t) in self._backward_steps:
+            dot(values_next, kernel, q_t)
+            q_t += rewards_t
             q_best.argmax(2, best_t)  # first max = lowest action index
             add(first, best_t, index)
-            q.take(index, None, values_t, "clip")  # in range by construction; skips the check
+            q_t.take(index, None, values_t, "clip")  # in range by construction; skips the check
             if policy_t is not None:
                 multiply(policy_t, q_policy, weighted)
-                weighted.sum(1, None, policy_value_t)
+                add_reduce(weighted, 1, None, policy_value_t)
 
 
 def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = None):
@@ -311,7 +325,20 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     forward sweep gives their flows together; the new best response's flow
     is folded into the running average, which then takes its column, so the
     backward sweep against the average flow and the average policy's own
-    flow gives the next best response and this iteration's certificate.
+    flow gives the next best response and the optimal values V* and q tables
+    Q* against the average policy's flow.
+
+    The certificate is the performance-difference lemma's form of the
+    exploitability: trace[n-1] = sum over t, s, a of joint_t(s, a) *
+    (V*_t(s) - Q*_t(s, a)), where joint_t is the average policy's flow times
+    the average policy, the forward sweep's joint stack.  Every term is a
+    product of two numbers >= 0, so the trace is >= 0 in floating point and
+    exactly 0 wherever the average policy plays only best actions.
+    :func:`exploitability` computes the same quantity as mu0 @ (V* - V^pi)
+    from per-state values, which its ``worst_case`` mode needs, and it runs
+    its forward pass alone rather than stacked with a best response; the two
+    sum in other orders, so they agree to rounding (within 1e-14 on the test
+    games), not bit for bit.
     """
     _check_count(iterations, "iterations")
     T, S, A = game.horizon, game.n_states, game.n_actions
@@ -319,17 +346,27 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     # product takes numpy's matrix-vector route, whose bits differ from a row
     # of a two-row product
     first_best, _ = _backward(game, _forward(game, uniform_policy(game)[None]))
-    sweeps = _Sweeps(game, 2, policy_column=True)
+    sweeps = _Sweeps(game, 2)
     sweeps.best[:, 0] = first_best[:, 0]
-    best, values = sweeps.best[:, 0, :, None], sweeps.values[0]
-    pol, avg_policy = sweeps.policies[:, 0], sweeps.policies[:, 1]
+    policies, best = sweeps.policies, sweeps.best[:, 0]
+    pol, avg_policy = policies[:, 0], policies[:, 1]
     new_flow = sweeps.flows[:, 0]  # the best response's flow, then the average flow
     avg_flow = np.zeros((T + 1, S))
     step = np.empty((T, S, A))
-    actions = np.arange(A)
+    rows = (np.arange(T)[:, None] * 2 * S + np.arange(S)) * A  # flat index of policies[t, 0, s, 0]
+    index = np.empty((T, S), dtype=int)
+    # the certificate's operands as (T, A, S) views: V* then broadcasts
+    # along the state axis, and numpy's inner loop runs once per action row
+    # rather than once per state
+    joint = sweeps.joints[:, 1].transpose(0, 2, 1)
+    q_star = sweeps.q[:, 1].transpose(0, 2, 1)
+    v_star = sweeps.values[:-1, 1, None]
+    advantage = np.empty((T, A, S))
     trace = np.zeros(iterations)
     for n in range(1, iterations + 1):
-        np.equal(best, actions, out=pol)  # the one-hot best response
+        pol.fill(0.0)  # the one-hot best response
+        np.add(rows, best, index)
+        policies.put(index, 1.0, "clip")  # in range by construction; skips the check
         np.subtract(pol, avg_policy, out=step)
         step /= n
         avg_policy += step
@@ -339,7 +376,8 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
         avg_flow += new_flow
         new_flow[...] = avg_flow
         sweeps.backward()
-        trace[n - 1] = game.mu0 @ (values[1] - values[2])
+        np.subtract(v_star, q_star, advantage)
+        trace[n - 1] = np.vdot(joint, advantage)
     return avg_policy.copy(), avg_flow, trace
 
 

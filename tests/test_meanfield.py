@@ -55,6 +55,44 @@ def test_out_of_bounds_clamped():
     assert grid.mass[3, 3] == 0.5
 
 
+@pytest.mark.parametrize("far", [8e17, 1e300, np.finfo(float).max])
+def test_far_points_clamp_to_their_own_edge_bin(far):
+    # past about 7e17 on the default grid, bin / width no longer fits an
+    # int64, so the clamp must be taken before the cast
+    spec = GridSpec()
+    top = spec.resolution - 1
+    pts = np.array([[far, 0.1], [-far, 0.1], [0.1, far], [0.1, -far]])
+    ix, iy = spec.bin_index(pts)
+    mid = 26  # 0.1 lies in bin 26 of the default grid's 50 bins, 0.08 wide
+    assert ix.tolist() == [top, 0, mid, mid]
+    assert iy.tolist() == [mid, mid, top, 0]
+    grid = build_empirical_measure(pts, spec)
+    assert grid.mass[top, mid] == grid.mass[0, mid] == grid.mass[mid, top] == grid.mass[mid, 0] == 0.25
+    assert density_at(grid, pts[0]) == 0.25 / spec.bin_area
+
+
+def test_far_points_match_brute_force():
+    rng = np.random.default_rng(11)
+    spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 20)
+    pts = rng.uniform(-1.5, 1.5, (400, 2)) * np.where(rng.random((400, 2)) < 0.2, 1e290, 1.0)
+    assert np.array_equal(build_empirical_measure(pts, spec).mass, brute_force_bin(pts, spec))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_non_finite_points_rejected(bad, axis):
+    spec = GridSpec()
+    pts = np.zeros((3, 2))
+    pts[1, axis] = bad
+    with pytest.raises(GridError, match="points must be finite"):
+        build_empirical_measure(pts, spec)
+    grid = DensityGrid.uniform(spec)
+    with pytest.raises(GridError, match="points must be finite"):
+        density_at(grid, pts)
+    with pytest.raises(GridError, match="points must be finite"):
+        density_at(grid, pts[1])
+
+
 def test_empty_population_rejected():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4)
     with pytest.raises(GridError, match="empty population"):

@@ -314,6 +314,7 @@ _COUNTS_NOT_INTS = {
     "horizon nan": lambda g: dataclasses.replace(g, horizon=math.nan),
     "iterations 0": lambda g: fictitious_play(g, 0),
     "iterations 2.5": lambda g: fictitious_play(g, 2.5),
+    "iterations True": lambda g: fictitious_play(g, True),
     "trials 2.5": lambda g: nplayer_gap(g, uniform_policy(g), 10, 2.5, np.random.default_rng(0)),
     "agents 2.5": lambda g: nplayer_gap(g, uniform_policy(g), 2.5, 3, np.random.default_rng(0)),
 }
@@ -391,7 +392,20 @@ def test_fictitious_play_decoupled_converges_immediately():
     rng = np.random.default_rng(8)
     game = random_game(rng, coupled=False)
     _, _, trace = fictitious_play(game, 5)
-    np.testing.assert_allclose(trace, 0.0, atol=1e-12)
+    # the average policy plays only best actions, so every advantage term is 0
+    assert trace.tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+def test_fictitious_play_trace_is_nonnegative_without_tolerance(coupled):
+    # each term of the certificate is a nonnegative mass times a nonnegative
+    # advantage, so no rounding can take the sum below 0
+    rng = np.random.default_rng(40 + coupled)
+    for _ in range(25):
+        game = random_game(rng, n_states=int(rng.integers(1, 9)), n_actions=int(rng.integers(1, 10)),
+                           horizon=int(rng.integers(1, 7)), coupled=coupled)
+        _, _, trace = fictitious_play(game, 30)
+        assert np.all(trace >= 0.0)
 
 
 def test_fictitious_play_two_state_monotone():
@@ -695,6 +709,30 @@ def test_game_validation():
     with pytest.raises(OracleError):
         ring = ring_game()
         best_response(ring, np.ones((2, 4)))
+
+
+_SIZES_NOT_COUNTS = {
+    "n_states 0": lambda g: DiscreteMFG(0, 2, 2, np.zeros((0, 2, 0)), g.reward, np.zeros(0)),
+    "n_actions 0": lambda g: DiscreteMFG(2, 0, 2, np.zeros((2, 0, 2)), g.reward, g.mu0),
+    "n_states -1": lambda g: dataclasses.replace(g, n_states=-1),
+    "n_states 2.0": lambda g: dataclasses.replace(g, n_states=2.0),
+    "n_actions 2.0": lambda g: dataclasses.replace(g, n_actions=2.0),
+    "n_states '2'": lambda g: dataclasses.replace(g, n_states="2"),
+    "n_actions None": lambda g: dataclasses.replace(g, n_actions=None),
+    "n_actions True": lambda g: DiscreteMFG(2, True, 2, np.ones((2, 1, 2)) / 2, g.reward, g.mu0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SIZES_NOT_COUNTS))
+def test_game_sizes_must_be_ints_of_at_least_one(case):
+    field = case.split()[0]
+    with pytest.raises(OracleError, match="%s must be an int of at least one" % field):
+        _SIZES_NOT_COUNTS[case](two_state_congestion())
+
+
+def test_game_sizes_accept_numpy_ints():
+    game = dataclasses.replace(two_state_congestion(), n_states=np.int64(2), n_actions=np.int32(2))
+    assert fictitious_play(game, 3)[2].shape == (3,)
 
 
 @pytest.mark.parametrize("field", ["transitions", "mu0"])

@@ -11,6 +11,16 @@ response does not depend on the flow.  The moving ring and the dense game
 below are games where fictitious play moves at every iteration, so their
 digests also pin the averaging, the best-response changes and the
 certificate arithmetic.
+
+Fictitious play's trace was re-pinned once, when its certificate became the
+flow-weighted advantage sum of the sweeps it already runs (the
+performance-difference lemma's form) in place of a third backward column
+holding the average policy's own value.  The two are the same
+exploitability summed in another order, so only trace bits moved, by at
+most 1.9e-14: TWO_STATE_TRACE, MOVING_RING_TRACE_SHA, MOVING_RING_LAST_GAP,
+DENSE_TRACE_SHA, DENSE_FIRST_GAP and DENSE_LAST_GAP.  The ring's trace and
+entry 7 of the two-state trace stay exactly 0, and every policy, flow,
+value, exploitability and gap pin is unchanged.
 """
 
 import hashlib
@@ -26,11 +36,11 @@ RING_FLOW_SHA = "9ac6e867ad459a1ba846462f9a334cadf277a0697b1d3a6d9d4ea31f8e5fcb5
 RING_TRACE_SHA = "7b6436b0c98f62380866d9432c2af0ee08ce16a171bda6951aecd95ee1307d61"
 
 TWO_STATE_TRACE = [
-    0.19999999999999996, 0.2666666666666666, 0.10000000000000009, 0.04571428571428582,
-    0.022222222222222143, 0.010389610389610393, 0.0038461538461533884, 0.0,
-    0.010438369679855786, 0.026509895417613505, 0.018473705983987676, 0.012666740533826548,
-    0.008376726161235748, 0.005149987400757894, 0.0026871888516735165, 0.0007848795267642039,
-    0.005221465706560124, 0.011877726174860825, 0.009019856147612915, 0.006660425329966468,
+    0.19999999999999996, 0.2666666666666666, 0.1000000000000001, 0.04571428571428571,
+    0.02222222222222227, 0.010389610389610395, 0.0038461538461538334, 0.0,
+    0.010438369679855725, 0.026509895417613265, 0.018473705983987572, 0.012666740533826297,
+    0.008376726161235748, 0.00514998740075745, 0.002687188851673058, 0.0007848795267638639,
+    0.00522146570655979, 0.01187772617486042, 0.009019856147612658, 0.006660425329966156,
 ]
 TWO_STATE_POLICY_SHA = "91bfd07de7ec8a55b0fd948a129f96b1d1cd8c5da51d2c7355326301c7d7afa1"
 TWO_STATE_FLOW_SHA = "8e5a03aebc17988853f123ededef27c456e9aeac9f91f988000ca64171e84036"
@@ -44,22 +54,22 @@ NPLAYER_PAYOFF = 0.7992859248740692
 
 MOVING_RING_POLICY_SHA = "de9113ff046bfe663a473dfd2f777caff2d4b548c7f24c1268c2f3dc70c84318"
 MOVING_RING_FLOW_SHA = "e11a2ea7b433aa8f7ca40f5756f36d43032d3c386176bc2ba3f2b8a8fa0dca3e"
-MOVING_RING_TRACE_SHA = "f0ac6860567eb694530a9ab11a8a97574e17a345a58a05653999006af0a31059"
+MOVING_RING_TRACE_SHA = "12895e22f49e2258afcd0c64c82e5f7bb96890595fdc057a22b344169195691a"
 MOVING_RING_FIRST_GAP = 8.906895627322847
-MOVING_RING_LAST_GAP = 3.2961827358161138
+MOVING_RING_LAST_GAP = 3.2961827358160978
 
 DENSE_POLICY_SHA = "538a64fdec002759be9ef61d7b4f0e907a03b5597153a416bc6060ec45e378e4"
 DENSE_FLOW_SHA = "0c7b0d2326e6d0700d5ed346f255afe7a5bf29f4d7dabf41332d17292ded0f4b"
-DENSE_TRACE_SHA = "f361b309c207553b7bb9749bc1f03b4ac58f09a8d13a51adbc11302b205184ee"
-DENSE_FIRST_GAP = 0.5574484853417319
-DENSE_LAST_GAP = 0.009832738167338862
+DENSE_TRACE_SHA = "fdc0702afcc138730499b6b1ee49749bb44db16a9da8741bc4b7315743ba7c50"
+DENSE_FIRST_GAP = 0.557448485341733
+DENSE_LAST_GAP = 0.00983273816733725
 DENSE_BEST_RESPONSE_SHA = "145f742e126cb99d908c69e675b61a09f15b0cbf40d658048b951bc776dacbc7"
 DENSE_BEST_VALUES_SHA = "e60e0ed015e8fec5d96c65a06a5ae29605253c13f37602a9eb596da2b2317052"
 DENSE_RANDOM_VALUES_SHA = "fa97513cd84df596f51eb9295412f4d15cf8ec70c9c11c4c04f05b4d912df2a6"
 DENSE_RANDOM_EXPLOITABILITY = 9.69126445094944
 DENSE_RANDOM_WORST_CASE = 11.065449834706385
-# the average policy's certificate recomputed on its own: its forward pass
-# runs alone, not stacked with a best response, so the last bits differ
+# the average policy's certificate recomputed on its own, from per-state
+# values rather than fictitious play's advantage sum, so the last bits differ
 DENSE_AVERAGE_EXPLOITABILITY = 0.009832738167341955
 DENSE_GAP = (1.212520938999263, 0.6681680065140856)
 
@@ -157,3 +167,10 @@ def test_dense_game_oracles_are_bit_identical():
     assert exploitability(game, random, worst_case=True) == DENSE_RANDOM_WORST_CASE
     assert exploitability(game, policy) == DENSE_AVERAGE_EXPLOITABILITY
     assert nplayer_gap(game, policy, 300, 12, np.random.default_rng(4)) == DENSE_GAP
+
+
+def test_last_trace_entry_is_the_average_policys_exploitability_to_rounding():
+    # the trace sums flow-weighted advantages, exploitability per-state values
+    for game, iterations in ((moving_ring(), 50), (dense_game(), 30)):
+        policy, _, trace = fictitious_play(game, iterations)
+        assert abs(trace[-1] - exploitability(game, policy)) <= 1e-12
