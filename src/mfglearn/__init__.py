@@ -6,8 +6,8 @@ from .meanfield import (BeliefState, DensityGrid, GridSpec, belief_update,
 from .envs import (CongestionReward, DemandReward, EnvSpec, LqrReward, bimodal_env,
                    congestion_env, demand_env, lqr_env, sample_initial, step)
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
-from .learner import (EpisodeLog, Schedules, TrainState, TrainTrace,
-                      init_train_state, pg_update, rollout, td_update, train)
+from .learner import (EpisodeLog, Schedules, TrainState, init_train_state, pg_update,
+                      rollout, td_update, train)
 from .oracle import (DiscreteMFG, best_response, exploitability, fictitious_play,
                      induced_flow, lqr_analytic, nplayer_gap, ring_game)
 

@@ -17,7 +17,11 @@ class DivergenceError(RuntimeError):
     """Raised when gradients or parameters stop being finite."""
 
 
-TANH_BLOCK = 1024   # rows per block of the tanh derivative in Mlp.backward
+# rows per block of the tanh derivative in Mlp.backward.  The loop stays: on
+# a 2,046-row, width-64 critic block (2-vCPU Xeon, BLAS on 1 thread, timeit)
+# the blocked backward takes about 0.5 ms, and one full-size ``1 - h**2``
+# temporary in its place takes about 1.2 ms, for the same bits
+TANH_BLOCK = 1024
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator guard
 
 
@@ -110,26 +114,22 @@ class Mlp:
 
 @dataclass
 class AdamState:
-    """Adam moments and step counter for one parameter dict."""
+    """Adam moments and step counter for one parameter dict.  The step size
+    is not kept here: each :func:`adam_step` is given its rate."""
 
-    lr: float
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict, lr: float) -> "AdamState":
-        state = cls(lr=lr)
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
-        return state
+    def for_params(cls, params: dict) -> "AdamState":
+        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
+                   v={k: np.zeros_like(p) for k, p in params.items()})
 
 
-def adam_step(state: AdamState, params: dict, grads: dict, lr_scale: float = 1.0) -> dict:
-    """One bias-corrected Adam update, in place on ``params``.
-
-    ``lr_scale`` multiplies the base rate (used by decaying schedules).
-    """
+def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
+    """One bias-corrected Adam update with step size ``rate``, in place on
+    ``params``."""
     for k in params:
         if not np.all(np.isfinite(grads[k])):
             raise DivergenceError("diverged")
@@ -142,7 +142,7 @@ def adam_step(state: AdamState, params: dict, grads: dict, lr_scale: float = 1.0
         state.v[k] = _BETA2 * state.v[k] + (1.0 - _BETA2) * g * g
         mhat = state.m[k] / b1t
         vhat = state.v[k] / b2t
-        params[k] -= state.lr * lr_scale * mhat / (np.sqrt(vhat) + _EPS)
+        params[k] -= rate * mhat / (np.sqrt(vhat) + _EPS)
     return params
 
 
@@ -182,7 +182,7 @@ def params_flat_norm(params: dict) -> float:
     return math.sqrt(sum(float((p * p).sum()) for p in params.values()))
 
 
-def check_finite(params: dict, limit: float = 1e6):
+def check_finite(params: dict, limit: float):
     for k, p in params.items():
         if not np.all(np.isfinite(p)) or np.abs(p).max() > limit:
             raise DivergenceError("diverged")

@@ -46,6 +46,11 @@ def _finite_point(p, what: str) -> tuple:
     return point
 
 
+def is_count(value, least: int = 1) -> bool:
+    """An int >= least; a bool is an int to isinstance, but numpy rejects it as a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def _check_positive(value, what: str):
     if not (value > 0.0 and math.isfinite(value)):
         raise EnvError("%s %r: must be finite and > 0" % (what, value))
@@ -177,7 +182,6 @@ class EnvSpec:
     a: float = 1.0            # A = a * I
     b: float = 1.0            # B = b * I
     sigma1: float = 0.1
-    sigma_eps: float = 1.0
     eta: float = 0.0          # R = eta * I
     gamma: float = 0.99
     init_mean: tuple = (1.0, 0.0)
@@ -187,13 +191,13 @@ class EnvSpec:
         if not isinstance(self.reward, (CongestionReward, DemandReward, LqrReward)):
             raise EnvError("reward must be a CongestionReward, DemandReward or LqrReward, got %r"
                            % (self.reward,))
-        if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
+        if not is_count(self.horizon):
             raise EnvError("horizon must be an int >= 1, got %r" % (self.horizon,))
         for name in ("a", "b"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise EnvError("%s must be finite, got %r" % (name, value))
-        for name in ("eta", "sigma1", "sigma_eps", "init_std"):
+        for name in ("eta", "sigma1", "init_std"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise EnvError("%s must be finite and >= 0, got %r" % (name, value))
@@ -216,7 +220,7 @@ class EnvSpec:
 
 
 def step(spec: EnvSpec, x, u, noise):
-    """One linear-Gaussian transition: a*x + b*u + sigma1*sigma_eps*noise.
+    """One linear-Gaussian transition: a*x + b*u + sigma1*noise.
 
     ``noise`` is a standard-normal draw supplied by the caller, so the map is
     deterministic given its arguments.  Accepts single points or batches.
@@ -226,7 +230,7 @@ def step(spec: EnvSpec, x, u, noise):
     nn = np.asarray(noise, dtype=float)
     if not (np.all(np.isfinite(xx)) and np.all(np.isfinite(uu)) and np.all(np.isfinite(nn))):
         raise EnvError("non-finite state/action")
-    return spec.a * xx + spec.b * uu + spec.sigma1 * spec.sigma_eps * nn
+    return spec.a * xx + spec.b * uu + spec.sigma1 * nn
 
 
 def movement_cost(spec: EnvSpec, u):
@@ -240,12 +244,9 @@ def reward(spec: EnvSpec, t, x, u, density):
     return spec.reward(t, x, density) - movement_cost(spec, u)
 
 
-def sample_initial(spec: EnvSpec, rng, n: int | None = None):
-    """Gaussian initial-state draw; a single point when n is None."""
-    mean = np.asarray(spec.init_mean)
-    if n is None:
-        return mean + spec.init_std * rng.standard_normal(2)
-    return mean + spec.init_std * rng.standard_normal((n, 2))
+def sample_initial(spec: EnvSpec, rng, n: int):
+    """Gaussian initial states of n agents, an (n, 2) array."""
+    return np.asarray(spec.init_mean) + spec.init_std * rng.standard_normal((n, 2))
 
 
 def congestion_env(alpha: float = 1.0, mu=(0.0, 0.0), spread: float = 0.3,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite, params_flat_norm
-from .envs import EnvSpec, reward, sample_initial, step
+from .envs import EnvSpec, is_count, reward, sample_initial, step
 from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
@@ -57,27 +57,28 @@ _pool = None   # (ThreadPoolExecutor, its thread count), made on first use
 class Schedules:
     """Step-size schedules for the two-timescale loop.
 
+    Episode n (0-indexed) takes its belief step ``belief_step(n)`` and its
+    Adam steps at ``critic_lr * lr_scale(n)`` and ``actor_lr * lr_scale(n)``.
     ``paper`` mode: fixed Adam rates, belief step 1/(n+1) (the exact running
     mean).  ``theory`` mode: Adam rates scaled by (n+1)^-actor_exponent and
-    belief step belief_scale*(n+1)^-belief_exponent, so the rate ratio decays
-    like n^(belief_exponent - actor_exponent).
+    belief step (n+1)^-belief_exponent, so the rate ratio decays like
+    n^(belief_exponent - actor_exponent).
     """
 
     mode: str = "paper"
     actor_lr: float = 1e-4
     critic_lr: float = 1e-4
     belief_exponent: float = 1.0
-    belief_scale: float = 1.0
     actor_exponent: float = 1.0   # theory mode only
 
     def __post_init__(self):
         if self.mode not in ("paper", "theory"):
             raise ValueError("schedule mode must be paper or theory")
-        # belief steps b*(n+1)^-e have divergent sum iff e <= 1 and summable
+        # belief steps (n+1)^-e have divergent sum iff e <= 1 and summable
         # squares iff e > 1/2; both are required
         if not 0.5 < self.belief_exponent <= 1.0:
             raise ValueError("belief step exponent must lie in (0.5, 1], got %r" % self.belief_exponent)
-        for name in ("actor_lr", "critic_lr", "belief_scale"):
+        for name in ("actor_lr", "critic_lr"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
@@ -88,7 +89,7 @@ class Schedules:
         """Step for the n-th (0-indexed) belief update; None = exact mean."""
         if self.mode == "paper":
             return None
-        return min(1.0, self.belief_scale * (n + 1) ** (-self.belief_exponent))
+        return (n + 1) ** (-self.belief_exponent)
 
     def lr_scale(self, n: int) -> float:
         if self.mode == "paper":
@@ -106,8 +107,7 @@ class TrainState:
     critic_opt: AdamState
     beliefs: list
     schedules: Schedules
-    episode: int = 0
-    seed: int = 0
+    episode: int = 0   # episodes trained so far: the schedules' n for the next one
 
     @property
     def belief(self) -> BeliefState:
@@ -126,7 +126,7 @@ class TrainState:
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      schedules: Schedules | None = None, hidden: int = 64,
                      sigma: float = 0.1) -> TrainState:
-    if not (isinstance(hidden, (int, np.integer)) and hidden >= 1):
+    if not is_count(hidden):
         raise ValueError("hidden width must be an int >= 1, got %r" % (hidden,))
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError("policy sigma must be finite and > 0, got %r" % (sigma,))
@@ -137,11 +137,10 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
     return TrainState(
         actor=GaussianPolicy(actor_net, sigma),
         critic=critic,
-        actor_opt=AdamState.for_params(actor_net.params, sched.actor_lr),
-        critic_opt=AdamState.for_params(critic.params, sched.critic_lr),
+        actor_opt=AdamState.for_params(actor_net.params),
+        critic_opt=AdamState.for_params(critic.params),
         beliefs=[BeliefState.initial(grid) for _ in range(spec.horizon + 1)],
         schedules=sched,
-        seed=seed,
     )
 
 
@@ -190,8 +189,8 @@ class EpisodeLog:
 
 def _log_arrays(horizon: int, n_agents: int):
     """Zeroed (T+1, N, 2) state and (T, N, 2) action arrays for one episode."""
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
+    if not is_count(n_agents):
+        raise ValueError("n_agents must be an int >= 1, got %r" % (n_agents,))
     return np.zeros((horizon + 1, n_agents, 2)), np.zeros((horizon, n_agents, 2))
 
 
@@ -337,7 +336,6 @@ def fp_update_state(state: TrainState, log: EpisodeLog):
     step_size = state.schedules.belief_step(state.episode)
     state.beliefs = [belief_update(b, m, step_size)
                      for b, m in zip(state.beliefs, log.measures)]
-    state.episode += 1
 
 
 def _critic_features(state: TrainState, states: np.ndarray, densities: np.ndarray) -> np.ndarray:
@@ -410,7 +408,7 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
 
     grads, loss = _sum_over_agent_blocks(log, block_terms)
     adam_step(state.critic_opt, state.critic.params, grads,
-              state.schedules.lr_scale(state.episode))
+              state.schedules.critic_lr * state.schedules.lr_scale(state.episode))
     state.check_finite()
     return loss
 
@@ -435,42 +433,29 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     norm = params_flat_norm(grads)
     descent = {k: -g for k, g in grads.items()}
     adam_step(state.actor_opt, state.actor.mean_net.params, descent,
-              state.schedules.lr_scale(state.episode))
+              state.schedules.actor_lr * state.schedules.lr_scale(state.episode))
     state.check_finite()
     return norm
 
 
-@dataclass
-class TrainTrace:
-    """Per-episode diagnostics collected during training."""
-
-    episode: np.ndarray
-    mean_return: np.ndarray
-    belief_drift: np.ndarray
-    actor_grad_norm: np.ndarray
-    critic_loss: np.ndarray
-
-    def __len__(self):
-        return len(self.episode)
-
-    @classmethod
-    def from_rows(cls, rows) -> "TrainTrace":
-        if not rows:
-            empty = np.zeros(0)
-            return cls(np.zeros(0, dtype=int), empty, empty.copy(), empty.copy(), empty.copy())
-        cols = list(zip(*rows))
-        return cls(np.array(cols[0], dtype=int), *(np.array(c) for c in cols[1:]))
+# one row of the training trace per episode
+_TRACE_DTYPE = [("episode", int), ("mean_return", float), ("belief_drift", float),
+                ("actor_grad_norm", float), ("critic_loss", float)]
 
 
 def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     """Run the full loop: rollout, belief update, critic update, actor update.
 
-    Returns (state, trace, last episode log).  One episode log is alive at a
-    time: the previous one is let go before the next rollout.  Divergence
-    aborts with the partial trace attached to the raised error.  Calling it
-    k episodes at a time continues the same run, so checkpoints go between
-    calls.
+    Returns (state, trace, last episode log); the trace is a record array
+    with one row of ``_TRACE_DTYPE`` per episode.  One episode log is alive
+    at a time: the previous one is let go before the next rollout.
+    Divergence aborts with the partial trace attached to the raised error.
+    Calling it k episodes at a time continues the same run, so checkpoints go
+    between calls.  An episode's three steps all read ``state.episode``,
+    which is advanced once the episode is done.
     """
+    if not is_count(episodes, least=0):
+        raise ValueError("episodes must be an int >= 0, got %r" % (episodes,))
     rows = []
     log = None
     try:
@@ -478,17 +463,17 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
             log = None   # let the previous log go before the rollout allocates the next
             log = rollout(spec, state, n_agents, rng)
             old_terminal = state.belief.average
-            n_ep = state.episode
             fp_update_state(state, log)
             drift = grid_distance(old_terminal, state.belief.average)
             loss = td_update(state, log, spec.gamma)
             norm = pg_update(state, log, spec.gamma)
-            rows.append((n_ep, log.mean_return, drift, norm, loss))
+            rows.append((state.episode, log.mean_return, drift, norm, loss))
+            state.episode += 1
     except DivergenceError as err:
-        err.trace = TrainTrace.from_rows(rows)
+        err.trace = np.rec.fromrecords(rows, dtype=_TRACE_DTYPE)
         err.state = state
         raise
-    return state, TrainTrace.from_rows(rows), log
+    return state, np.rec.fromrecords(rows, dtype=_TRACE_DTYPE), log
 
 
 def evaluate(spec: EnvSpec, state: TrainState, n_agents: int, rng,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import is_count
+
 MASS_TOL = 1e-9
 
 
@@ -34,7 +36,7 @@ class GridSpec:
     def __post_init__(self):
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise GridError("invalid grid: degenerate bounds")
-        if not (isinstance(self.resolution, (int, np.integer)) and self.resolution >= 1):
+        if not is_count(self.resolution):
             raise GridError("invalid grid: resolution must be an int >= 1, got %r" % (self.resolution,))
         # an infinite bound, or a span or area past the largest float, gives
         # infinite bins, in which density_at reads 0 everywhere

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import LqrReward
+from .envs import LqrReward, is_count
 
 PROB_TOL = 1e-12
 GAP_BLOCK = 2 ** 16  # uniform draws per chunk of side-by-side finite-N trials
@@ -56,6 +56,9 @@ _JOINT_STATE_LIMIT = 2 ** 20
 # most agents: the DP stacks one axis per agent under a leading axis, and a
 # numpy array has at most 64 axes
 _AGENT_LIMIT = 63
+# lqr_analytic's value iteration stops when (P, s) moves less than the
+# tolerance in a sweep, and fails after the most sweeps
+_RICCATI_TOL, _RICCATI_MAX_ITER = 1e-12, 10 ** 5
 
 
 class OracleError(ValueError):
@@ -63,8 +66,7 @@ class OracleError(ValueError):
 
 
 def _check_count(value, what: str):
-    # a bool is an int to isinstance, but numpy rejects it as an array size
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
+    if not is_count(value):
         raise OracleError("%s must be an int of at least one, got %r" % (what, value))
 
 
@@ -620,13 +622,13 @@ class LqrSolution:
         return float(np.diag(self.covariance).mean())
 
 
-def lqr_analytic(spec, tol: float = 1e-12, max_iter: int = 10 ** 5) -> LqrSolution:
+def lqr_analytic(spec) -> LqrSolution:
     """Stationary optimum of the lqr environment's own reward convention.
 
     The per-step cost is (x' - target)^T Q (x' - target) + 0.5*eta*|u|^2
     charged at the arrival state, discounted by gamma.  The affine value
     recursion V(x) = x^T P x - 2 s^T x + c is iterated to its fixed point;
-    the controlled process x' = F x + g + sigma*noise then gives the
+    the controlled process x' = F x + g + sigma1*noise then gives the
     stationary mean (I-F)^{-1} g and the Lyapunov covariance.
     """
     if not isinstance(spec.reward, LqrReward):
@@ -637,11 +639,10 @@ def lqr_analytic(spec, tol: float = 1e-12, max_iter: int = 10 ** 5) -> LqrSoluti
     b_mat = spec.b * np.eye(2)
     alpha = np.asarray(spec.reward.target)
     gamma = spec.gamma
-    sigma = spec.sigma1 * spec.sigma_eps
 
     p = np.zeros((2, 2))
     s = np.zeros(2)
-    for _ in range(max_iter):
+    for _ in range(_RICCATI_MAX_ITER):
         qp = q + gamma * p
         m = r + 2.0 * b_mat.T @ qp @ b_mat
         try:
@@ -654,7 +655,7 @@ def lqr_analytic(spec, tol: float = 1e-12, max_iter: int = 10 ** 5) -> LqrSoluti
         p_new = f.T @ qp @ f + 0.5 * k_gain.T @ r @ k_gain
         p_new = 0.5 * (p_new + p_new.T)
         s_new = f.T @ (q @ (alpha - g) - gamma * p @ g + gamma * s) + 0.5 * k_gain.T @ r @ k0
-        if max(np.abs(p_new - p).max(), np.abs(s_new - s).max()) < tol:
+        if max(np.abs(p_new - p).max(), np.abs(s_new - s).max()) < _RICCATI_TOL:
             p, s = p_new, s_new
             break
         p, s = p_new, s_new
@@ -664,5 +665,5 @@ def lqr_analytic(spec, tol: float = 1e-12, max_iter: int = 10 ** 5) -> LqrSoluti
     if np.abs(np.linalg.eigvals(f)).max() >= 1.0:
         raise OracleError("non-stabilizable configuration")
     mean = np.linalg.solve(np.eye(2) - f, g)
-    lyap = np.linalg.solve(np.eye(4) - np.kron(f, f), (sigma ** 2 * np.eye(2)).ravel())
+    lyap = np.linalg.solve(np.eye(4) - np.kron(f, f), (spec.sigma1 ** 2 * np.eye(2)).ravel())
     return LqrSolution(k_gain, k0, mean, lyap.reshape(2, 2))

@@ -151,8 +151,8 @@ def test_adam_zero_gradient_no_change():
     rng = np.random.default_rng(7)
     params = {"w": rng.standard_normal((3, 3))}
     before = params["w"].copy()
-    state = AdamState.for_params(params, lr=0.1)
-    adam_step(state, params, {"w": np.zeros((3, 3))})
+    state = AdamState.for_params(params)
+    adam_step(state, params, {"w": np.zeros((3, 3))}, 0.1)
     np.testing.assert_array_equal(params["w"], before)
     assert state.t == 1
 
@@ -160,8 +160,8 @@ def test_adam_zero_gradient_no_change():
 def test_adam_first_step_sign():
     params = {"w": np.array([1.0, -2.0, 0.5])}
     g = np.array([3.0, -0.2, 1e-3])
-    state = AdamState.for_params(params, lr=0.01)
-    adam_step(state, params, {"w": g.copy()})
+    state = AdamState.for_params(params)
+    adam_step(state, params, {"w": g.copy()}, 0.01)
     expected = np.array([1.0, -2.0, 0.5]) - 0.01 * np.sign(g)
     np.testing.assert_allclose(params["w"], expected, atol=1e-4)
 
@@ -184,10 +184,10 @@ def hand_adam(w, grad_fn, lr, steps):
 
 def test_adam_quadratic_matches_hand_trace():
     params = {"w": np.array([1.0])}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
     ours = []
     for _ in range(100):
-        adam_step(state, params, {"w": 2.0 * params["w"]})
+        adam_step(state, params, {"w": 2.0 * params["w"]}, 0.1)
         ours.append(params["w"][0])
     hand = hand_adam(1.0, lambda w: 2.0 * w, 0.1, 100)
     np.testing.assert_allclose(np.array(ours), hand, rtol=0, atol=1e-12)
@@ -200,18 +200,18 @@ def test_adam_quadratic_matches_hand_trace():
 
 def test_adam_rejects_non_finite():
     params = {"w": np.ones(2)}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
     with pytest.raises(DivergenceError, match="diverged"):
-        adam_step(state, params, {"w": np.array([np.nan, 0.0])})
+        adam_step(state, params, {"w": np.array([np.nan, 0.0])}, 0.1)
 
 
 def test_adam_moment_shapes_track_params():
     rng = np.random.default_rng(8)
     params = {"a": rng.standard_normal((4, 2)), "b": rng.standard_normal(3)}
-    state = AdamState.for_params(params, lr=0.01)
+    state = AdamState.for_params(params)
     for t in range(5):
         grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
-        adam_step(state, params, grads)
+        adam_step(state, params, grads, 0.01)
         assert state.t == t + 1
         for k in params:
             assert state.m[k].shape == params[k].shape
@@ -300,12 +300,12 @@ def test_seeded_training_is_bit_reproducible():
     def run():
         rng = np.random.default_rng(123)
         net = Mlp.init(2, 6, 1, rng)
-        state = AdamState.for_params(net.params, lr=1e-3)
+        state = AdamState.for_params(net.params)
         for _ in range(50):
             x = rng.standard_normal((8, 2))
             y = net.forward(x)
             grads, _ = net.backward(x, y - x.sum(axis=1, keepdims=True))
-            adam_step(state, net.params, grads)
+            adam_step(state, net.params, grads, 1e-3)
         return net.params
 
     a, b = run(), run()

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from mfglearn import learner
 from mfglearn.approx import DivergenceError, Mlp
-from mfglearn.envs import bimodal_env, congestion_env, demand_env, lqr_env
+from mfglearn.envs import EnvError, bimodal_env, congestion_env, demand_env, lqr_env
 from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, init_train_state, pg_update,
                               rollout, td_update, train)
-from mfglearn.meanfield import BeliefState, DensityGrid, GridSpec, belief_update, density_at
+from mfglearn.meanfield import BeliefState, DensityGrid, GridError, GridSpec, belief_update, density_at
 
 GRID = GridSpec(resolution=20)
 
@@ -54,7 +55,6 @@ def test_belief_schedule_conditions():
 
 
 @pytest.mark.parametrize("kw", [
-    {"mode": "theory", "belief_scale": 0.0}, {"belief_scale": -1.0}, {"belief_scale": math.inf},
     {"actor_lr": -1.0}, {"actor_lr": 0.0}, {"actor_lr": math.nan},
     {"critic_lr": 0.0}, {"critic_lr": math.inf},
     {"actor_exponent": -0.5}, {"actor_exponent": math.nan}, {"actor_exponent": math.inf},
@@ -77,6 +77,47 @@ def test_paper_schedule_is_exact_running_mean():
     for n, m in enumerate(masses):
         belief = belief_update(belief, DensityGrid(GRID, m), sched.belief_step(n))
     np.testing.assert_allclose(belief.average.mass, np.mean(masses, axis=0), rtol=1e-12)
+
+
+def test_episode_steps_share_one_index(monkeypatch):
+    # episode n's belief step and both Adam steps all read the schedules at n
+    sched = Schedules(mode="theory", actor_lr=1e-3, critic_lr=2e-3, belief_exponent=0.6)
+    belief_steps, rates = [], []
+    update, step = learner.belief_update, learner.adam_step
+
+    def belief_spy(belief, measure, step_size=None):
+        belief_steps.append(step_size)
+        return update(belief, measure, step_size)
+
+    def adam_spy(opt, params, grads, rate):
+        rates.append(rate)
+        return step(opt, params, grads, rate)
+
+    monkeypatch.setattr(learner, "belief_update", belief_spy)
+    monkeypatch.setattr(learner, "adam_step", adam_spy)
+    spec = congestion_env()   # one step: one belief per episode besides the initial one
+    train(spec, fresh_state(spec, schedules=sched), 16, 3, np.random.default_rng(28))
+    assert belief_steps == [sched.belief_step(n) for n in range(3) for _ in range(2)]
+    assert rates == [r for n in range(3)
+                     for r in (sched.critic_lr * sched.lr_scale(n), sched.actor_lr * sched.lr_scale(n))]
+
+
+def test_replacing_schedules_changes_the_next_adam_step():
+    # the rates are read from state.schedules at every step, not copied at init
+    spec = congestion_env()
+    state = fresh_state(spec)
+    train(spec, state, 32, 1, np.random.default_rng(29))
+    fast = copy.deepcopy(state)
+    fast.schedules = Schedules(actor_lr=1000 * state.schedules.actor_lr,
+                               critic_lr=1000 * state.schedules.critic_lr)
+    before = copy.deepcopy(state.critic.params)
+    train(spec, state, 32, 1, np.random.default_rng(30))
+    train(spec, fast, 32, 1, np.random.default_rng(30))
+    # the same gradient and moments, so the critic's Adam step is 1000 times longer
+    for k in before:
+        np.testing.assert_allclose(fast.critic.params[k] - before[k],
+                                   1000 * (state.critic.params[k] - before[k]), rtol=1e-6)
+    assert not np.array_equal(fast.actor.mean_net.params["w1"], state.actor.mean_net.params["w1"])
 
 
 def test_theory_schedule_rate_ratio_decays():
@@ -182,7 +223,7 @@ def test_td_single_transition_is_regression():
     # terminal feature row contributes zero upstream; regression grads only
     for k in grads:
         full[k] += grads[k]
-    adam_step(state3.critic_opt, state3.critic.params, full)
+    adam_step(state3.critic_opt, state3.critic.params, full, state3.schedules.critic_lr)
     for k in state2.critic.params:
         np.testing.assert_allclose(state2.critic.params[k], state3.critic.params[k],
                                    rtol=0, atol=1e-15)
@@ -306,6 +347,25 @@ def test_evaluate_rejects_empty_population():
 def test_init_train_state_rejects_bad_sigma_and_hidden(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
         fresh_state(congestion_env(), **kw)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda spec, state, rng: GridSpec(resolution=True), GridError),
+    (lambda spec, state, rng: lqr_env(horizon=True), EnvError),
+    (lambda spec, state, rng: fresh_state(spec, hidden=True), ValueError),
+    (lambda spec, state, rng: rollout(spec, state, True, rng), ValueError),
+    (lambda spec, state, rng: rollout(spec, state, 2.0, rng), ValueError),
+    (lambda spec, state, rng: evaluate(spec, state, True, rng), ValueError),
+    (lambda spec, state, rng: evaluate(spec, state, 2.0, rng), ValueError),
+    (lambda spec, state, rng: train(spec, state, 4, -1, rng), ValueError),
+    (lambda spec, state, rng: train(spec, state, 4, 2.5, rng), ValueError),
+], ids=["grid resolution=True", "horizon=True", "hidden=True", "rollout n_agents=True",
+        "rollout n_agents=2.0", "evaluate n_agents=True", "evaluate n_agents=2.0",
+        "train episodes=-1", "train episodes=2.5"])
+def test_counts_must_be_ints_not_bools(call, error):
+    spec = congestion_env()
+    with pytest.raises(error, match="must be an int"):
+        call(spec, fresh_state(spec), np.random.default_rng(31))
 
 
 @pytest.mark.parametrize("make_env, width", [(demand_env, 3), (congestion_env, 3),
