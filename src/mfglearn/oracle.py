@@ -3,10 +3,11 @@
 Provides backward-induction best responses against a frozen population flow,
 fictitious play over flows with exploitability certificates, the exact
 expected payoff of one agent in the finite N-player game (a joint-state DP,
-plus a slow enumeration of joint actions and successors that is the
-reference tests and the benchmark compare it against), a finite-population
-value-gap simulator for the 1/sqrt(N) scaling experiment, and the analytic
-stationary solution of the linear-quadratic environment.
+plus a backward induction over explicit tables of joint actions and
+successors, walked in row chunks of bounded size, that is the reference
+tests and the benchmark compare it against), a finite-population value-gap
+simulator for the 1/sqrt(N) scaling experiment, and the analytic stationary
+solution of the linear-quadratic environment.
 
 Reward functions must accept numpy arrays of states/masses/actions and
 broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  The
@@ -17,12 +18,14 @@ stack of flows that sweep solves against: s has shape (S, 1), mass has shape
 pass.  The finite-N gap simulator calls the reward once per step on trials
 run side by side: s, mass and a are (trials, N) arrays of each agent's
 state, the mass at that state in the agent's own trial, and its action, and
-the result must broadcast to (trials, N).  Policies passed to the solvers
-must be (T, S, A) arrays whose rows are distributions over actions, and
-flows (T+1, S) arrays whose rows are distributions over states; anything
-else, NaN entries included, raises OracleError.  The public entry points
-check their inputs once; the private sweeps they share take the oracle's
-own arrays unchecked.
+the result must broadcast to (trials, N).  The N-player reference calls it
+once on all joint states and joint actions: s and mass are (S^N, 1) and a
+is (A^N,), and the result must broadcast to (S^N, A^N).  Policies passed to
+the solvers must be (T, S, A) arrays whose rows are distributions over
+actions, and flows (T+1, S) arrays whose rows are distributions over
+states; anything else, NaN entries included, raises OracleError.  The
+public entry points check their inputs once; the private sweeps they share
+take the oracle's own arrays unchecked.
 
 The sweeps run on workspaces (``_Sweeps``) of preallocated, time-major
 buffers: time is the leading axis, so every step of a sweep reads and
@@ -56,6 +59,8 @@ _JOINT_STATE_LIMIT = 2 ** 20
 # most agents: the DP stacks one axis per agent under a leading axis, and a
 # numpy array has at most 64 axes
 _AGENT_LIMIT = 63
+# most float64 entries (8 MB) in one table of nplayer_payoff_enumerated
+ENUMERATION_BUDGET = 2 ** 20
 # lqr_analytic's value iteration stops when (P, s) moves less than the
 # tolerance in a sweep, and fails after the most sweeps
 _RICCATI_TOL, _RICCATI_MAX_ITER = 1e-12, 10 ** 5
@@ -68,6 +73,16 @@ class OracleError(ValueError):
 def _check_count(value, what: str):
     if not is_count(value):
         raise OracleError("%s must be an int of at least one, got %r" % (what, value))
+
+
+def _broadcast_reward(reward, shape) -> np.ndarray:
+    """A reward call's result as a read-only float array of ``shape``; a
+    result that does not broadcast to it raises OracleError."""
+    reward = np.asarray(reward, dtype=float)
+    try:
+        return np.broadcast_to(reward, shape)
+    except ValueError:
+        raise OracleError("reward of shape %r does not broadcast to %r" % (reward.shape, shape))
 
 
 @dataclass(frozen=True)
@@ -115,12 +130,8 @@ class DiscreteMFG:
         """
         flow = np.asarray(flow, dtype=float)
         shape = flow.shape[:-1] + (self.n_states, self.n_actions)
-        r = np.asarray(self.reward(np.arange(self.n_states)[:, None], flow[..., None],
-                                   np.arange(self.n_actions)), dtype=float)
-        try:
-            return np.broadcast_to(r, shape)
-        except ValueError:
-            raise OracleError("reward of shape %r does not broadcast to %r" % (r.shape, shape))
+        return _broadcast_reward(self.reward(np.arange(self.n_states)[:, None], flow[..., None],
+                                             np.arange(self.n_actions)), shape)
 
 
 def uniform_policy(game: DiscreteMFG) -> np.ndarray:
@@ -436,48 +447,67 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     return total
 
 
-def nplayer_payoff_enumerated(game: DiscreteMFG, policies, agent: int) -> float:
-    """Same payoff via explicit recursion over joint actions and successors.
+def _product_table(k: int, n: int) -> np.ndarray:
+    """All k^n index tuples of ``itertools.product(range(k), repeat=n)`` as
+    the rows of a (k^n, n) int array, filled without a list of tuples."""
+    flat = itertools.chain.from_iterable(itertools.product(range(k), repeat=n))
+    return np.fromiter(flat, dtype=int, count=k ** n * n).reshape(k ** n, n)
 
-    Independent of :func:`nplayer_payoff`: enumerates action profiles instead
-    of marginalizing them, recursing backward over time.  Exponential in N;
-    it is the reference the DP route is checked against.
+
+def nplayer_payoff_enumerated(game: DiscreteMFG, policies, agent: int) -> float:
+    """Same payoff by backward induction over explicit joint-action and
+    joint-successor tables: the reference :func:`nplayer_payoff` is checked
+    against.
+
+    The joint states and joint actions are index tables built from
+    ``itertools.product``.  Each (joint state, joint action) pair is weighted
+    by the product of the agents' action probabilities, and each (state,
+    action, successor) triple by the product of their transition
+    probabilities; the value of a joint state at step t is the weighted sum
+    over joint actions of the tracked agent's reward plus the expected value
+    of the successors at t+1.  The reward is called once, on the whole (joint
+    state, joint action) table, with s and mass of shape (S^N, 1), the tracked
+    agent's own state and the share of agents there, and a of shape (A^N,);
+    a result that does not broadcast to (S^N, A^N) raises OracleError.
+
+    It stays independent of the DP: nothing here marginalizes an agent's
+    actions into a per-agent kernel or shares the DP's joint-state table, so
+    an error in either route shows as a disagreement.  The price is a
+    (joint actions x joint successors) table per joint state, exponential in
+    N.  Joint states are walked in row chunks of at most ENUMERATION_BUDGET
+    table entries, so no array here is larger than the budget, and an input
+    whose single-state table (or index table) exceeds it raises OracleError
+    before any table is built.
     """
     policies = [_check_policy(game, p) for p in policies]
     n = len(policies)
     _check_players(game, agent, n)
     S, A, T = game.n_states, game.n_actions, game.horizon
-    actions = list(itertools.product(range(A), repeat=n))
-    states = list(itertools.product(range(S), repeat=n))
-    cache = {}
-
-    def tail(t, js):
-        if t == T:
-            return 0.0
-        key = (t, js)
-        if key in cache:
-            return cache[key]
-        m_own = sum(1 for s in js if s == js[agent]) / float(n)
-        value = 0.0
-        for ja in actions:
-            w = 1.0
+    n_joint, n_profiles = S ** n, A ** n
+    # a joint state's (joint actions x joint successors) table or, with one
+    # action, the (S^N, N) joint-state index table, whichever is larger
+    entries = max(n_profiles, n) * n_joint
+    if entries > ENUMERATION_BUDGET:
+        raise OracleError("%d agents over %d states and %d actions make %d-entry tables, more "
+                          "than %d" % (n, S, A, entries, ENUMERATION_BUDGET))
+    rows = ENUMERATION_BUDGET // (n_profiles * n_joint)
+    states, actions = _product_table(S, n), _product_table(A, n)
+    own = states[:, agent, None]
+    share = (states == own).sum(axis=1, keepdims=True) / float(n)
+    reward = _broadcast_reward(game.reward(own, share, actions[:, agent]), (n_joint, n_profiles))
+    values = np.zeros(n_joint)
+    for t in range(T - 1, -1, -1):
+        values_t = np.empty(n_joint)
+        for lo in range(0, n_joint, rows):
+            block = states[lo:lo + rows]
+            weight = np.ones((len(block), n_profiles))
+            prob = np.ones((len(block), n_profiles, n_joint))
             for i in range(n):
-                w *= policies[i][t, js[i], ja[i]]
-            if w == 0.0:
-                continue
-            r = float(game.reward(js[agent], m_own, ja[agent]))
-            future = 0.0
-            for ns in states:
-                pr = 1.0
-                for i in range(n):
-                    pr *= game.transitions[js[i], ja[i], ns[i]]
-                if pr:
-                    future += pr * tail(t + 1, ns)
-            value += w * (r + future)
-        cache[key] = value
-        return value
-
-    return sum(float(np.prod(game.mu0[list(js)])) * tail(0, js) for js in states)
+                weight *= policies[i][t][block[:, i, None], actions[:, i]]
+                prob *= game.transitions[block[:, i, None], actions[:, i]].take(states[:, i], axis=2)
+            values_t[lo:lo + rows] = (weight * (reward[lo:lo + rows] + prob @ values)).sum(axis=1)
+        values = values_t
+    return float(np.prod(game.mu0[states], axis=1) @ values)
 
 
 def random_policy(game: DiscreteMFG, rng) -> np.ndarray:

@@ -93,6 +93,31 @@ def test_non_finite_points_rejected(bad, axis):
         density_at(grid, pts[1])
 
 
+@pytest.mark.parametrize("points", [
+    np.zeros((3, 3)),      # would bin on its first two columns
+    np.zeros((3, 1)),      # would index past its only column
+    np.zeros((2, 3, 2)),
+    np.zeros(3),
+    np.float64(0.5),
+], ids=["three columns", "one column", "stacked", "one triple", "scalar"])
+def test_points_that_are_not_pairs_rejected(points):
+    spec = GridSpec()
+    with pytest.raises(GridError, match="points must be"):
+        spec.bin_index(points)
+    with pytest.raises(GridError, match="points must be"):
+        build_empirical_measure(points, spec)
+    with pytest.raises(GridError, match="points must be"):
+        density_at(DensityGrid.uniform(spec), points)
+
+
+def test_one_point_and_a_one_row_batch_bin_alike():
+    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4)
+    grid = random_grid(np.random.default_rng(3), spec)
+    assert np.array_equal(build_empirical_measure([0.3, 0.9], spec).mass,
+                          build_empirical_measure([[0.3, 0.9]], spec).mass)
+    assert density_at(grid, [0.3, 0.9]) == density_at(grid, [[0.3, 0.9]])[0]
+
+
 def test_empty_population_rejected():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4)
     with pytest.raises(GridError, match="empty population"):

@@ -14,6 +14,7 @@ from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _forwa
                              lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
                              policy_value, random_policy, ring_game, scaling_experiment,
                              simulate_population_value, two_state_congestion, uniform_policy)
+from tracemem import traced_peak
 
 
 def random_game(rng, n_states=3, n_actions=2, horizon=3, coupled=True):
@@ -91,6 +92,8 @@ def test_reward_table_rejects_non_broadcasting_reward(bad):
         game.reward_table(flow[:game.horizon])
     with pytest.raises(OracleError, match="broadcast"):
         best_response(game, flow)
+    with pytest.raises(OracleError, match="broadcast"):
+        nplayer_payoff_enumerated(game, [uniform_policy(game)] * 2, 0)
 
 
 def _counting(game):
@@ -545,17 +548,96 @@ def test_payoff_invariant_under_permuting_others():
     assert a == pytest.approx(b, abs=1e-12)
 
 
-@pytest.mark.parametrize("n_agents, horizon, agent, seed",
-                         [(3, 2, 1, 15), (2, 1, 0, 12), (3, 2, 0, 13)],
-                         ids=["3 agents T=2 agent 1", "2 agents T=1 agent 0", "3 agents T=2 agent 0"])
-def test_dp_and_enumeration_agree(n_agents, horizon, agent, seed):
+@pytest.mark.parametrize(
+    "n_agents, n_states, n_actions, horizon, agent, seed, games",
+    [(3, 2, 2, 2, 1, 15, 5), (2, 2, 2, 1, 0, 12, 5), (3, 2, 2, 2, 0, 13, 5),
+     (4, 3, 3, 3, 2, 16, 3), (5, 3, 2, 3, 4, 17, 2), (5, 3, 2, 3, 1, 18, 1)],
+    ids=["3 agents T=2 agent 1", "2 agents T=1 agent 0", "3 agents T=2 agent 0",
+         "4 agents S=3 A=3 T=3 agent 2", "5 agents S=3 A=2 T=3 agent 4",
+         "5 agents S=3 A=2 T=3 agent 1"])
+def test_dp_and_enumeration_agree(n_agents, n_states, n_actions, horizon, agent, seed, games):
     rng = np.random.default_rng(seed)
-    for _ in range(5):
-        game = random_game(rng, n_states=2, n_actions=2, horizon=horizon)
+    for _ in range(games):
+        game = random_game(rng, n_states=n_states, n_actions=n_actions, horizon=horizon)
         pols = [random_policy(game, rng) for _ in range(n_agents)]
         dp = nplayer_payoff(game, pols, agent)
         enum = nplayer_payoff_enumerated(game, pols, agent)
         assert dp == pytest.approx(enum, abs=1e-12)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_enumeration_takes_every_contract_reward(index):
+    # one reward call on (S^N, 1) states and shares and (A^N,) actions, for
+    # rewards that are scalars, ignore the mass or index a table by action
+    game = _contract_games()[index]
+    rng = np.random.default_rng(30 + index)
+    pols = [random_policy(game, rng) for _ in range(2)]
+    assert nplayer_payoff_enumerated(game, pols, 1) == pytest.approx(nplayer_payoff(game, pols, 1),
+                                                                      abs=1e-12)
+
+
+def _three_agent_draw(seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, n_states=4, n_actions=2, horizon=3)
+    return game, [random_policy(game, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("rows", [64, 4, 3, 1])
+def test_enumeration_in_row_chunks_matches_the_dp(rows, monkeypatch):
+    # 3 agents over 4 states and 2 actions: 64 joint states, each with a
+    # table of 8 joint actions by 64 successors; 3 rows a chunk leaves a
+    # one-row remainder
+    game, pols = _three_agent_draw(19)
+    dp = nplayer_payoff(game, pols, 1)
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", rows * 8 * 64)
+    assert nplayer_payoff_enumerated(game, pols, 1) == pytest.approx(dp, abs=1e-12)
+
+
+_ONE_ACTION = DiscreteMFG(2, 1, 1, np.ones((2, 1, 2)) / 2, lambda s, m, a: m, np.ones(2) / 2)
+
+
+@pytest.mark.parametrize("game, budget, n_agents, entries", [
+    (ring_game(), oracle.ENUMERATION_BUDGET, 7, 2 ** 7 * 4 ** 7),  # 2^7 joint actions by 4^7 successors
+    (ring_game(), 8 * 64 - 1, 3, 8 * 64),
+    (_ONE_ACTION, oracle.ENUMERATION_BUDGET, 17, 17 * 2 ** 17),  # the (2^17, 17) index table
+], ids=["7 agents", "budget one entry short", "one action"])
+def test_enumeration_rejects_tables_past_the_budget(game, budget, n_agents, entries, monkeypatch):
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", budget)
+    monkeypatch.setattr(oracle, "itertools", types.SimpleNamespace(product=_never_called))
+    with pytest.raises(OracleError, match="make %d-entry tables, more than %d" % (entries, budget)):
+        nplayer_payoff_enumerated(game, [uniform_policy(game)] * n_agents, 0)
+
+
+def test_enumeration_tables_stay_within_the_budget(monkeypatch):
+    # 4 agents over 3 states and 2 actions: 81 joint states by 16 joint
+    # actions by 81 successors, 0.8 MB of transition products in one table;
+    # a 2^12-entry budget (32 KB) walks it 3 joint states at a time, so the
+    # reward table, a chunk's transition products and the agent factor
+    # multiplied into them fit in four budgets
+    rng = np.random.default_rng(22)
+    game = random_game(rng, n_states=3, n_actions=2, horizon=2)
+    pols = [random_policy(game, rng) for _ in range(4)]
+    budget = 2 ** 12
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", budget)
+    value, peak = traced_peak(nplayer_payoff_enumerated, game, pols, 0)
+    assert value == pytest.approx(nplayer_payoff(game, pols, 0), abs=1e-12)
+    assert peak < 4 * 8 * budget
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("the enumerated reference called into the DP")
+
+
+def test_enumeration_is_independent_of_the_dp(monkeypatch):
+    game, pols = _three_agent_draw(23)
+    dp = nplayer_payoff(game, pols, 2)
+    expected = nplayer_payoff_enumerated(game, pols, 2)
+    for name in ("nplayer_payoff", "_joint_states"):
+        monkeypatch.setattr(oracle, name, _raises)
+    for name in ("einsum", "tensordot"):  # the DP's per-agent kernel contraction
+        monkeypatch.setattr(np, name, _raises)
+    assert nplayer_payoff_enumerated(game, pols, 2) == expected
+    assert expected == pytest.approx(dp, abs=1e-12)
 
 
 # --- finite-population gap ----------------------------------------------------

@@ -8,22 +8,29 @@ seeded games whose kernels are not 0/1.  Best-response policies, which come
 from an argmax, must be identical.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from mfglearn.oracle import (DiscreteMFG, best_response, exploitability, fictitious_play,
-                             induced_flow, policy_value, random_policy)
+                             induced_flow, nplayer_payoff_enumerated, policy_value, random_policy)
 
 ATOL = 1e-12
 GAMES = 60
+NPLAYER_GAMES = 24
 FP_ITERATIONS = 6
 
 
-def make_game(index):
-    """Seeded game with S 1-12, A 1-4, T 1-6, a dense random kernel and a
-    reward that is mass-coupled for even indices and uncoupled for odd ones."""
+def make_game(index, max_states=12, max_actions=4, max_horizon=6):
+    """Seeded game with S, A and T drawn from 1 up to their maxima (12, 4 and
+    6 by default), a dense random kernel and a reward that is mass-coupled
+    for even indices and uncoupled for odd ones."""
     rng = np.random.default_rng(1000 + index)
-    S, A, T = int(rng.integers(1, 13)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
+    S = int(rng.integers(1, max_states + 1))
+    A = int(rng.integers(1, max_actions + 1))
+    T = int(rng.integers(1, max_horizon + 1))
     trans = rng.random((S, A, S)) + 0.05
     trans /= trans.sum(axis=2, keepdims=True)
     mu0 = rng.random(S) + 0.1
@@ -121,6 +128,40 @@ def ref_fictitious_play(game, iterations):
     return np.mean(pols, axis=0), belief, np.array(trace)
 
 
+def ref_nplayer_payoff(game, policies, agent):
+    """The tracked agent's exact payoff by memoized recursion over joint
+    states, joint actions and joint successors, one tuple at a time."""
+    n, S, A, T = len(policies), game.n_states, game.n_actions, game.horizon
+    p = game.transitions.tolist()
+    pols = [pol.tolist() for pol in policies]
+    actions = list(itertools.product(range(A), repeat=n))
+    states = list(itertools.product(range(S), repeat=n))
+    cache = {}
+
+    def tail(t, js):
+        if t == T:
+            return 0.0
+        if (t, js) not in cache:
+            share = sum(1 for s in js if s == js[agent]) / float(n)
+            value = 0.0
+            for ja in actions:
+                w = 1.0
+                for i in range(n):
+                    w *= pols[i][t][js[i]][ja[i]]
+                future = 0.0
+                for ns in states:
+                    pr = 1.0
+                    for i in range(n):
+                        pr *= p[js[i]][ja[i]][ns[i]]
+                    future += pr * tail(t + 1, ns)
+                value += w * (float(game.reward(js[agent], share, ja[agent])) + future)
+            cache[t, js] = value
+        return cache[t, js]
+
+    mu0 = game.mu0.tolist()
+    return sum(math.prod(mu0[s] for s in js) * tail(0, js) for js in states)
+
+
 # --- the oracles against the reference ---------------------------------------------
 
 @pytest.mark.parametrize("index", range(GAMES))
@@ -167,3 +208,13 @@ def test_fictitious_play_matches_reference_replay(index):
     np.testing.assert_allclose(avg_flow, ref_avg_flow, rtol=0, atol=ATOL)
     # trace[n-1] certifies the average policy after iteration n
     np.testing.assert_allclose(trace, ref_trace, rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("index", range(NPLAYER_GAMES))
+def test_nplayer_payoff_enumerated_matches_reference(index):
+    game, rng = make_game(index, max_states=3, max_actions=3, max_horizon=3)
+    n = int(rng.integers(1, 4))
+    policies = [random_policy(game, rng) for _ in range(n)]
+    agent = int(rng.integers(0, n))
+    assert nplayer_payoff_enumerated(game, policies, agent) == pytest.approx(
+        ref_nplayer_payoff(game, policies, agent), rel=0, abs=ATOL)
