@@ -10,22 +10,24 @@ simulator for the 1/sqrt(N) scaling experiment, and the analytic stationary
 solution of the linear-quadratic environment.
 
 Reward functions must accept numpy arrays of states/masses/actions and
-broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  The
-finite-game solvers call the reward once per backward sweep, on the whole
-stack of flows that sweep solves against: s has shape (S, 1), mass has shape
-(..., S, 1) and a has shape (A,), and the result must broadcast to
-(..., S, A).  A fictitious-play iteration is one such sweep and one forward
-pass.  The finite-N gap simulator calls the reward once per step on trials
-run side by side: s, mass and a are (trials, N) arrays of each agent's
-state, the mass at that state in the agent's own trial, and its action, and
-the result must broadcast to (trials, N).  The N-player reference calls it
-once on all joint states and joint actions: s and mass are (S^N, 1) and a
-is (A^N,), and the result must broadcast to (S^N, A^N).  Policies passed to
-the solvers must be (T, S, A) arrays whose rows are distributions over
-actions, and flows (T+1, S) arrays whose rows are distributions over
-states; anything else, NaN entries included, raises OracleError.  The
-public entry points check their inputs once; the private sweeps they share
-take the oracle's own arrays unchecked.
+broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  Every
+solver calls the reward one way, through one helper: mass is a (..., 1)
+column of masses, s the column of states that broadcasts against it, and a
+the (A,) array of all actions; the result must broadcast to the (..., A)
+table of each action's reward, or OracleError is raised.  The sweeps pass the
+(S, 1) states and the (..., S, 1) masses of the whole stack of flows a
+backward sweep solves against, once per sweep; a fictitious-play iteration
+is one such sweep and one forward pass.  The N-player payoffs pass the
+tracked agent's state and the share of agents there in each of the S^N
+joint states, once per call.  The finite-N gap simulator passes each
+trial's masses once per step and reads each agent's (trial, state, action)
+entry.
+
+Policies passed to the solvers must be (T, S, A) arrays whose rows are
+distributions over actions, and flows (T+1, S) arrays whose rows are
+distributions over states; anything else, NaN entries included, raises
+OracleError.  The public entry points check their inputs once; the private
+sweeps they share take the oracle's own arrays unchecked.
 
 The sweeps run on workspaces (``_Sweeps``) of preallocated, time-major
 buffers: time is the leading axis, so every step of a sweep reads and
@@ -75,10 +77,14 @@ def _check_count(value, what: str):
         raise OracleError("%s must be an int of at least one, got %r" % (what, value))
 
 
-def _broadcast_reward(reward, shape) -> np.ndarray:
-    """A reward call's result as a read-only float array of ``shape``; a
-    result that does not broadcast to it raises OracleError."""
-    reward = np.asarray(reward, dtype=float)
+def _reward_table(game, s, mass) -> np.ndarray:
+    """The reward of every action at each (state, mass) pair, as a read-only
+    float (..., A) array: one ``game.reward`` call on the (..., 1) column of
+    masses ``mass``, the column of states ``s`` that broadcasts against it,
+    and the (A,) actions.  A result that does not broadcast to (..., A)
+    raises OracleError."""
+    shape = mass.shape[:-1] + (game.n_actions,)
+    reward = np.asarray(game.reward(s, mass, np.arange(game.n_actions)), dtype=float)
     try:
         return np.broadcast_to(reward, shape)
     except ValueError:
@@ -124,14 +130,15 @@ class DiscreteMFG:
         """L(s, flow(s), a) for all s, a as a read-only (..., S, A) array.
 
         ``flow`` is one (S,) marginal or any stack of them, such as the
-        (T, K, S) flows of one backward sweep.  The reward is called once,
-        with s of shape (S, 1), mass of shape (..., S, 1) and a of shape (A,);
-        a result that does not broadcast to (..., S, A) raises OracleError.
+        (T, K, S) flows of one backward sweep; a flow whose last axis is not
+        S long raises OracleError.  The reward is called once, with s of
+        shape (S, 1) and mass of shape (..., S, 1).
         """
         flow = np.asarray(flow, dtype=float)
-        shape = flow.shape[:-1] + (self.n_states, self.n_actions)
-        return _broadcast_reward(self.reward(np.arange(self.n_states)[:, None], flow[..., None],
-                                             np.arange(self.n_actions)), shape)
+        if flow.shape[-1:] != (self.n_states,):
+            raise OracleError("flow of shape %r does not end in the %d states"
+                              % (flow.shape, self.n_states))
+        return _reward_table(self, np.arange(self.n_states)[:, None], flow[..., None])
 
 
 def uniform_policy(game: DiscreteMFG) -> np.ndarray:
@@ -311,19 +318,14 @@ def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
     return _forward(game, _check_policy(game, policy)[None])[0].copy()
 
 
-def exploitability(game: DiscreteMFG, policy: np.ndarray, worst_case: bool = False) -> float:
-    """Best-response gap of a policy at its own induced flow (>= 0).
-
-    Default weights the per-state gaps by the initial distribution; the
-    worst-case mode takes the max over states instead.  One backward sweep
+def exploitability(game: DiscreteMFG, policy: np.ndarray) -> float:
+    """Best-response gap of a policy at its own induced flow (>= 0): the
+    per-state gaps weighted by the initial distribution.  One backward sweep
     gives both the best response's and the policy's values.
     """
     policy = _check_policy(game, policy)
     _, values = _backward(game, _forward(game, policy[None]), policy)
-    gap = values[0, 0] - values[0, 1]
-    if worst_case:
-        return float(gap.max())
-    return float(game.mu0 @ gap)
+    return float(game.mu0 @ (values[0, 0] - values[0, 1]))
 
 
 def fictitious_play(game: DiscreteMFG, iterations: int):
@@ -348,10 +350,9 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     product of two numbers >= 0, so the trace is >= 0 in floating point and
     exactly 0 wherever the average policy plays only best actions.
     :func:`exploitability` computes the same quantity as mu0 @ (V* - V^pi)
-    from per-state values, which its ``worst_case`` mode needs, and it runs
-    its forward pass alone rather than stacked with a best response; the two
-    sum in other orders, so they agree to rounding (within 1e-14 on the test
-    games), not bit for bit.
+    from per-state values, with its forward pass alone rather than stacked
+    with a best response; the two sum in other orders, so they agree to
+    rounding (within 1e-14 on the test games), not bit for bit.
     """
     _check_count(iterations, "iterations")
     T, S, A = game.horizon, game.n_states, game.n_actions
@@ -428,13 +429,14 @@ def nplayer_payoff(game: DiscreteMFG, policies, agent: int) -> float:
     own_s = joint[:, agent]
     # empirical mass at the tracked agent's own state, per joint state row
     own_mass = (joint == own_s[:, None]).sum(axis=1) / float(n)
+    reward = _reward_table(game, own_s[:, None], own_mass[:, None])
     dist = np.prod(game.mu0[joint], axis=1)
     total = 0.0
     for t in range(game.horizon):
         # expected reward of the tracked agent under the current joint distribution
         r = np.zeros(len(joint))
         for a in range(game.n_actions):
-            r += policies[agent][t, own_s, a] * game.reward(own_s, own_mass, a)
+            r += policies[agent][t, own_s, a] * reward[:, a]
         total += float(dist @ r)
         # factorized joint transition: contract each agent's axis of the (S,)*n
         # distribution tensor with its policy-averaged kernel; tensordot puts
@@ -465,10 +467,7 @@ def nplayer_payoff_enumerated(game: DiscreteMFG, policies, agent: int) -> float:
     action, successor) triple by the product of their transition
     probabilities; the value of a joint state at step t is the weighted sum
     over joint actions of the tracked agent's reward plus the expected value
-    of the successors at t+1.  The reward is called once, on the whole (joint
-    state, joint action) table, with s and mass of shape (S^N, 1), the tracked
-    agent's own state and the share of agents there, and a of shape (A^N,);
-    a result that does not broadcast to (S^N, A^N) raises OracleError.
+    of the successors at t+1.
 
     It stays independent of the DP: nothing here marginalizes an agent's
     actions into a per-agent kernel or shares the DP's joint-state table, so
@@ -494,7 +493,7 @@ def nplayer_payoff_enumerated(game: DiscreteMFG, policies, agent: int) -> float:
     states, actions = _product_table(S, n), _product_table(A, n)
     own = states[:, agent, None]
     share = (states == own).sum(axis=1, keepdims=True) / float(n)
-    reward = _broadcast_reward(game.reward(own, share, actions[:, agent]), (n_joint, n_profiles))
+    reward = _reward_table(game, own, share)[:, actions[:, agent]]
     values = np.zeros(n_joint)
     for t in range(T - 1, -1, -1):
         values_t = np.empty(n_joint)
@@ -571,7 +570,8 @@ def _population_values(game: DiscreteMFG, policy: np.ndarray, n_agents: int, tri
             cell = s + offset
             mass = np.bincount(cell.ravel(), minlength=c * S) / float(n_agents)
             a = _draw(act, t * S + s, next(draws))
-            total += game.reward(s, mass[cell], a)
+            # each agent's entry of its trial's (c, S, A) table, by flat index
+            total += game.reward_table(mass.reshape(c, S)).take(cell * A + a)
             s = _draw(move, s * A + a, next(draws))
         values[lo:lo + c] = total.mean(axis=1)
     return values
@@ -597,7 +597,9 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
 def scaling_experiment(game: DiscreteMFG, policy: np.ndarray, sizes, trials: int, rng):
     """Gap-vs-N table [(N, trials, mean, std)] and the log-log slope, fitted
     over at least two distinct N."""
-    sizes = [int(n) for n in sizes]
+    sizes = list(sizes)
+    for n in sizes:
+        _check_count(n, "agents")
     if len(set(sizes)) < 2:
         raise OracleError("a slope needs at least two distinct sizes, got %r" % (sizes,))
     rows = []
@@ -615,6 +617,9 @@ def scaling_experiment(game: DiscreteMFG, policy: np.ndarray, sizes, trials: int
 def ring_game(n_states: int = 4, horizon: int = 4, reward_state: int = 0) -> DiscreteMFG:
     """Monotone congestion on a ring: stay/move-clockwise, one rewarding state
     paying 1/(1 + mass there)."""
+    _check_count(n_states, "n_states")
+    if not (is_count(reward_state, 0) and reward_state < n_states):
+        raise OracleError("reward_state %r is not one of the %d states" % (reward_state, n_states))
     trans = np.zeros((n_states, 2, n_states))
     for s in range(n_states):
         trans[s, 0, s] = 1.0
@@ -633,6 +638,8 @@ def two_state_congestion(horizon: int = 2, weights=(1.0, 0.6)) -> DiscreteMFG:
         trans[s, 0, s] = 1.0
         trans[s, 1, 1 - s] = 1.0
     w = np.asarray(weights, dtype=float)
+    if w.shape != (2,):
+        raise OracleError("two_state_congestion takes one weight per state, got %r" % (weights,))
     reward = lambda s, m, a: w[np.asarray(s)] / (1.0 + np.asarray(m))
     return DiscreteMFG(2, 2, horizon, trans, reward, np.array([1.0, 0.0]))
 

@@ -82,18 +82,38 @@ def test_reward_table_matches_per_step_stack(index):
         assert np.array_equal(game.reward_table(flow[t]), expected)
 
 
+@pytest.mark.parametrize("flow", [np.ones(1), np.ones(3) / 3, np.ones((2, 5)) / 5, np.float64(1.0)],
+                         ids=["one state", "three states", "five states", "scalar"])
+def test_reward_table_rejects_flows_of_another_width(flow):
+    with pytest.raises(OracleError, match="does not end in the 4 states"):
+        ring_game().reward_table(flow)
+
+
+_REWARD_CALLERS = {
+    "best_response": lambda g, f, p: best_response(g, f),
+    "policy_value": lambda g, f, p: policy_value(g, p, f),
+    "exploitability": lambda g, f, p: exploitability(g, p),
+    "fictitious_play": lambda g, f, p: fictitious_play(g, 2),
+    "nplayer_payoff": lambda g, f, p: nplayer_payoff(g, [p] * 2, 0),
+    "nplayer_payoff_enumerated": lambda g, f, p: nplayer_payoff_enumerated(g, [p] * 2, 0),
+    "simulate_population_value": lambda g, f, p: simulate_population_value(
+        g, p, 10, np.random.default_rng(0)),
+    "nplayer_gap": lambda g, f, p: nplayer_gap(g, p, 10, 2, np.random.default_rng(0)),
+}
+
+
 @pytest.mark.parametrize("bad", [lambda s, m, a: np.zeros(7),
                                  lambda s, m, a: np.zeros((4, 2, 2)),
                                  lambda s, m, a: np.zeros((3, 1, 1, 1, 1))])
 def test_reward_table_rejects_non_broadcasting_reward(bad):
     game = dataclasses.replace(ring_game(), reward=bad)
-    flow = induced_flow(game, uniform_policy(game))
+    policy = uniform_policy(game)
+    flow = induced_flow(game, policy)
     with pytest.raises(OracleError, match="broadcast"):
         game.reward_table(flow[:game.horizon])
-    with pytest.raises(OracleError, match="broadcast"):
-        best_response(game, flow)
-    with pytest.raises(OracleError, match="broadcast"):
-        nplayer_payoff_enumerated(game, [uniform_policy(game)] * 2, 0)
+    for solver in _REWARD_CALLERS.values():
+        with pytest.raises(OracleError, match="broadcast"):
+            solver(game, flow, policy)
 
 
 def _counting(game):
@@ -120,6 +140,22 @@ def test_reward_called_once_per_flow(make):
         fictitious_play(game, n)
         assert len(calls) == n + 1  # the first best response, then one sweep per iteration
         calls.clear()
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+def test_nplayer_payoffs_call_the_reward_once(n_agents):
+    game, calls = _counting(ring_game())
+    policies = [uniform_policy(game)] * n_agents
+    nplayer_payoff(game, policies, 0)
+    assert len(calls) == 1  # one (S^N, A) table for every step and action
+    nplayer_payoff_enumerated(game, policies, 0)
+    assert len(calls) == 2
+
+
+def test_population_value_calls_the_reward_once_per_step():
+    game, calls = _counting(ring_game(6, 5))
+    simulate_population_value(game, uniform_policy(game), 50, np.random.default_rng(0))
+    assert len(calls) == game.horizon  # one (trials, S, A) table per step
 
 
 def test_best_response_single_decision():
@@ -242,7 +278,6 @@ _POLICY_ENTRY_POINTS = {
     "policy_value": lambda g, p: policy_value(g, p, induced_flow(g, uniform_policy(g))),
     "induced_flow": induced_flow,
     "exploitability": exploitability,
-    "exploitability worst case": lambda g, p: exploitability(g, p, worst_case=True),
     "nplayer_payoff": lambda g, p: nplayer_payoff(g, [uniform_policy(g), p], 0),
     "nplayer_payoff_enumerated": lambda g, p: nplayer_payoff_enumerated(g, [uniform_policy(g), p], 0),
     "simulate_population_value": lambda g, p: simulate_population_value(
@@ -388,7 +423,6 @@ def test_exploitability_nonnegative_and_br_fixed_point():
     for _ in range(50):
         pol = random_policy(game, rng)
         assert exploitability(game, pol) >= 0.0
-        assert exploitability(game, pol, worst_case=True) >= exploitability(game, pol) - 1e-12
 
 
 def test_fictitious_play_decoupled_converges_immediately():
@@ -667,6 +701,18 @@ def test_population_value_never_plays_an_action_past_the_last():
     assert nplayer_gap(game, policy, 4, 3, _TopDraws()) == (abs(4.0 - j_inf), 0.0)
 
 
+@pytest.mark.parametrize("index", range(7))
+def test_gap_takes_every_contract_reward(index):
+    # one reward call per step on (S, 1) states and each trial's (S, 1)
+    # masses, for rewards that are scalars, ignore the mass or index a table
+    # by action; the per-agent reference calls it on (N,) arrays
+    from test_gap_reference import ref_gap
+    game = _contract_games()[index]
+    policy = random_policy(game, np.random.default_rng(50 + index))
+    rng, ref_rng = np.random.default_rng(index), np.random.default_rng(index)
+    assert nplayer_gap(game, policy, 30, 7, rng) == ref_gap(game, policy, 30, 7, ref_rng)
+
+
 def test_gap_vanishes_without_coupling():
     rng = np.random.default_rng(16)
     game = random_game(rng, coupled=False, horizon=2)
@@ -699,6 +745,20 @@ def test_scaling_needs_two_distinct_sizes(sizes):
     game = ring_game()
     with pytest.raises(OracleError, match="two distinct sizes"):
         scaling_experiment(game, uniform_policy(game), sizes, 3, np.random.default_rng(0))
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test if a trial draws from it."""
+
+    def random(self, size=None):
+        raise AssertionError("a trial ran before every size was checked")
+
+
+@pytest.mark.parametrize("bad", [8.7, True, "8", 0], ids=["8.7", "True", "'8'", "0"])
+def test_scaling_sizes_must_be_counts(bad):
+    game = ring_game()
+    with pytest.raises(OracleError, match="agents must be an int of at least one"):
+        scaling_experiment(game, uniform_policy(game), [8, 16, bad], 3, _NoDraws())
 
 
 # --- Riccati ------------------------------------------------------------------
@@ -810,6 +870,28 @@ def test_game_sizes_must_be_ints_of_at_least_one(case):
     field = case.split()[0]
     with pytest.raises(OracleError, match="%s must be an int of at least one" % field):
         _SIZES_NOT_COUNTS[case](two_state_congestion())
+
+
+_BAD_BUILT_IN_GAMES = {
+    "ring reward_state 9": (lambda: ring_game(4, 4, reward_state=9), "reward_state 9"),
+    "ring reward_state -1": (lambda: ring_game(4, 4, reward_state=-1), "reward_state -1"),
+    "ring reward_state 4": (lambda: ring_game(4, 4, reward_state=4), "reward_state 4"),
+    "ring no states": (lambda: ring_game(0), "n_states must be an int of at least one"),
+    "two-state three weights": (lambda: two_state_congestion(weights=(1, 2, 3)),
+                                "one weight per state"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BUILT_IN_GAMES))
+def test_built_in_games_check_their_parameters(case):
+    make, message = _BAD_BUILT_IN_GAMES[case]
+    with pytest.raises(OracleError, match=message):
+        make()
+
+
+def test_ring_game_pays_at_its_last_state():
+    game = ring_game(4, 4, reward_state=3)
+    assert game.reward_table(game.mu0)[:, 0].tolist() == [0.0, 0.0, 0.0, 0.8]
 
 
 def test_game_sizes_accept_numpy_ints():

@@ -48,7 +48,6 @@ TWO_STATE_FLOW_SHA = "8e5a03aebc17988853f123ededef27c456e9aeac9f91f988000ca64171
 RANDOM_POLICY_START_VALUE = 0.508437142124746
 RANDOM_POLICY_VALUES_SHA = "8a38e8b701528c0ad275179d2b225bb625f1791a21f9835104f4124f78a21a62"
 RANDOM_POLICY_EXPLOITABILITY = 2.3254494876888185
-RANDOM_POLICY_WORST_CASE = 5.498735344455913
 
 NPLAYER_PAYOFF = 0.7992859248740692
 
@@ -67,7 +66,6 @@ DENSE_BEST_RESPONSE_SHA = "145f742e126cb99d908c69e675b61a09f15b0cbf40d658048b951
 DENSE_BEST_VALUES_SHA = "e60e0ed015e8fec5d96c65a06a5ae29605253c13f37602a9eb596da2b2317052"
 DENSE_RANDOM_VALUES_SHA = "fa97513cd84df596f51eb9295412f4d15cf8ec70c9c11c4c04f05b4d912df2a6"
 DENSE_RANDOM_EXPLOITABILITY = 9.69126445094944
-DENSE_RANDOM_WORST_CASE = 11.065449834706385
 # the average policy's certificate recomputed on its own, from per-state
 # values rather than fictitious play's advantage sum, so the last bits differ
 DENSE_AVERAGE_EXPLOITABILITY = 0.009832738167341955
@@ -129,7 +127,6 @@ def test_random_policy_value_and_exploitability_are_bit_identical():
     assert float(game.mu0 @ values[0]) == RANDOM_POLICY_START_VALUE
     assert _digest(values) == RANDOM_POLICY_VALUES_SHA
     assert exploitability(game, policy) == RANDOM_POLICY_EXPLOITABILITY
-    assert exploitability(game, policy, worst_case=True) == RANDOM_POLICY_WORST_CASE
 
 
 def test_nplayer_payoff_is_bit_identical():
@@ -164,7 +161,6 @@ def test_dense_game_oracles_are_bit_identical():
     random = random_policy(game, np.random.default_rng(3))
     assert _digest(policy_value(game, random, flow)) == DENSE_RANDOM_VALUES_SHA
     assert exploitability(game, random) == DENSE_RANDOM_EXPLOITABILITY
-    assert exploitability(game, random, worst_case=True) == DENSE_RANDOM_WORST_CASE
     assert exploitability(game, policy) == DENSE_AVERAGE_EXPLOITABILITY
     assert nplayer_gap(game, policy, 300, 12, np.random.default_rng(4)) == DENSE_GAP
 
