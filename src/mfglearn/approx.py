@@ -27,7 +27,12 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator g
 
 @dataclass
 class Mlp:
-    """y = w2 @ tanh(w1 @ x + b1) + b2."""
+    """y = w2 @ tanh(w1 @ x + b1) + b2, row by row.
+
+    Every pass takes an (n, in_dim) batch, one row per sample, and returns
+    (n, ...) arrays; any other input shape, a single 1-D sample included,
+    raises ValueError.
+    """
 
     params: dict
 
@@ -51,13 +56,11 @@ class Mlp:
     def out_dim(self) -> int:
         return self.params["w2"].shape[0]
 
-    def _promote(self, x):
+    def _batch(self, x):
         xx = np.asarray(x, dtype=float)
-        single = xx.ndim == 1
-        xx = np.atleast_2d(xx)
-        if xx.shape[1] != self.in_dim:
-            raise ValueError("input dim %d != expected %d" % (xx.shape[1], self.in_dim))
-        return xx, single
+        if xx.ndim != 2 or xx.shape[1] != self.in_dim:
+            raise ValueError("input shape %r is not (n, in_dim=%d)" % (xx.shape, self.in_dim))
+        return xx
 
     def forward(self, x):
         y, _ = self.forward_with_hidden(x)
@@ -71,27 +74,28 @@ class Mlp:
         return h
 
     def forward_with_hidden(self, x):
-        """Forward pass returning (output, hidden activations) for reuse in backward."""
-        xx, single = self._promote(x)
-        h = self._hidden(xx)
+        """Forward pass of an (n, in_dim) batch, returning the (n, out_dim)
+        output and the (n, hidden) activations for reuse in backward."""
+        h = self._hidden(self._batch(x))
         y = h @ self.params["w2"].T
         y += self.params["b2"]
-        if single:
-            return y[0], h[0]
         return y, h
 
     def backward(self, x, upstream, hidden=None):
         """Gradients of sum(upstream * output) w.r.t. params and input.
 
-        ``upstream`` holds d(loss)/d(output) per sample; parameter gradients
-        are summed over the batch.  Returns (grad dict, input gradient).
+        ``x`` is an (n, in_dim) batch, ``upstream`` the (n, out_dim)
+        d(loss)/d(output) of its rows and ``hidden``, when given, the
+        activations :meth:`forward_with_hidden` returned for ``x``.
+        Parameter gradients are summed over the batch.  Returns (grad dict,
+        (n, in_dim) input gradient).
         """
-        xx, single = self._promote(x)
-        dy = np.atleast_2d(np.asarray(upstream, dtype=float))
+        xx = self._batch(x)
+        dy = np.asarray(upstream, dtype=float)
         if dy.shape != (xx.shape[0], self.out_dim):
             raise ValueError("upstream shape %r != %r" % (dy.shape, (xx.shape[0], self.out_dim)))
         p = self.params
-        h = self._hidden(xx) if hidden is None else np.atleast_2d(hidden)
+        h = self._hidden(xx) if hidden is None else hidden
         # np.dot, not @: matmul skips BLAS when dy has one column, as the critic's does
         dz = np.dot(dy, p["w2"])
         # dz *= 1 - h^2 a block of rows at a time, so no full-size temporary is made
@@ -109,7 +113,7 @@ class Mlp:
             "b1": dz.sum(axis=0),
         }
         dx = dz @ p["w1"]
-        return grads, (dx[0] if single else dx)
+        return grads, dx
 
 
 @dataclass
@@ -148,7 +152,10 @@ def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
 
 @dataclass
 class GaussianPolicy:
-    """Diagonal Gaussian over actions: mean from an Mlp, fixed std sigma."""
+    """Diagonal Gaussian over actions: mean from an Mlp, fixed std sigma.
+
+    Like the Mlp, every method takes an (n, in_dim) batch of states.
+    """
 
     mean_net: Mlp
     sigma: float = 0.1
@@ -162,19 +169,24 @@ class GaussianPolicy:
         quad = ((np.asarray(a) - mu) ** 2).sum(axis=-1) / (2.0 * self.sigma ** 2)
         return -quad - d * math.log(self.sigma * math.sqrt(2.0 * math.pi))
 
-    def logprob_grad(self, x, a, weights=None):
+    def logprob_grad(self, x, a, weights):
         """Gradient of sum_i weights_i * log pi(a_i|x_i) w.r.t. mean-net params.
 
-        The score of a fixed-sigma Gaussian is (a - mean)/sigma^2 pushed back
-        through the mean network.  ``weights=None`` means all ones.
+        ``x`` is an (n, in_dim) batch of states, ``a`` the (n, out_dim)
+        actions taken there and ``weights`` their (n,) weights; any other
+        shape, a 1-D ``x`` included, raises ValueError.  The score of a
+        fixed-sigma Gaussian is (a - mean)/sigma^2 pushed back through the
+        mean network.
         """
-        xx = np.atleast_2d(np.asarray(x, dtype=float))
-        aa = np.atleast_2d(np.asarray(a, dtype=float))
-        mu, h = self.mean_net.forward_with_hidden(xx)
+        mu, h = self.mean_net.forward_with_hidden(x)
+        aa = np.asarray(a, dtype=float)
+        w = np.asarray(weights, dtype=float)
+        if aa.shape != mu.shape or w.shape != mu.shape[:1]:
+            raise ValueError("actions %r and weights %r do not match %r means"
+                             % (aa.shape, w.shape, mu.shape))
         upstream = (aa - mu) / self.sigma ** 2
-        if weights is not None:
-            upstream = upstream * np.asarray(weights, dtype=float).reshape(-1, 1)
-        grads, _ = self.mean_net.backward(xx, upstream, h)
+        upstream *= w[:, None]
+        grads, _ = self.mean_net.backward(x, upstream, h)
         return grads
 
 

@@ -222,8 +222,10 @@ class EnvSpec:
 def step(spec: EnvSpec, x, u, noise):
     """One linear-Gaussian transition: a*x + b*u + sigma1*noise.
 
-    ``noise`` is a standard-normal draw supplied by the caller, so the map is
-    deterministic given its arguments.  Accepts single points or batches.
+    ``x``, ``u`` and ``noise`` are (n, 2) batches, one row per agent, and
+    the result is the (n, 2) batch of next states.  ``noise`` is a
+    standard-normal draw supplied by the caller, so the map is deterministic
+    given its arguments.
     """
     xx = np.asarray(x, dtype=float)
     uu = np.asarray(u, dtype=float)
@@ -234,7 +236,7 @@ def step(spec: EnvSpec, x, u, noise):
 
 
 def movement_cost(spec: EnvSpec, u):
-    """Movement penalty 0.5*eta*|u|^2 for one action (2,) or a batch (n, 2)."""
+    """(n,) movement penalties 0.5*eta*|u|^2 of an (n, 2) batch of actions."""
     uu = np.asarray(u, dtype=float)
     return 0.5 * spec.eta * (uu[..., 0] * uu[..., 0] + uu[..., 1] * uu[..., 1])
 

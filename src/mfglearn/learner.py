@@ -123,6 +123,11 @@ class TrainState:
         check_finite(self.critic.params, PARAM_LIMIT)
 
 
+def _critic_inputs(spec: EnvSpec) -> int:
+    """Critic input width: the position, plus the density when the reward reads it."""
+    return 3 if spec.uses_density else 2
+
+
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      schedules: Schedules | None = None, hidden: int = 64,
                      sigma: float = 0.1) -> TrainState:
@@ -133,7 +138,7 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))
     actor_net = Mlp.init(2, hidden, 2, rng)
-    critic = Mlp.init(3 if spec.uses_density else 2, hidden, 1, rng)
+    critic = Mlp.init(_critic_inputs(spec), hidden, 1, rng)
     return TrainState(
         actor=GaussianPolicy(actor_net, sigma),
         critic=critic,
@@ -269,8 +274,12 @@ def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     initial states.  It is assigned by agent index, and per-step empirical
     measures are built by exact counting, so the result does not depend on
     any processing order.  Rewards and the densities agents see come from the
-    fictitious-play belief grids.
+    fictitious-play belief grids, one per step 0..T, so a state whose belief
+    count does not match ``spec.horizon`` raises ValueError.
     """
+    if len(state.beliefs) != spec.horizon + 1:
+        raise ValueError("state has %d beliefs, a horizon-%d environment needs %d"
+                         % (len(state.beliefs), spec.horizon, spec.horizon + 1))
     states, actions = _log_arrays(spec.horizon, n_agents)
     rng.standard_normal(out=actions)
     rng.standard_normal(out=states[1:])
@@ -332,10 +341,11 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
 
 
 def fp_update_state(state: TrainState, log: EpisodeLog):
-    """Fold the episode's per-step measures into the belief averages."""
+    """Fold the episode's per-step measures into the belief averages; a log
+    whose step count differs from the beliefs' raises ValueError."""
     step_size = state.schedules.belief_step(state.episode)
     state.beliefs = [belief_update(b, m, step_size)
-                     for b, m in zip(state.beliefs, log.measures)]
+                     for b, m in zip(state.beliefs, log.measures, strict=True)]
 
 
 def _critic_features(state: TrainState, states: np.ndarray, densities: np.ndarray) -> np.ndarray:
@@ -452,10 +462,16 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     Divergence aborts with the partial trace attached to the raised error.
     Calling it k episodes at a time continues the same run, so checkpoints go
     between calls.  An episode's three steps all read ``state.episode``,
-    which is advanced once the episode is done.
+    which is advanced once the episode is done.  A state built for another
+    environment raises ValueError: its critic must read the density (3
+    inputs) exactly when ``spec.uses_density``, and its beliefs must cover
+    the horizon (see :func:`rollout`).
     """
     if not is_count(episodes, least=0):
         raise ValueError("episodes must be an int >= 0, got %r" % (episodes,))
+    if state.critic.in_dim != _critic_inputs(spec):
+        raise ValueError("state's critic takes %d inputs, this environment's takes %d"
+                         % (state.critic.in_dim, _critic_inputs(spec)))
     rows = []
     log = None
     try:

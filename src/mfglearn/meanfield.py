@@ -56,17 +56,17 @@ class GridSpec:
         return self.bin_width * self.bin_height
 
     def bin_index(self, points):
-        """Map points (n, 2), or one point (2,), to (ix, iy) bin indices.
+        """Map an (n, 2) batch of points to (n,) arrays of (ix, iy) bin indices.
 
         Out-of-bounds points are clamped to the nearest boundary bin.  The
         clamp is taken in float, on the coordinates, before the cast to int,
         so a point however far out lands in its edge bin; points of any
-        other shape, and non-finite points, raise GridError.
+        other shape, one (2,) point included, and non-finite points raise
+        GridError.
         """
         pts = np.asarray(points, dtype=float)
-        if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
-            raise GridError("points must be (n, 2) or (2,), got shape %r" % (pts.shape,))
-        pts = np.atleast_2d(pts)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise GridError("points must be (n, 2), got shape %r" % (pts.shape,))
         if not np.isfinite(pts).all():
             raise GridError("points must be finite")
         top = self.resolution - 1
@@ -137,16 +137,16 @@ def _check_same_shape(a: DensityGrid, b: DensityGrid):
 def build_empirical_measure(positions, template: GridSpec) -> DensityGrid:
     """Bin agent positions into a normalized histogram.
 
-    ``positions`` is (N, 2), or one (2,) position.  Each position
+    ``positions`` is the (N, 2) batch of agent positions.  Each position
     contributes exactly 1/N to its containing bin; positions outside the
     bounds are clamped to the nearest boundary bin, and non-finite positions
-    or any other shape raise GridError.  Counting is integer-exact, so the
-    result is bit-identical under permutation of the position list.
+    or any other shape, one (2,) position included, raise GridError.
+    Counting is integer-exact, so the result is bit-identical under
+    permutation of the position list.
     """
     pts = np.asarray(positions, dtype=float)
     if pts.size == 0:
         raise GridError("empty population")
-    pts = np.atleast_2d(pts)
     n = template.resolution
     ix, iy = template.bin_index(pts)
     counts = np.bincount(ix * n + iy, minlength=n * n).reshape(n, n)
@@ -154,17 +154,14 @@ def build_empirical_measure(positions, template: GridSpec) -> DensityGrid:
 
 
 def density_at(grid: DensityGrid, x):
-    """Density (mass per unit area) of the bin containing x.
+    """(n,) densities (mass per unit area) of the bins containing the (n, 2)
+    batch of points ``x``.
 
-    Accepts a single point (2,) or a batch (n, 2); points outside the bounds
-    use the clamped bin, and non-finite points or any other shape raise
-    GridError.
+    Points outside the bounds use the clamped bin; non-finite points or any
+    other shape, one (2,) point included, raise GridError.
     """
     ix, iy = grid.spec.bin_index(x)
-    dens = grid.mass[ix, iy] / grid.spec.bin_area
-    if np.asarray(x).ndim == 1:
-        return float(dens[0])
-    return dens
+    return grid.mass[ix, iy] / grid.spec.bin_area
 
 
 def belief_update(belief: BeliefState, measure: DensityGrid, step=None) -> BeliefState:

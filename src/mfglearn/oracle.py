@@ -13,12 +13,12 @@ Reward functions must accept numpy arrays of states/masses/actions and
 broadcast, e.g. ``lambda s, m, a: np.where(s == 0, 1/(1+m), 0.0)``.  Every
 solver calls the reward one way, through one helper: mass is a (..., 1)
 column of masses, s the column of states that broadcasts against it, and a
-the (A,) array of all actions; the result must broadcast to the (..., A)
-table of each action's reward, or OracleError is raised.  The sweeps pass the
-(S, 1) states and the (..., S, 1) masses of the whole stack of flows a
-backward sweep solves against, once per sweep; a fictitious-play iteration
-is one such sweep and one forward pass.  The N-player payoffs pass the
-tracked agent's state and the share of agents there in each of the S^N
+the (A,) array of all actions; the result must be finite and broadcast to
+the (..., A) table of each action's reward, or OracleError is raised.  The
+sweeps pass the (S, 1) states and the (..., S, 1) masses of the whole stack
+of flows a backward sweep solves against, once per sweep; a fictitious-play
+iteration is one such sweep and one forward pass.  The N-player payoffs pass
+the tracked agent's state and the share of agents there in each of the S^N
 joint states, once per call.  The finite-N gap simulator passes each
 trial's masses once per step and reads each agent's (trial, state, action)
 entry.
@@ -81,14 +81,17 @@ def _reward_table(game, s, mass) -> np.ndarray:
     """The reward of every action at each (state, mass) pair, as a read-only
     float (..., A) array: one ``game.reward`` call on the (..., 1) column of
     masses ``mass``, the column of states ``s`` that broadcasts against it,
-    and the (A,) actions.  A result that does not broadcast to (..., A)
-    raises OracleError."""
+    and the (A,) actions.  A result that does not broadcast to (..., A), or
+    that holds a NaN or infinite entry, raises OracleError."""
     shape = mass.shape[:-1] + (game.n_actions,)
     reward = np.asarray(game.reward(s, mass, np.arange(game.n_actions)), dtype=float)
     try:
-        return np.broadcast_to(reward, shape)
+        table = np.broadcast_to(reward, shape)
     except ValueError:
         raise OracleError("reward of shape %r does not broadcast to %r" % (reward.shape, shape))
+    if not np.isfinite(reward).all():
+        raise OracleError("reward must be finite")
+    return table
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,8 @@ class DiscreteMFG:
         _check_count(self.n_states, "n_states")
         _check_count(self.n_actions, "n_actions")
         _check_count(self.horizon, "horizon")
+        if not callable(self.reward):
+            raise OracleError("reward must be callable, got %r" % (self.reward,))
         p = np.array(self.transitions, dtype=float)
         if p.shape != (self.n_states, self.n_actions, self.n_states):
             raise OracleError("transition kernel shape %r" % (p.shape,))
@@ -670,6 +675,10 @@ def lqr_analytic(spec) -> LqrSolution:
     """
     if not isinstance(spec.reward, LqrReward):
         raise OracleError("lqr_analytic needs an lqr environment")
+    if spec.b == 0.0 and abs(spec.a) >= 1.0:
+        # no control reaches the state, so the closed loop is a*I whatever the
+        # gain, and the value iteration would only overflow
+        raise OracleError("non-stabilizable configuration: b = 0 and |a| = %r >= 1" % abs(spec.a))
     q = spec.reward.q_matrix
     r = spec.r_matrix
     a_mat = spec.a * np.eye(2)

@@ -45,14 +45,14 @@ def rel_err(a, b):
 def test_forward_zero_params():
     net = Mlp({"w1": np.zeros((4, 3)), "b1": np.zeros(4),
                "w2": np.zeros((2, 4)), "b2": np.zeros(2)})
-    np.testing.assert_array_equal(net.forward([1.0, -2.0, 0.5]), [0.0, 0.0])
+    np.testing.assert_array_equal(net.forward([[1.0, -2.0, 0.5]]), [[0.0, 0.0]])
 
 
 def test_forward_constant_output():
     net = Mlp({"w1": np.zeros((4, 3)), "b1": np.zeros(4),
                "w2": np.zeros((2, 4)), "b2": np.array([3.0, -1.0])})
-    for x in np.random.default_rng(0).standard_normal((5, 3)):
-        np.testing.assert_array_equal(net.forward(x), [3.0, -1.0])
+    for x in np.random.default_rng(0).standard_normal((5, 1, 3)):
+        np.testing.assert_array_equal(net.forward(x), [[3.0, -1.0]])
 
 
 def test_forward_matches_oracle():
@@ -60,7 +60,7 @@ def test_forward_matches_oracle():
     net = Mlp.init(3, 8, 2, rng)
     for _ in range(10):
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(net.forward(x), forward_oracle(net.params, x),
+        np.testing.assert_allclose(net.forward(x[None])[0], forward_oracle(net.params, x),
                                    rtol=0, atol=1e-12)
 
 
@@ -69,20 +69,32 @@ def test_forward_batch_matches_single():
     net = Mlp.init(2, 5, 1, rng)
     xs = rng.standard_normal((7, 2))
     batch = net.forward(xs)
-    for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], net.forward(x))
+    for i in range(len(xs)):
+        np.testing.assert_allclose(batch[i:i + 1], net.forward(xs[i:i + 1]))
 
 
 def test_forward_dim_mismatch():
     net = Mlp.init(2, 4, 1, np.random.default_rng(3))
     with pytest.raises(ValueError, match="dim"):
-        net.forward([1.0, 2.0, 3.0])
+        net.forward([[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda net, x: net.forward(x),
+    lambda net, x: net.forward_with_hidden(x),
+    lambda net, x: net.backward(x, np.zeros((1, 1))),
+    lambda net, x: GaussianPolicy(net).logprob_grad(x, np.zeros((1, 1)), np.ones(1)),
+], ids=["forward", "forward_with_hidden", "backward", "logprob_grad"])
+def test_one_dimensional_input_rejected(call):
+    net = Mlp.init(2, 4, 1, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="dim"):
+        call(net, np.array([1.0, 2.0]))
 
 
 def test_backward_zero_upstream():
     rng = np.random.default_rng(4)
     net = Mlp.init(3, 6, 2, rng)
-    grads, dx = net.backward(rng.standard_normal(3), np.zeros(2))
+    grads, dx = net.backward(rng.standard_normal((1, 3)), np.zeros((1, 2)))
     assert all(np.all(g == 0) for g in grads.values())
     assert np.all(dx == 0)
 
@@ -91,8 +103,8 @@ def test_backward_single_unit_chain_rule():
     # tiny weights keep tanh in its linear region: y ~ w2*w1*x, dy/dw1 ~ w2*x
     net = Mlp({"w1": np.array([[1e-4]]), "b1": np.zeros(1),
                "w2": np.array([[2.0]]), "b2": np.zeros(1)})
-    x = np.array([0.5])
-    grads, _ = net.backward(x, np.array([1.0]))
+    x = np.array([[0.5]])
+    grads, _ = net.backward(x, np.array([[1.0]]))
     assert grads["w1"][0, 0] == pytest.approx(2.0 * 0.5, rel=1e-6)
     assert grads["b2"][0] == 1.0
 
@@ -111,15 +123,15 @@ def test_backward_matches_finite_differences():
 def test_backward_input_gradient():
     rng = np.random.default_rng(6)
     net = Mlp.init(2, 5, 1, rng)
-    x0 = rng.standard_normal(2)
-    _, dx = net.backward(x0, np.ones(1))
+    x0 = rng.standard_normal((1, 2))
+    _, dx = net.backward(x0, np.ones((1, 1)))
     h = 1e-6
     for i in range(2):
         xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (net.forward(xp)[0] - net.forward(xm)[0]) / (2 * h)
-        assert dx[i] == pytest.approx(fd, rel=1e-4)
+        xp[0, i] += h
+        xm[0, i] -= h
+        fd = (net.forward(xp)[0, 0] - net.forward(xm)[0, 0]) / (2 * h)
+        assert dx[0, i] == pytest.approx(fd, rel=1e-4)
 
 
 def test_passes_bit_identical_to_plain_formulas_across_row_blocks():
@@ -241,11 +253,11 @@ def test_sample_action_degenerate_sigma():
 
 def test_logprob_at_mean_closed_form():
     pol = make_policy()
-    x = np.array([0.1, 0.2])
+    x = np.array([[0.1, 0.2]])
     mu = pol.mean(x)
     # 2-D diagonal Gaussian at its mode: -2*log(sigma*sqrt(2*pi))
     expected = -2.0 * math.log(0.1 * math.sqrt(2.0 * math.pi))
-    assert pol.log_prob(x, mu) == pytest.approx(expected)
+    assert pol.log_prob(x, mu)[0] == pytest.approx(expected)
     assert expected == pytest.approx(2.7673, abs=1e-4)
 
 
@@ -257,43 +269,54 @@ def test_sample_action_empirical_std():
 
 def test_density_integrates_to_one():
     pol = make_policy()
-    x = np.array([0.0, 0.0])
+    x = np.array([[0.0, 0.0]])
     mu = pol.mean(x)
     rng = np.random.default_rng(3)
     half = 0.5  # +- 5 sigma box around the mean
     pts = mu + rng.uniform(-half, half, (10 ** 5, 2))
-    dens = np.exp(pol.log_prob(np.tile(x, (len(pts), 1)), pts))
+    dens = np.exp(pol.log_prob(np.repeat(x, len(pts), axis=0), pts))
     integral = dens.mean() * (2 * half) ** 2
     assert 0.95 < integral < 1.05
 
 
 def test_logprob_grad_zero_at_mean():
     pol = make_policy()
-    x = np.array([0.5, 0.5])
-    grads = pol.logprob_grad(x, pol.mean(x))
+    x = np.array([[0.5, 0.5]])
+    grads = pol.logprob_grad(x, pol.mean(x), np.ones(1))
     assert all(np.abs(g).max() < 1e-12 for g in grads.values())
 
 
 def test_logprob_grad_matches_finite_differences():
     pol = make_policy(seed=9)
     rng = np.random.default_rng(10)
-    x = rng.standard_normal(2)
-    a = pol.mean(x) + 0.3 * rng.standard_normal(2)
-    grads = pol.logprob_grad(x, a)
-    fd = finite_difference(lambda: float(pol.log_prob(x, a)), pol.mean_net.params)
+    x = rng.standard_normal((1, 2))
+    a = pol.mean(x) + 0.3 * rng.standard_normal((1, 2))
+    grads = pol.logprob_grad(x, a, np.ones(1))
+    fd = finite_difference(lambda: float(pol.log_prob(x, a)[0]), pol.mean_net.params)
     for k in grads:
         assert rel_err(grads[k], fd[k]) < 1e-4
 
 
 def test_logprob_grad_linear_in_residual():
     pol = make_policy(seed=11)
-    x = np.array([0.2, -0.6])
+    x = np.array([[0.2, -0.6]])
     mu = pol.mean(x)
-    d = np.array([0.05, -0.02])
-    g1 = pol.logprob_grad(x, mu + d)
-    g3 = pol.logprob_grad(x, mu + 3.0 * d)
+    d = np.array([[0.05, -0.02]])
+    g1 = pol.logprob_grad(x, mu + d, np.ones(1))
+    g3 = pol.logprob_grad(x, mu + 3.0 * d, np.ones(1))
     for k in g1:
         np.testing.assert_allclose(g3[k], 3.0 * g1[k], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("a, weights", [
+    (np.zeros(2), np.ones(3)),          # one action for three states
+    (np.zeros((3, 1)), np.ones(3)),
+    (np.zeros((3, 2)), np.ones(1)),     # one weight for three rows
+    (np.zeros((3, 2)), np.ones((3, 1))),
+], ids=["one action", "narrow actions", "one weight", "weight column"])
+def test_logprob_grad_rejects_actions_or_weights_of_another_shape(a, weights):
+    with pytest.raises(ValueError, match="do not match"):
+        make_policy().logprob_grad(np.zeros((3, 2)), a, weights)
 
 
 def test_seeded_training_is_bit_reproducible():

@@ -7,8 +7,8 @@ import pytest
 from mfglearn import learner
 from mfglearn.approx import DivergenceError, Mlp
 from mfglearn.envs import EnvError, bimodal_env, congestion_env, demand_env, lqr_env
-from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, init_train_state, pg_update,
-                              rollout, td_update, train)
+from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, fp_update_state, init_train_state,
+                              pg_update, rollout, td_update, train)
 from mfglearn.meanfield import BeliefState, DensityGrid, GridError, GridSpec, belief_update, density_at
 
 GRID = GridSpec(resolution=20)
@@ -210,10 +210,10 @@ def test_td_single_transition_is_regression():
     state = fresh_state(spec)
     log = rollout(spec, state, 1, np.random.default_rng(11))
     log.rewards[0, 0] = 2.5
-    feats = log.states[0, 0]
+    feats = log.states[0]
     v0 = state.critic.forward(feats).item()
     expected_upstream = -(2.5 - v0)
-    grads, _ = state.critic.backward(feats, np.array([expected_upstream]))
+    grads, _ = state.critic.backward(feats, np.array([[expected_upstream]]))
     state2 = copy.deepcopy(state)
     td_update(state2, log, gamma=0.0)
     # reproduce the adam step on a fresh copy with the regression gradient
@@ -260,7 +260,7 @@ def test_pg_bandit_convergence():
     state = fresh_state(spec)
     rng = np.random.default_rng(14)
     state, _, _ = train(spec, state, n_agents=64, episodes=2000, rng=rng)
-    mu = state.actor.mean(np.array([0.0, 0.0]))
+    mu = state.actor.mean(np.array([[0.0, 0.0]]))
     assert np.abs(mu - np.array([0.5, -0.5])).max() < 0.05
 
 
@@ -268,7 +268,7 @@ def test_pg_single_step_ascends_on_average():
     spec = bandit_spec()
     target = np.array([0.5, -0.5])
     base = fresh_state(spec)
-    x0 = np.array([0.0, 0.0])
+    x0 = np.array([[0.0, 0.0]])
     sigma = base.actor.sigma
 
     def expected_reward(mu):
@@ -377,6 +377,32 @@ def test_critic_width_follows_the_environment(make_env, width):
     assert state.critic.in_dim == width   # the density input only where the reward reads it
     _, trace, _ = train(spec, state, 8, 1, np.random.default_rng(27))
     assert len(trace) == 1 and np.isfinite(trace.critic_loss[0])
+
+
+@pytest.mark.parametrize("built_for, trained_on", [(5, 3), (3, 5)],
+                         ids=["more beliefs than steps", "fewer beliefs than steps"])
+def test_train_rejects_a_state_built_for_another_horizon(built_for, trained_on):
+    state = fresh_state(demand_env(horizon=built_for), hidden=8)
+    with pytest.raises(ValueError, match="beliefs"):
+        train(demand_env(horizon=trained_on), state, 8, 3, np.random.default_rng(28))
+    assert len(state.beliefs) == built_for + 1
+
+
+def test_fp_update_rejects_a_log_of_another_horizon():
+    spec = demand_env(horizon=3)
+    log = rollout(spec, fresh_state(spec, hidden=8), 8, np.random.default_rng(29))
+    state = fresh_state(demand_env(horizon=5), hidden=8)
+    with pytest.raises(ValueError):
+        fp_update_state(state, log)
+    assert len(state.beliefs) == 6
+
+
+@pytest.mark.parametrize("built_for, trained_on", [(lqr_env, demand_env), (demand_env, lqr_env)],
+                         ids=["lqr state on demand", "demand state on lqr"])
+def test_train_rejects_a_critic_built_for_another_environment(built_for, trained_on):
+    state = fresh_state(built_for(), hidden=8)
+    with pytest.raises(ValueError, match="critic takes"):
+        train(trained_on(), state, 8, 1, np.random.default_rng(30))
 
 
 def test_train_passes_cached_hidden_to_every_backward(monkeypatch):

@@ -68,7 +68,7 @@ def test_far_points_clamp_to_their_own_edge_bin(far):
     assert iy.tolist() == [mid, mid, top, 0]
     grid = build_empirical_measure(pts, spec)
     assert grid.mass[top, mid] == grid.mass[0, mid] == grid.mass[mid, top] == grid.mass[mid, 0] == 0.25
-    assert density_at(grid, pts[0]) == 0.25 / spec.bin_area
+    assert density_at(grid, pts[:1])[0] == 0.25 / spec.bin_area
 
 
 def test_far_points_match_brute_force():
@@ -90,7 +90,7 @@ def test_non_finite_points_rejected(bad, axis):
     with pytest.raises(GridError, match="points must be finite"):
         density_at(grid, pts)
     with pytest.raises(GridError, match="points must be finite"):
-        density_at(grid, pts[1])
+        density_at(grid, pts[1:2])
 
 
 @pytest.mark.parametrize("points", [
@@ -98,8 +98,9 @@ def test_non_finite_points_rejected(bad, axis):
     np.zeros((3, 1)),      # would index past its only column
     np.zeros((2, 3, 2)),
     np.zeros(3),
+    np.zeros(2),           # one point: the functions take (n, 2) batches only
     np.float64(0.5),
-], ids=["three columns", "one column", "stacked", "one triple", "scalar"])
+], ids=["three columns", "one column", "stacked", "one triple", "one point", "scalar"])
 def test_points_that_are_not_pairs_rejected(points):
     spec = GridSpec()
     with pytest.raises(GridError, match="points must be"):
@@ -108,14 +109,6 @@ def test_points_that_are_not_pairs_rejected(points):
         build_empirical_measure(points, spec)
     with pytest.raises(GridError, match="points must be"):
         density_at(DensityGrid.uniform(spec), points)
-
-
-def test_one_point_and_a_one_row_batch_bin_alike():
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4)
-    grid = random_grid(np.random.default_rng(3), spec)
-    assert np.array_equal(build_empirical_measure([0.3, 0.9], spec).mass,
-                          build_empirical_measure([[0.3, 0.9]], spec).mass)
-    assert density_at(grid, [0.3, 0.9]) == density_at(grid, [[0.3, 0.9]])[0]
 
 
 def test_empty_population_rejected():
@@ -166,7 +159,7 @@ def test_density_uniform():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 10)
     grid = DensityGrid.uniform(spec)
     for x in ([0.0, 0.0], [0.5, 0.99], [0.33, 0.77]):
-        assert density_at(grid, x) == pytest.approx(1.0)
+        assert density_at(grid, [x])[0] == pytest.approx(1.0)
 
 
 def test_density_single_bin():
@@ -174,8 +167,8 @@ def test_density_single_bin():
     mass = np.zeros((10, 10))
     mass[3, 7] = 1.0
     grid = DensityGrid(spec, mass)
-    assert density_at(grid, [0.35, 0.75]) == pytest.approx(100.0)  # 1 / bin area
-    assert density_at(grid, [0.05, 0.05]) == 0.0
+    assert density_at(grid, [[0.35, 0.75]])[0] == pytest.approx(100.0)  # 1 / bin area
+    assert density_at(grid, [[0.05, 0.05]])[0] == 0.0
 
 
 def test_density_tracks_analytic_gaussian():
@@ -185,7 +178,7 @@ def test_density_tracks_analytic_gaussian():
     pts = np.array([1.0, 0.0]) + std * rng.standard_normal((1000, 2))
     grid = build_empirical_measure(pts, spec)
     analytic = 1.0 / (2.0 * np.pi * std ** 2)  # peak of the isotropic pdf
-    measured = density_at(grid, [1.0, 0.0])
+    measured = density_at(grid, [[1.0, 0.0]])[0]
     assert analytic / 3.0 < measured < analytic * 3.0
 
 

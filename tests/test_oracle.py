@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
 import math
+import time
 import types
+import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mfglearn import oracle
 from mfglearn.envs import congestion_env, demand_env, lqr_env
@@ -114,6 +115,36 @@ def test_reward_table_rejects_non_broadcasting_reward(bad):
     for solver in _REWARD_CALLERS.values():
         with pytest.raises(OracleError, match="broadcast"):
             solver(game, flow, policy)
+
+
+def _nan_when_crowded(s, m, a):
+    m = np.asarray(m)
+    return np.where(m > 0.6, np.nan, 1.0 / (1.0 + m))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), np.nan)),
+    lambda: dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), np.inf)),
+    lambda: dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), -np.inf)),
+    lambda: two_state_congestion(3, weights=(np.nan, 1.0)),
+    # every agent starts in state 0, so each solver meets a mass above 0.6
+    lambda: dataclasses.replace(two_state_congestion(3), reward=_nan_when_crowded),
+], ids=["nan", "inf", "-inf", "nan weight", "nan when crowded"])
+def test_reward_table_rejects_non_finite_reward(make):
+    game = make()
+    policy = uniform_policy(game)
+    flow = induced_flow(game, policy)
+    with pytest.raises(OracleError, match="reward must be finite"):
+        game.reward_table(flow[:game.horizon])
+    for solver in _REWARD_CALLERS.values():
+        with pytest.raises(OracleError, match="reward must be finite"):
+            solver(game, flow, policy)
+
+
+@pytest.mark.parametrize("reward", [None, 1.0, np.zeros((4, 2))], ids=["None", "number", "array"])
+def test_game_rejects_a_reward_that_is_not_callable(reward):
+    with pytest.raises(OracleError, match="reward must be callable"):
+        dataclasses.replace(ring_game(), reward=reward)
 
 
 def _counting(game):
@@ -785,6 +816,9 @@ def test_riccati_scalar_golden_role():
 
 
 def test_riccati_matches_scipy_dare():
+    # imported here, so a missing scipy fails this test alone and not the
+    # collection of this module and of those that import from it
+    import scipy.linalg
     rng = np.random.default_rng(19)
     for _ in range(10):
         a, b = rng.uniform(0.3, 1.2, 2)
@@ -842,6 +876,20 @@ def test_lqr_analytic_rejects_unstable():
     spec = lqr_env(q=((0.0, 0.0), (0.0, 0.0)), eta=1.0, a=1.5, target=(0.0, 0.0))
     with pytest.raises(OracleError, match="non-stabilizable"):
         lqr_analytic(spec)
+
+
+@pytest.mark.parametrize("a", [1.5, -1.0])
+def test_lqr_analytic_rejects_uncontrolled_unstable_dynamics_at_once(a):
+    # with b = 0 the closed loop is a*I whatever the gain; iterating the
+    # Riccati map would only overflow, and warnings-as-errors would raise
+    # RuntimeWarning in place of OracleError
+    spec = lqr_env(b=0.0, a=a)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OracleError, match="non-stabilizable"):
+            lqr_analytic(spec)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_game_validation():
