@@ -164,10 +164,14 @@ class GaussianPolicy:
         return self.mean_net.forward(x)
 
     def log_prob(self, x, a):
+        """(n,) log-densities of the (n, out_dim) actions ``a`` taken at the
+        (n, in_dim) states ``x``; actions of another shape raise ValueError."""
         mu = self.mean_net.forward(x)
-        d = np.shape(mu)[-1]
-        quad = ((np.asarray(a) - mu) ** 2).sum(axis=-1) / (2.0 * self.sigma ** 2)
-        return -quad - d * math.log(self.sigma * math.sqrt(2.0 * math.pi))
+        aa = np.asarray(a, dtype=float)
+        if aa.shape != mu.shape:
+            raise ValueError("actions %r do not match %r means" % (aa.shape, mu.shape))
+        quad = ((aa - mu) ** 2).sum(axis=-1) / (2.0 * self.sigma ** 2)
+        return -quad - mu.shape[1] * math.log(self.sigma * math.sqrt(2.0 * math.pi))
 
     def logprob_grad(self, x, a, weights):
         """Gradient of sum_i weights_i * log pi(a_i|x_i) w.r.t. mean-net params.

@@ -219,26 +219,39 @@ class EnvSpec:
         return self.reward.uses_density
 
 
+def _batch(values, what: str) -> np.ndarray:
+    """``values`` as a float (n, 2) array, or EnvError for any other shape,
+    one (2,) point included."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise EnvError("%s must be an (n, 2) batch, got shape %r" % (what, arr.shape))
+    return arr
+
+
 def step(spec: EnvSpec, x, u, noise):
     """One linear-Gaussian transition: a*x + b*u + sigma1*noise.
 
-    ``x``, ``u`` and ``noise`` are (n, 2) batches, one row per agent, and
-    the result is the (n, 2) batch of next states.  ``noise`` is a
-    standard-normal draw supplied by the caller, so the map is deterministic
-    given its arguments.
+    ``x``, ``u`` and ``noise`` are (n, 2) batches of one shape, one row per
+    agent, and the result is the (n, 2) batch of next states; any other
+    shape raises EnvError.  ``noise`` is a standard-normal draw supplied by
+    the caller, so the map is deterministic given its arguments.
     """
-    xx = np.asarray(x, dtype=float)
-    uu = np.asarray(u, dtype=float)
-    nn = np.asarray(noise, dtype=float)
+    xx = _batch(x, "states")
+    uu = _batch(u, "actions")
+    nn = _batch(noise, "noise")
+    if not xx.shape == uu.shape == nn.shape:
+        raise EnvError("states %r, actions %r and noise %r differ in shape"
+                       % (xx.shape, uu.shape, nn.shape))
     if not (np.all(np.isfinite(xx)) and np.all(np.isfinite(uu)) and np.all(np.isfinite(nn))):
         raise EnvError("non-finite state/action")
     return spec.a * xx + spec.b * uu + spec.sigma1 * nn
 
 
 def movement_cost(spec: EnvSpec, u):
-    """(n,) movement penalties 0.5*eta*|u|^2 of an (n, 2) batch of actions."""
-    uu = np.asarray(u, dtype=float)
-    return 0.5 * spec.eta * (uu[..., 0] * uu[..., 0] + uu[..., 1] * uu[..., 1])
+    """(n,) movement penalties 0.5*eta*|u|^2 of an (n, 2) batch of actions;
+    any other shape raises EnvError."""
+    uu = _batch(u, "actions")
+    return 0.5 * spec.eta * (uu[:, 0] * uu[:, 0] + uu[:, 1] * uu[:, 1])
 
 
 def reward(spec: EnvSpec, t, x, u, density):

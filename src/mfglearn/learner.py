@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,46 +56,19 @@ _pool = None   # (ThreadPoolExecutor, its thread count), made on first use
 
 @dataclass(frozen=True)
 class Schedules:
-    """Step-size schedules for the two-timescale loop.
+    """The two Adam rates, fixed for the whole run.  The beliefs take no
+    step size: each is the exact running mean of the measures seen so far."""
 
-    Episode n (0-indexed) takes its belief step ``belief_step(n)`` and its
-    Adam steps at ``critic_lr * lr_scale(n)`` and ``actor_lr * lr_scale(n)``.
-    ``paper`` mode: fixed Adam rates, belief step 1/(n+1) (the exact running
-    mean).  ``theory`` mode: Adam rates scaled by (n+1)^-actor_exponent and
-    belief step (n+1)^-belief_exponent, so the rate ratio decays like
-    n^(belief_exponent - actor_exponent).
-    """
-
-    mode: str = "paper"
+    # a read-only constant, not a field: the benchmark's belief check reads it
+    mode: ClassVar[str] = "paper"
     actor_lr: float = 1e-4
     critic_lr: float = 1e-4
-    belief_exponent: float = 1.0
-    actor_exponent: float = 1.0   # theory mode only
 
     def __post_init__(self):
-        if self.mode not in ("paper", "theory"):
-            raise ValueError("schedule mode must be paper or theory")
-        # belief steps (n+1)^-e have divergent sum iff e <= 1 and summable
-        # squares iff e > 1/2; both are required
-        if not 0.5 < self.belief_exponent <= 1.0:
-            raise ValueError("belief step exponent must lie in (0.5, 1], got %r" % self.belief_exponent)
         for name in ("actor_lr", "critic_lr"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
-        if not (np.isfinite(self.actor_exponent) and self.actor_exponent >= 0):
-            raise ValueError("actor exponent must be finite and >= 0, got %r" % self.actor_exponent)
-
-    def belief_step(self, n: int):
-        """Step for the n-th (0-indexed) belief update; None = exact mean."""
-        if self.mode == "paper":
-            return None
-        return (n + 1) ** (-self.belief_exponent)
-
-    def lr_scale(self, n: int) -> float:
-        if self.mode == "paper":
-            return 1.0
-        return (n + 1) ** (-self.actor_exponent)
 
 
 @dataclass
@@ -107,7 +81,7 @@ class TrainState:
     critic_opt: AdamState
     beliefs: list
     schedules: Schedules
-    episode: int = 0   # episodes trained so far: the schedules' n for the next one
+    episode: int = 0   # episodes trained so far: the trace's counter
 
     @property
     def belief(self) -> BeliefState:
@@ -343,8 +317,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
 def fp_update_state(state: TrainState, log: EpisodeLog):
     """Fold the episode's per-step measures into the belief averages; a log
     whose step count differs from the beliefs' raises ValueError."""
-    step_size = state.schedules.belief_step(state.episode)
-    state.beliefs = [belief_update(b, m, step_size)
+    state.beliefs = [belief_update(b, m)
                      for b, m in zip(state.beliefs, log.measures, strict=True)]
 
 
@@ -417,8 +390,7 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
         return grads, 0.5 * float((delta * delta).sum())
 
     grads, loss = _sum_over_agent_blocks(log, block_terms)
-    adam_step(state.critic_opt, state.critic.params, grads,
-              state.schedules.critic_lr * state.schedules.lr_scale(state.episode))
+    adam_step(state.critic_opt, state.critic.params, grads, state.schedules.critic_lr)
     state.check_finite()
     return loss
 
@@ -442,8 +414,7 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     grads, _ = _sum_over_agent_blocks(log, block_terms)
     norm = params_flat_norm(grads)
     descent = {k: -g for k, g in grads.items()}
-    adam_step(state.actor_opt, state.actor.mean_net.params, descent,
-              state.schedules.actor_lr * state.schedules.lr_scale(state.episode))
+    adam_step(state.actor_opt, state.actor.mean_net.params, descent, state.schedules.actor_lr)
     state.check_finite()
     return norm
 
@@ -461,11 +432,10 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     at a time: the previous one is let go before the next rollout.
     Divergence aborts with the partial trace attached to the raised error.
     Calling it k episodes at a time continues the same run, so checkpoints go
-    between calls.  An episode's three steps all read ``state.episode``,
-    which is advanced once the episode is done.  A state built for another
-    environment raises ValueError: its critic must read the density (3
-    inputs) exactly when ``spec.uses_density``, and its beliefs must cover
-    the horizon (see :func:`rollout`).
+    between calls; ``state.episode`` counts the episodes trained.  A state
+    built for another environment raises ValueError: its critic must read
+    the density (3 inputs) exactly when ``spec.uses_density``, and its
+    beliefs must cover the horizon (see :func:`rollout`).
     """
     if not is_count(episodes, least=0):
         raise ValueError("episodes must be an int >= 0, got %r" % (episodes,))

@@ -164,22 +164,12 @@ def density_at(grid: DensityGrid, x):
     return grid.mass[ix, iy] / grid.spec.bin_area
 
 
-def belief_update(belief: BeliefState, measure: DensityGrid, step=None) -> BeliefState:
-    """Fold one measure into the belief average.
-
-    ``step=None`` keeps the exact running mean (count*avg + m)/(count+1);
-    a step in (0, 1] gives the generalized stochastic-approximation form
-    avg + step*(measure - avg).
-    """
+def belief_update(belief: BeliefState, measure: DensityGrid) -> BeliefState:
+    """Fold one measure into the belief: the exact running mean
+    (count*avg + m)/(count+1)."""
     _check_same_shape(belief.average, measure)
-    avg = belief.average.mass
-    if step is None:
-        c = belief.count
-        new = (c * avg + measure.mass) / (c + 1)
-    elif 0.0 < step <= 1.0:
-        new = avg + step * (measure.mass - avg)
-    else:
-        raise ValueError("belief step must be in (0, 1], got %r" % step)
+    c = belief.count
+    new = (c * belief.average.mass + measure.mass) / (c + 1)
     return BeliefState(DensityGrid(belief.average.spec, new), belief.count + 1)
 
 

@@ -645,6 +645,8 @@ def two_state_congestion(horizon: int = 2, weights=(1.0, 0.6)) -> DiscreteMFG:
     w = np.asarray(weights, dtype=float)
     if w.shape != (2,):
         raise OracleError("two_state_congestion takes one weight per state, got %r" % (weights,))
+    if not np.isfinite(w).all():
+        raise OracleError("two_state_congestion weights must be finite, got %r" % (weights,))
     reward = lambda s, m, a: w[np.asarray(s)] / (1.0 + np.asarray(m))
     return DiscreteMFG(2, 2, horizon, trans, reward, np.array([1.0, 0.0]))
 

@@ -319,6 +319,14 @@ def test_logprob_grad_rejects_actions_or_weights_of_another_shape(a, weights):
         make_policy().logprob_grad(np.zeros((3, 2)), a, weights)
 
 
+@pytest.mark.parametrize("a", [np.ones(2), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((3, 2, 1))],
+                         ids=["one action", "narrow actions", "one-row actions", "3-d"])
+def test_log_prob_rejects_actions_of_another_shape(a):
+    # one (2,) action used to broadcast over all three states
+    with pytest.raises(ValueError, match="do not match"):
+        make_policy().log_prob(np.zeros((3, 2)), a)
+
+
 def test_seeded_training_is_bit_reproducible():
     def run():
         rng = np.random.default_rng(123)

@@ -21,37 +21,69 @@ def _path(spread=0.1, alpha=0.1):
 
 def test_step_noiseless_linear():
     spec = congestion_env(sigma1=0.0)
-    np.testing.assert_allclose(step(spec, [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_allclose(step(spec, [[1.0, 0.0]], [[-1.0, 0.0]], [[0.0, 0.0]]), [[0.0, 0.0]])
 
 
 def test_step_fixed_point():
     spec = congestion_env(sigma1=0.0)
-    x = np.array([0.3, -0.7])
-    np.testing.assert_allclose(step(spec, x, [0.0, 0.0], [0.0, 0.0]), x)
+    x = np.array([[0.3, -0.7]])
+    np.testing.assert_allclose(step(spec, x, [[0.0, 0.0]], [[0.0, 0.0]]), x)
 
 
 def test_step_arithmetic():
     spec = congestion_env(a=1.0, b=2.0, sigma1=0.1)
-    out = step(spec, [0.0, 0.0], [0.5, 0.0], [1.0, 1.0])
-    np.testing.assert_allclose(out, [1.1, 0.1])
+    out = step(spec, [[0.0, 0.0]], [[0.5, 0.0]], [[1.0, 1.0]])
+    np.testing.assert_allclose(out, [[1.1, 0.1]])
 
 
 def test_step_rejects_non_finite():
     spec = congestion_env()
     with pytest.raises(EnvError, match="non-finite state/action"):
-        step(spec, [np.nan, 0.0], [0.0, 0.0], [0.0, 0.0])
+        step(spec, [[np.nan, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]])
     with pytest.raises(EnvError, match="non-finite state/action"):
-        step(spec, [0.0, 0.0], [np.inf, 0.0], [0.0, 0.0])
+        step(spec, [[0.0, 0.0]], [[np.inf, 0.0]], [[0.0, 0.0]])
 
 
 def test_step_affine():
     spec = congestion_env(a=0.7, b=1.3, sigma1=0.0)
     rng = np.random.default_rng(0)
+    zero = np.zeros((1, 2))
     for _ in range(20):
-        x1, x2, u1, u2 = rng.standard_normal((4, 2))
-        lhs = step(spec, x1 + x2, u1 + u2, np.zeros(2))
-        rhs = step(spec, x1, u1, np.zeros(2)) + step(spec, x2, u2, np.zeros(2)) - step(spec, np.zeros(2), np.zeros(2), np.zeros(2))
+        x1, x2, u1, u2 = rng.standard_normal((4, 1, 2))
+        lhs = step(spec, x1 + x2, u1 + u2, zero)
+        rhs = step(spec, x1, u1, zero) + step(spec, x2, u2, zero) - step(spec, zero, zero, zero)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+# A single (2,) point, or batches of different shapes, used to broadcast
+# silently; step and movement_cost take only (n, 2) batches of one shape.
+
+_ROW, _ROWS = np.zeros((1, 2)), np.zeros((3, 2))
+_BAD_STEP_INPUTS = {
+    "one point": ((np.zeros(2), np.zeros(2), np.zeros(2)), "states must be an .n, 2. batch"),
+    "point action": ((_ROWS, np.zeros(2), _ROWS), "actions must be an .n, 2. batch"),
+    "point noise": ((_ROWS, _ROWS, np.zeros(2)), "noise must be an .n, 2. batch"),
+    "three columns": ((np.zeros((3, 3)), _ROWS, _ROWS), "states must be an .n, 2. batch"),
+    "one-row action": ((_ROWS, _ROW, _ROWS), "differ in shape"),
+    "one-row state": ((_ROW, _ROWS, _ROWS), "differ in shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_STEP_INPUTS))
+def test_step_takes_batches_of_one_shape(case):
+    args, message = _BAD_STEP_INPUTS[case]
+    with pytest.raises(EnvError, match=message):
+        step(congestion_env(), *args)
+
+
+@pytest.mark.parametrize("u", [np.zeros(2), np.zeros((3, 3)), np.zeros((1, 1, 2))],
+                         ids=["one point", "three columns", "3-d"])
+def test_movement_cost_takes_a_batch(u):
+    spec = congestion_env(eta=2.0)
+    with pytest.raises(EnvError, match="actions must be an .n, 2. batch"):
+        movement_cost(spec, u)
+    with pytest.raises(EnvError, match="actions must be an .n, 2. batch"):
+        reward(spec, 1, np.zeros((1, 2)), u, 0.0)
 
 
 def test_congestion_peak_value():
@@ -114,12 +146,12 @@ def test_bimodal_sums_components():
 
 def test_control_cost_basics():
     spec = congestion_env(eta=2.0)
-    assert movement_cost(spec, [0.0, 0.0]) == 0.0
-    assert movement_cost(spec, [1.0, 1.0]) == pytest.approx(2.0)  # 0.5 * 2 * |u|^2
+    assert movement_cost(spec, [[0.0, 0.0]]) == 0.0
+    assert movement_cost(spec, [[1.0, 1.0]]) == pytest.approx(2.0)  # 0.5 * 2 * |u|^2
     rng = np.random.default_rng(3)
     for eta in rng.uniform(0.1, 2.0, 20):
         spec = congestion_env(eta=float(eta))
-        u = rng.standard_normal(2)
+        u = rng.standard_normal((1, 2))
         assert movement_cost(spec, u) == pytest.approx(movement_cost(spec, -u))
         assert movement_cost(spec, u) >= 0.0
 
@@ -220,9 +252,9 @@ def test_sample_initial_seeded_determinism():
 
 def test_reward_dispatch_subtracts_movement():
     spec = demand_env(eta=2.0)
-    u = np.array([0.3, -0.4])
-    dens = 0.7
-    x = np.array([0.2, 0.2])
+    u = np.array([[0.3, -0.4]])
+    dens = np.array([0.7])
+    x = np.array([[0.2, 0.2]])
     base = spec.reward(3, x, dens)
     assert reward(spec, 3, x, u, dens) == pytest.approx(base - 0.5 * 2.0 * 0.25)
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -46,60 +47,42 @@ def multi_block_counts():
 
 # --- schedules ----------------------------------------------------------------
 
-def test_belief_schedule_conditions():
-    Schedules(belief_exponent=1.0)
-    Schedules(mode="theory", belief_exponent=0.6)
-    for bad in (0.5, 0.3, 1.2):
-        with pytest.raises(ValueError, match="exponent"):
-            Schedules(belief_exponent=bad)
-
-
 @pytest.mark.parametrize("kw", [
     {"actor_lr": -1.0}, {"actor_lr": 0.0}, {"actor_lr": math.nan},
     {"critic_lr": 0.0}, {"critic_lr": math.inf},
-    {"actor_exponent": -0.5}, {"actor_exponent": math.nan}, {"actor_exponent": math.inf},
 ], ids=kw_id)
 def test_schedule_rates_must_be_finite_and_positive(kw):
     with pytest.raises(ValueError, match="must be finite"):
         Schedules(**kw)
-    Schedules(mode="theory", actor_exponent=0.0)  # a constant actor rate is allowed
+
+
+def test_schedules_hold_the_two_adam_rates():
+    assert [f.name for f in dataclasses.fields(Schedules)] == ["actor_lr", "critic_lr"]
+    assert Schedules().mode == "paper"   # a constant, not a setting
+    with pytest.raises(TypeError):
+        Schedules(mode="paper")
 
 
 def test_paper_schedule_is_exact_running_mean():
-    sched = Schedules()
-    assert sched.belief_step(0) is None
-    assert sched.lr_scale(100) == 1.0
-    # the paper steps fold five measures into their plain mean
+    # the belief update folds five measures into their plain mean
     rng = np.random.default_rng(0)
     masses = [rng.random((GRID.resolution, GRID.resolution)) for _ in range(5)]
     masses = [m / m.sum() for m in masses]
     belief = BeliefState.initial(GRID)
-    for n, m in enumerate(masses):
-        belief = belief_update(belief, DensityGrid(GRID, m), sched.belief_step(n))
+    for m in masses:
+        belief = belief_update(belief, DensityGrid(GRID, m))
     np.testing.assert_allclose(belief.average.mass, np.mean(masses, axis=0), rtol=1e-12)
 
 
-def test_episode_steps_share_one_index(monkeypatch):
-    # episode n's belief step and both Adam steps all read the schedules at n
-    sched = Schedules(mode="theory", actor_lr=1e-3, critic_lr=2e-3, belief_exponent=0.6)
-    belief_steps, rates = [], []
-    update, step = learner.belief_update, learner.adam_step
-
-    def belief_spy(belief, measure, step_size=None):
-        belief_steps.append(step_size)
-        return update(belief, measure, step_size)
-
-    def adam_spy(opt, params, grads, rate):
-        rates.append(rate)
-        return step(opt, params, grads, rate)
-
-    monkeypatch.setattr(learner, "belief_update", belief_spy)
-    monkeypatch.setattr(learner, "adam_step", adam_spy)
-    spec = congestion_env()   # one step: one belief per episode besides the initial one
-    train(spec, fresh_state(spec, schedules=sched), 16, 3, np.random.default_rng(28))
-    assert belief_steps == [sched.belief_step(n) for n in range(3) for _ in range(2)]
-    assert rates == [r for n in range(3)
-                     for r in (sched.critic_lr * sched.lr_scale(n), sched.actor_lr * sched.lr_scale(n))]
+def test_trained_beliefs_are_the_mean_of_the_logged_measures():
+    spec = demand_env(horizon=3)
+    state = fresh_state(spec, hidden=8)
+    rng = np.random.default_rng(31)
+    logs = [train(spec, state, 50, 1, rng)[2] for _ in range(5)]
+    for k, belief in enumerate(state.beliefs):
+        mean = np.mean([log.measures[k].mass for log in logs], axis=0)
+        np.testing.assert_allclose(belief.average.mass, mean, rtol=0, atol=1e-12)
+        assert belief.count == 5
 
 
 def test_replacing_schedules_changes_the_next_adam_step():
@@ -118,14 +101,6 @@ def test_replacing_schedules_changes_the_next_adam_step():
         np.testing.assert_allclose(fast.critic.params[k] - before[k],
                                    1000 * (state.critic.params[k] - before[k]), rtol=1e-6)
     assert not np.array_equal(fast.actor.mean_net.params["w1"], state.actor.mean_net.params["w1"])
-
-
-def test_theory_schedule_rate_ratio_decays():
-    sched = Schedules(mode="theory", actor_lr=1e-3, belief_exponent=0.6, actor_exponent=1.0)
-    ratios = [sched.actor_lr * sched.lr_scale(n) / sched.belief_step(n)
-              for n in (1, 10, 100, 1000, 10000)]
-    assert all(r1 < r0 for r0, r1 in zip(ratios, ratios[1:]))
-    assert ratios[-1] < 1e-4
 
 
 # --- rollout ------------------------------------------------------------------

@@ -226,15 +226,6 @@ def test_fp_order_commutes_within_tolerance():
         assert np.abs(results[0] - other).max() < 1e-12
 
 
-def test_belief_update_custom_step():
-    spec = GridSpec(0.0, 1.0, 0.0, 1.0, 5)
-    rng = np.random.default_rng(5)
-    m0, m1 = random_grid(rng, spec), random_grid(rng, spec)
-    belief = belief_update(BeliefState(m0, 3), m1, step=0.25)
-    np.testing.assert_allclose(belief.average.mass, 0.75 * m0.mass + 0.25 * m1.mass)
-    assert belief.count == 4
-
-
 def test_grid_shape_mismatch_rejected():
     a = DensityGrid.uniform(GridSpec(0.0, 1.0, 0.0, 1.0, 5))
     b = DensityGrid.uniform(GridSpec(0.0, 1.0, 0.0, 1.0, 6))

@@ -117,6 +117,10 @@ def test_reward_table_rejects_non_broadcasting_reward(bad):
             solver(game, flow, policy)
 
 
+def _nan_weight(s, m, a):
+    return np.array([np.nan, 1.0])[np.asarray(s)] / (1.0 + np.asarray(m))
+
+
 def _nan_when_crowded(s, m, a):
     m = np.asarray(m)
     return np.where(m > 0.6, np.nan, 1.0 / (1.0 + m))
@@ -126,7 +130,8 @@ def _nan_when_crowded(s, m, a):
     lambda: dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), np.nan)),
     lambda: dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), np.inf)),
     lambda: dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), -np.inf)),
-    lambda: two_state_congestion(3, weights=(np.nan, 1.0)),
+    # two_state_congestion rejects a NaN weight, so the reward is swapped in
+    lambda: dataclasses.replace(two_state_congestion(3), reward=_nan_weight),
     # every agent starts in state 0, so each solver meets a mass above 0.6
     lambda: dataclasses.replace(two_state_congestion(3), reward=_nan_when_crowded),
 ], ids=["nan", "inf", "-inf", "nan weight", "nan when crowded"])
@@ -927,6 +932,11 @@ _BAD_BUILT_IN_GAMES = {
     "ring no states": (lambda: ring_game(0), "n_states must be an int of at least one"),
     "two-state three weights": (lambda: two_state_congestion(weights=(1, 2, 3)),
                                 "one weight per state"),
+    # a non-finite weight used to build, and failed only at the first solve
+    "two-state nan weight": (lambda: two_state_congestion(3, weights=(np.nan, 1.0)),
+                             "weights must be finite"),
+    "two-state inf weight": (lambda: two_state_congestion(3, weights=(1.0, np.inf)),
+                             "weights must be finite"),
 }
 
 
