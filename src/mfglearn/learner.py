@@ -21,6 +21,13 @@ loss) are added in block order before the one Adam step.  Block contents
 and order depend only on agent ids, so permuting the agent order of an
 episode log leaves every parameter update bit-identical.
 
+The networks read float32 copies of their rows (the rollout's actor blocks,
+the critic's features and the policy-gradient actor rows) and so run in
+float32, while the parameters, Adam moments, episode log, TD errors,
+returns, measures and beliefs stay float64: mixed-precision training in the
+form of Micikevicius et al. (2018), float32 activations on float64 master
+weights.
+
 Agents are independent given the mean field, so the blocks of one actor
 pass or one update run on every core the process may use: the calling
 thread and a pool of helper threads each take one block at a time (numpy's
@@ -178,10 +185,9 @@ def _row_blocks(n: int) -> list:
     sizes differ by at most one.
 
     Near-equal blocks keep every block at least UPDATE_BLOCK / 2 rows long
-    once n > UPDATE_BLOCK.  At those sizes the blocked actor pass gives the
-    same floats as one pass over all n rows (tests/test_rollout_reference.py
-    pins it); a small remainder block's 64 -> 2 product can differ in the
-    last bits.
+    once n > UPDATE_BLOCK.  The network's output product is row-local, so
+    the blocked actor pass gives the same floats as one pass over all n rows
+    (tests/test_rollout_reference.py pins it).
     """
     k = -(-n // UPDATE_BLOCK)
     bounds = [i * n // k for i in range(k + 1)]
@@ -294,7 +300,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
             lo, hi = block
             a = actions[k, lo:hi]
             a *= sigma
-            a += state.actor.mean_net.forward(states[k, lo:hi])
+            a += state.actor.mean_net.forward(states[k, lo:hi].astype(np.float32))
         _map_blocks(act, blocks)
         a = actions[k]
         if not np.all(np.isfinite(a)):
@@ -322,17 +328,17 @@ def fp_update_state(state: TrainState, log: EpisodeLog):
 
 
 def _critic_features(state: TrainState, states: np.ndarray, densities: np.ndarray) -> np.ndarray:
-    """Stack critic inputs over all steps and agents: (x, log1p(density)),
-    or x alone for a 2-input critic (an environment whose reward ignores
-    the density).
+    """Stack critic inputs over all steps and agents as float32 rows:
+    (x, log1p(density)), or x alone for a 2-input critic (an environment
+    whose reward ignores the density).
 
     The crowding discount is exactly linear in log1p(density), so the log
     keeps the feature on the same scale as the coordinates.
     """
     if state.critic.in_dim == 2:
-        return states.reshape(-1, 2)
+        return states.reshape(-1, 2).astype(np.float32)
     feat = np.log1p(densities)[..., None]
-    return np.concatenate([states, feat], axis=-1).reshape(-1, states.shape[-1] + 1)
+    return np.concatenate([states, feat], axis=-1, dtype=np.float32).reshape(-1, states.shape[-1] + 1)
 
 
 def _canonical(log: EpisodeLog) -> EpisodeLog:
@@ -343,14 +349,14 @@ def _canonical(log: EpisodeLog) -> EpisodeLog:
 
 
 def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
-    """Critic inputs, the critic's hidden layer on them, and the (T, n) TD
-    errors r + gamma * V(x') - V(x) of the log's n agents under the current
-    critic."""
+    """Critic inputs, the critic's hidden layer on them, and the (T, n)
+    float64 TD errors r + gamma * V(x') - V(x) of the log's n agents under
+    the current critic."""
     T, n = log.rewards.shape
     feats = _critic_features(state, log.states, log.densities)
     out, hidden = state.critic.forward_with_hidden(feats)
     v = out.reshape(T + 1, n)
-    v_next = v[1:].copy()
+    v_next = v[1:].astype(float)
     v_next[T - 1] = 0.0  # terminal value is zero at episode end
     return feats, hidden, log.rewards + gamma * v_next - v[:T]
 
@@ -407,7 +413,7 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
         # are let go before the actor pass
         delta = _td_errors(state, block, gamma)[2]
         T, n = delta.shape
-        x = block.states[:T].reshape(T * n, 2)
+        x = block.states[:T].reshape(T * n, 2).astype(np.float32)
         a = block.actions.reshape(T * n, 2)
         return state.actor.logprob_grad(x, a, weights=delta.reshape(-1)), 0.0
 

@@ -142,7 +142,7 @@ def test_passes_bit_identical_to_plain_formulas_across_row_blocks():
     x = rng.standard_normal((rows, 3))
     upstream = rng.standard_normal((rows, 2))
     h_ref = np.tanh(x @ p["w1"].T + p["b1"])
-    y_ref = h_ref @ p["w2"].T + p["b2"]
+    y_ref = np.einsum("nk,jk->nj", h_ref, p["w2"]) + p["b2"]   # the row-local output product
     dz_ref = (upstream @ p["w2"]) * (1.0 - h_ref * h_ref)
     grads_ref = {"w2": upstream.T @ h_ref, "b2": upstream.sum(axis=0),
                  "w1": dz_ref.T @ x, "b1": dz_ref.sum(axis=0)}
@@ -157,6 +157,66 @@ def test_passes_bit_identical_to_plain_formulas_across_row_blocks():
         assert all(np.array_equal(grads[k], grads_ref[k]) for k in grads_ref)
         assert np.array_equal(dx, dx_ref)
     assert np.array_equal(h, h_ref)  # backward leaves the cached layer as it was
+
+
+# every batch size to 130, where a BLAS output product gave equal rows
+# unequal outputs at about half the sizes, and sizes around the learner's
+# blocks
+ROW_LOCAL_SIZES = list(range(1, 131)) + [1024, 2046, 2049, 4097]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("in_dim, out_dim", [(2, 2), (3, 1)], ids=["actor", "critic"])
+def test_outputs_are_row_local_at_every_batch_size(dtype, in_dim, out_dim):
+    rng = np.random.default_rng(14)
+    net = Mlp.init(in_dim, 64, out_dim, rng)
+    row = rng.standard_normal((1, in_dim)).astype(dtype)
+    for n in ROW_LOCAL_SIZES:
+        y = net.forward(np.repeat(row, n, axis=0))
+        assert y.dtype == dtype
+        assert np.all(y == y[0]), n
+        x = rng.standard_normal((n, in_dim)).astype(dtype)
+        perm = rng.permutation(n)
+        assert np.array_equal(net.forward(x[perm]), net.forward(x)[perm]), n
+
+
+# a float32 pass agrees with the float64 pass of the same batch to this many
+# float32 epsilons of each array's largest entry
+F32_EPS_BOUND = 64 * np.finfo(np.float32).eps
+
+
+def assert_float32_close(got, want):
+    assert np.abs(got - want).max() <= F32_EPS_BOUND * np.abs(want).max()
+
+
+def test_float32_batch_runs_in_float32_with_float64_gradients():
+    rng = np.random.default_rng(15)
+    pol = GaussianPolicy(Mlp.init(2, 64, 2, rng), sigma=0.1)
+    net = pol.mean_net
+    x32 = rng.standard_normal((300, 2)).astype(np.float32)
+    x64 = x32.astype(np.float64)   # the same batch
+    upstream = rng.standard_normal((300, 2))
+    a = pol.mean(x64) + 0.1 * rng.standard_normal((300, 2))
+    w = rng.standard_normal(300)
+
+    y32, h32 = net.forward_with_hidden(x32)
+    y64, h64 = net.forward_with_hidden(x64)
+    assert y32.dtype == h32.dtype == np.float32 and y64.dtype == h64.dtype == np.float64
+    assert_float32_close(y32, y64)
+    assert_float32_close(h32, h64)
+    for cached in (False, True):
+        g32, dx32 = net.backward(x32, upstream, h32 if cached else None)
+        g64, dx64 = net.backward(x64, upstream, h64 if cached else None)
+        assert dx32.dtype == np.float32 and dx64.dtype == np.float64
+        assert_float32_close(dx32, dx64)
+        for k in g64:
+            assert g32[k].dtype == g64[k].dtype == np.float64
+            assert_float32_close(g32[k], g64[k])
+    lg32, lg64 = pol.logprob_grad(x32, a, w), pol.logprob_grad(x64, a, w)
+    for k in lg64:
+        assert lg32[k].dtype == lg64[k].dtype == np.float64
+        assert_float32_close(lg32[k], lg64[k])
+    assert all(p.dtype == np.float64 for p in net.params.values())
 
 
 def test_adam_zero_gradient_no_change():
@@ -248,7 +308,8 @@ def rollout_first_actions(sigma, n_agents, seed):
 
 def test_sample_action_degenerate_sigma():
     pol, x, a = rollout_first_actions(1e-12, 1, 1)
-    np.testing.assert_allclose(a, pol.mean(x), atol=1e-10)
+    # the rollout's actor runs on float32 rows
+    np.testing.assert_allclose(a, pol.mean(x.astype(np.float32)), atol=1e-10)
 
 
 def test_logprob_at_mean_closed_form():

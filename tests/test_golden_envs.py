@@ -19,20 +19,20 @@ from mfglearn.meanfield import GridSpec
 # (params, beliefs, last training log, evaluation log)
 GOLDEN = {
     "congestion": (congestion_env, {}, (
-        "16f190600d2f5a7a90cdd92c8926d8a23feb67b6cbde9944fef0ca609c848efc",
+        "02c09709d22cbd174378061fbd0bf583c432d99c78fd7819c43102a91e4ce1bf",
         "d0eed7f5e1a6c48324d568eaf329e29db28e6b66edc8870d2a00b42db257f8ae",
-        "082b9f01441becb0e438fb7651a4290f459d64db5c3b761240e3bcc6fe212e95",
-        "3457d1bcac20fd86838332498c633766d93e6b4d9061d6e1afe828a8ac730c19")),
+        "fa75c9cc1aaf992df81a7fe54e9d656c62c47220f71acfee20d344f13eaf5acc",
+        "d83d16cd02045fc45b8b7c509241d420406fe32ba74122d307f4b2aea41bc2ca")),
     "bimodal": (bimodal_env, {}, (
-        "de2d188c74c879714b48d780fed2a945b11451d330554725c1dd1b3b0538110b",
+        "2f707f7c1631345719d4c21885cb7ab98ae7ef24b7797ad9bb23036a30946f7e",
         "d0eed7f5e1a6c48324d568eaf329e29db28e6b66edc8870d2a00b42db257f8ae",
-        "b4b7801ff1249ab99eafe31db40ffb087fbbd149117754a0d8d625cfd4952391",
-        "7a48acf0fbeba35247e719e608db1e8d31b330747bf78a0ffdf433cda8091d93")),
+        "71ffefa5984f885fe76ec3629e32bf5855e66c57a7a647f26185509a1baa15c2",
+        "268a395bf092c575b984a4bff9a7679c24fa9d78333308ce6b8edcdde9456af5")),
     "lqr": (lqr_env, {"horizon": 3}, (
-        "5e92be2109d4eb526fb43c5d10dd36ff839d87afcd4137eb258a657717a97c33",
+        "10e999f75ed8256d5eda11c85f3c85cc131f5eab1fe7a692841215316e99e332",
         "584b54ebb036661c13c2e62f1ef1d08eb32997eb2ef10f3a2bb6aae6a6bbfe53",
-        "906085c5bfceca05251daf0bb2b86948feea4cff5bb417cbc6f94f9a5ecb5017",
-        "a374cb8fef6d41e32d479d96f6dda4166b88bdf829fdec993f00d35f041dfa3f")),
+        "76da25c1b0b2f04fa3be078642c5df4be3230ed64dfc4df4a4d3c0483dc638bb",
+        "314547ac4cc9a4c0478e473428abc10fc13bc7cc5fd2c8b85c0ca5766cc1441f")),
 }
 
 

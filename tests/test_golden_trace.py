@@ -14,14 +14,14 @@ from mfglearn.envs import demand_env
 from mfglearn.learner import evaluate, init_train_state, train
 from mfglearn.meanfield import GridSpec
 
-RETURNS = [0.09769737684843223, 0.06420449503092325, 0.06474587045562594]
-CRITIC_LOSS = [20.784697061612086, 21.45503428323212, 19.361823496281268]
-ACTOR_GRAD_NORM = [361.2879437241172, 238.34039559733554, 130.8636643366375]
-EVAL_RETURN = 0.29071416013785845
-PARAMS_SHA = "f9b63e1c2fdfb41f636047c7d84be565727437223803e4f803cd0a81b54334b6"
+RETURNS = [0.09769729194616086, 0.06420447111046652, 0.06474588675704517]
+CRITIC_LOSS = [20.784698762657104, 21.45503449029196, 19.361823497285354]
+ACTOR_GRAD_NORM = [361.2879731704349, 238.3404086672857, 130.86364616767258]
+EVAL_RETURN = 0.2907141915714121
+PARAMS_SHA = "1a351c9ce66b21631ab30c586b548eb612e3616171a498ff01f42c1e939e47f7"
 BELIEFS_SHA = "4d5f37527083b9a1574fd21f7d5dc3d88bace9f31afe643c33b0b604146aa142"
-TRAIN_LOG_SHA = "6533755cb92c350ef537b0148b9dc4d23559dda6ce97098ec4fda49a300e0541"
-EVAL_LOG_SHA = "98bf39072477eae95f719ccbcab3f5645b685e072c104d7b08bfa23cda04db5b"
+TRAIN_LOG_SHA = "a53b4c4367bcdc80ea2d90e4f076f02006b1d4b7e9e8ecf442036b32dd14edf9"
+EVAL_LOG_SHA = "5e23eae74b6d3a3f1cd5f705aae6b27b14455139364704a3b74be51469e9bf9c"
 
 
 def _digest(*arrays) -> str:

@@ -114,7 +114,7 @@ def test_rollout_single_agent_hand_check():
     pol_noise = rng.standard_normal((1, 1, 2))
     rng.standard_normal((1, 1, 2))  # dynamics noise, unused at sigma1=0
     x0 = np.array([0.3, -0.2]) + 0.0 * rng.standard_normal((1, 2))
-    mu = state.actor.mean_net.forward(x0)
+    mu = state.actor.mean_net.forward(x0.astype(np.float32))   # the actor runs on float32 rows
     a = mu + 0.1 * pol_noise[0]
     x1 = x0 + a
     np.testing.assert_array_equal(log.states[0], x0)
@@ -393,6 +393,48 @@ def test_train_passes_cached_hidden_to_every_backward(monkeypatch):
     train(spec, fresh_state(spec), 16, 2, np.random.default_rng(25))
     assert len(hiddens) == 4  # one critic and one actor backward per episode
     assert all(h is not None for h in hiddens)
+
+
+@pytest.mark.parametrize("make_env", [demand_env, lqr_env], ids=lambda f: f.__name__)
+def test_network_batches_are_float32_and_everything_kept_is_float64(monkeypatch, make_env):
+    # demand's critic reads the density (3 inputs), lqr's does not (2)
+    spec = make_env(horizon=3)
+    forward, backward, adam = Mlp.forward_with_hidden, Mlp.backward, learner.adam_step
+    batches, hiddens, grads = [], [], []
+
+    def forward_spy(self, x):
+        batches.append(x.dtype)
+        return forward(self, x)
+
+    def backward_spy(self, x, upstream, hidden=None):
+        batches.append(x.dtype)
+        hiddens.append(hidden.dtype)
+        return backward(self, x, upstream, hidden)
+
+    def adam_spy(opt, params, step_grads, rate):
+        grads.extend(g.dtype for g in step_grads.values())
+        return adam(opt, params, step_grads, rate)
+
+    monkeypatch.setattr(Mlp, "forward_with_hidden", forward_spy)
+    monkeypatch.setattr(Mlp, "backward", backward_spy)
+    monkeypatch.setattr(learner, "adam_step", adam_spy)
+    state = fresh_state(spec, hidden=8)
+    rng = np.random.default_rng(27)
+    _, _, log = train(spec, state, 40, 2, rng)
+    trained = len(batches)
+    ev = evaluate(spec, state, 40, rng)
+    assert len(batches) > trained and len(hiddens) == 4 and len(grads) == 16
+
+    assert set(batches) == set(hiddens) == {np.dtype(np.float32)}
+    assert set(grads) == {np.dtype(np.float64)}
+    for net, opt in ((state.actor.mean_net, state.actor_opt), (state.critic, state.critic_opt)):
+        for k in net.params:
+            assert net.params[k].dtype == opt.m[k].dtype == opt.v[k].dtype == np.float64
+    for episode in (log, ev):
+        assert all(a.dtype == np.float64 for a in (episode.states, episode.actions,
+                                                   episode.rewards, episode.densities))
+        assert all(m.mass.dtype == np.float64 for m in episode.measures)
+    assert all(b.average.mass.dtype == np.float64 for b in state.beliefs)
 
 
 def test_update_rows_across_blocks(monkeypatch):

@@ -2,7 +2,7 @@
 
 The reference below is the plain population loop: it draws each kind of
 noise as a separate (T, N, 2) array and runs the actor over all N agents in
-one call per step.  ``rollout`` and ``evaluate`` draw the noise into the
+one call per step, on float32 rows as the learner does.  ``rollout`` and ``evaluate`` draw the noise into the
 episode log and run the actor over blocks of agents, but they must consume
 the generator in the same order and so return the same floats (compared with
 ``==``) and leave the generator in the same state.
@@ -31,7 +31,7 @@ def ref_simulate(spec, state, rng, pol_noise, dyn_noise, realized):
 
     densities[0] = density_at(grid_for(0), states[0])
     for k in range(T):
-        mu = state.actor.mean_net.forward(states[k])
+        mu = state.actor.mean_net.forward(states[k].astype(np.float32))
         actions[k] = mu + state.actor.sigma * pol_noise[k]
         states[k + 1] = step(spec, states[k], actions[k], dyn_noise[k])
         measures.append(build_empirical_measure(states[k + 1], state.grid))

@@ -2,9 +2,10 @@
 
 The gradients, TD loss and gradient norm that ``td_update`` and
 ``pg_update`` produce are compared with plain formulas that push every
-(step, agent) row through one ``Mlp.backward``.  The updates may sum their
-gradients in another order, so the comparison is to rtol 1e-12.  The run
-spans several blocks of agents plus a remainder.
+(step, agent) row through one float64 ``Mlp.backward``.  The updates run
+their rows in float32 and sum per-block gradients, so each gradient is
+compared to a bound scaled by its largest entry.  The run spans several
+blocks of agents plus a remainder.
 """
 
 import copy
@@ -20,7 +21,9 @@ from mfglearn.meanfield import GridSpec
 
 HORIZON = 4
 N_AGENTS = 1500   # (T+1)N = 7,500 critic rows and TN = 6,000 actor rows
-RTOL = 1e-12
+# about 84 float32 epsilons; the largest gap measured over three seeds of
+# both environments was 1.6e-6 of the largest entry (loss and norm: 3e-7)
+TOL = 1e-5
 
 
 def _critic_inputs(log, uses_density):
@@ -55,7 +58,8 @@ def _full_batch_pg(spec, state, log):
 def _assert_grads_close(got, want):
     assert sorted(got) == sorted(want)
     for k in want:
-        np.testing.assert_allclose(got[k], want[k], rtol=RTOL, atol=0, err_msg=k)
+        assert got[k].dtype == np.float64, k
+        assert np.abs(got[k] - want[k]).max() <= TOL * np.abs(want[k]).max(), k
 
 
 # a 3-input critic (demand reads the density) and a 2-input one (lqr does not)
@@ -81,11 +85,11 @@ def test_updates_match_full_batch_gradients(monkeypatch, make_env):
     want_critic, want_loss, _ = _full_batch_td(spec, copy.deepcopy(state), log)
     loss = learner.td_update(state, log, spec.gamma)
     _assert_grads_close(seen[0], want_critic)
-    assert loss == pytest.approx(want_loss, rel=RTOL, abs=0)
+    assert loss == pytest.approx(want_loss, rel=TOL, abs=0)
 
     # the actor's advantage comes from the critic after its Adam step
     want_actor = _full_batch_pg(spec, copy.deepcopy(state), log)
     norm = learner.pg_update(state, log, spec.gamma)
     _assert_grads_close(seen[1], {k: -g for k, g in want_actor.items()})
-    assert norm == pytest.approx(params_flat_norm(want_actor), rel=RTOL, abs=0)
+    assert norm == pytest.approx(params_flat_norm(want_actor), rel=TOL, abs=0)
     assert len(seen) == 2
