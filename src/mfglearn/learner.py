@@ -112,6 +112,8 @@ def _critic_inputs(spec: EnvSpec) -> int:
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      schedules: Schedules | None = None, hidden: int = 64,
                      sigma: float = 0.1) -> TrainState:
+    if not is_count(seed, 0):
+        raise ValueError("seed must be an int >= 0, got %r" % (seed,))
     if not is_count(hidden):
         raise ValueError("hidden width must be an int >= 1, got %r" % (hidden,))
     if not (np.isfinite(sigma) and sigma > 0):

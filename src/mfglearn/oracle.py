@@ -37,10 +37,11 @@ on one.  The public entry points copy out what they return, so no result
 aliases a workspace, and writing into a result changes no later call.
 Besides flows and values, a workspace keeps each forward step's joint
 (s, a) mass, flow times policy, and each backward step's q table.  From
-these fictitious play certifies its average policy without a third sweep
-column: by the performance-difference lemma (Kakade & Langford 2002), the
-exploitability (Perrin et al. 2020) is the joint-weighted sum of the best
-response's advantages V*(s) - Q*(s, a), all >= 0.
+these it certifies a policy without a third sweep column: by the
+performance-difference lemma (Kakade & Langford 2002), the exploitability
+(Perrin et al. 2020) is the joint-weighted sum of the best response's
+advantages V*(s) - Q*(s, a), all >= 0.  Fictitious play's trace and
+:func:`exploitability` are both this one sum.
 """
 
 from __future__ import annotations
@@ -193,12 +194,13 @@ class _Sweeps:
     (T, K, S, A) and flow stack (T+1, K, S) of the forward pass; the rewards
     (T, K', S*A), q tables (T, K', S, A), values (T+1, K', S) and best
     actions (T, K, S) of the backward pass, with K' = K + 1 when
-    ``policy_column`` keeps a policy's value; and the index and weighted
-    scratch.  ``joints[t, k]`` is flow column k times policy column k at step
-    t, the (s, a) mass that the forward step pushes through the kernel, and
-    ``q[t, k]`` is column k's reward plus expected next value of each
-    (s, a).  Both stay in place after the sweeps, so a caller reads a
-    policy's advantage-weighted certificate off them without another pass.
+    ``policy_column`` keeps a policy's value; and the index, weighted and
+    advantage scratch.  ``joints[t, k]`` is flow column k times policy
+    column k at step t, the (s, a) mass that the forward step pushes through
+    the kernel, and ``q[t, k]`` is column k's reward plus expected next
+    value of each (s, a).  Both stay in place after the sweeps, so
+    :meth:`certificate` reads the last policy column's exploitability off
+    them without another pass.
     The views each step touches are bound once, here, and the steps write
     through ``out=`` without making arrays.  A caller fills ``policies`` and
     ``flows`` in place, runs the sweeps, and copies out whatever it returns.
@@ -230,6 +232,12 @@ class _Sweeps:
             + ((self.policies[t, k - 1], self.q[t, k], self.values[t, k]) if policy_column
                else (None, None, None))
             for t in range(T - 1, -1, -1)]
+        # the last column's certificate operands as (T, A, S) views: V* then
+        # broadcasts along the state axis, and numpy's inner loop runs once
+        # per action row rather than once per state
+        self._certificate = (self.joints[:, k - 1].transpose(0, 2, 1),
+                             self.values[:-1, k - 1, None],
+                             self.q[:, k - 1].transpose(0, 2, 1), np.empty((T, A, S)))
 
     def forward(self):
         """Propagate ``flows[0]`` under the policy stack: each step is one
@@ -267,6 +275,17 @@ class _Sweeps:
             if policy_t is not None:
                 multiply(policy_t, q_policy, weighted)
                 add_reduce(weighted, 1, None, policy_value_t)
+
+    def certificate(self) -> float:
+        """The exploitability of the last policy column, read off a forward
+        sweep and then a backward sweep against the flow column it left:
+        the performance-difference lemma's sum over t, s, a of
+        joint_t(s, a) * (V*_t(s) - Q*_t(s, a)).  Every term is a product of
+        two numbers >= 0, so the sum is >= 0 in floating point and exactly 0
+        wherever the policy plays only best actions.  It makes no array."""
+        joint, v_star, q_star, advantage = self._certificate
+        np.subtract(v_star, q_star, advantage)
+        return float(np.vdot(joint, advantage))
 
 
 def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = None):
@@ -324,13 +343,15 @@ def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
 
 
 def exploitability(game: DiscreteMFG, policy: np.ndarray) -> float:
-    """Best-response gap of a policy at its own induced flow (>= 0): the
-    per-state gaps weighted by the initial distribution.  One backward sweep
-    gives both the best response's and the policy's values.
+    """Best-response gap of a policy at its own induced flow, >= 0 term by
+    term: fictitious play's certificate, from one workspace's forward sweep
+    under the policy and backward sweep against its flow.
     """
-    policy = _check_policy(game, policy)
-    _, values = _backward(game, _forward(game, policy[None]), policy)
-    return float(game.mu0 @ (values[0, 0] - values[0, 1]))
+    sweeps = _Sweeps(game, 1)
+    sweeps.policies[:, 0] = _check_policy(game, policy)
+    sweeps.forward()
+    sweeps.backward()
+    return sweeps.certificate()
 
 
 def fictitious_play(game: DiscreteMFG, iterations: int):
@@ -351,13 +372,8 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     The certificate is the performance-difference lemma's form of the
     exploitability: trace[n-1] = sum over t, s, a of joint_t(s, a) *
     (V*_t(s) - Q*_t(s, a)), where joint_t is the average policy's flow times
-    the average policy, the forward sweep's joint stack.  Every term is a
-    product of two numbers >= 0, so the trace is >= 0 in floating point and
-    exactly 0 wherever the average policy plays only best actions.
-    :func:`exploitability` computes the same quantity as mu0 @ (V* - V^pi)
-    from per-state values, with its forward pass alone rather than stacked
-    with a best response; the two sum in other orders, so they agree to
-    rounding (within 1e-14 on the test games), not bit for bit.
+    the average policy, the forward sweep's joint stack: the workspace's
+    certificate, which :func:`exploitability` also returns.
     """
     _check_count(iterations, "iterations")
     T, S, A = game.horizon, game.n_states, game.n_actions
@@ -374,13 +390,6 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     step = np.empty((T, S, A))
     rows = (np.arange(T)[:, None] * 2 * S + np.arange(S)) * A  # flat index of policies[t, 0, s, 0]
     index = np.empty((T, S), dtype=int)
-    # the certificate's operands as (T, A, S) views: V* then broadcasts
-    # along the state axis, and numpy's inner loop runs once per action row
-    # rather than once per state
-    joint = sweeps.joints[:, 1].transpose(0, 2, 1)
-    q_star = sweeps.q[:, 1].transpose(0, 2, 1)
-    v_star = sweeps.values[:-1, 1, None]
-    advantage = np.empty((T, A, S))
     trace = np.zeros(iterations)
     for n in range(1, iterations + 1):
         pol.fill(0.0)  # the one-hot best response
@@ -395,8 +404,7 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
         avg_flow += new_flow
         new_flow[...] = avg_flow
         sweeps.backward()
-        np.subtract(v_star, q_star, advantage)
-        trace[n - 1] = np.vdot(joint, advantage)
+        trace[n - 1] = sweeps.certificate()
     return avg_policy.copy(), avg_flow, trace
 
 
@@ -408,7 +416,7 @@ def _joint_states(n_states: int, n_agents: int) -> np.ndarray:
 
 
 def _check_players(game: DiscreteMFG, agent: int, n_agents: int):
-    if not 0 <= agent < n_agents:
+    if not (is_count(agent, 0) and agent < n_agents):
         raise OracleError("agent %r out of range for %d policies" % (agent, n_agents))
     if n_agents > _AGENT_LIMIT:
         raise OracleError("%d policies, more than %d" % (n_agents, _AGENT_LIMIT))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mfglearn.approx import TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
+from mfglearn.approx import (TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step,
+                             check_finite)
 from mfglearn.envs import lqr_env
 from mfglearn.learner import init_train_state, rollout
 from mfglearn.meanfield import GridSpec
@@ -89,6 +90,14 @@ def test_one_dimensional_input_rejected(call):
     net = Mlp.init(2, 4, 1, np.random.default_rng(3))
     with pytest.raises(ValueError, match="dim"):
         call(net, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("upstream", [np.zeros((3, 2)), np.zeros((2, 1)), np.zeros(3)],
+                         ids=["two columns", "two rows", "1-d"])
+def test_backward_rejects_upstream_of_another_shape(upstream):
+    net = Mlp.init(2, 4, 1, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="upstream shape"):
+        net.backward(np.zeros((3, 2)), upstream)
 
 
 def test_backward_zero_upstream():
@@ -275,6 +284,14 @@ def test_adam_rejects_non_finite():
     state = AdamState.for_params(params)
     with pytest.raises(DivergenceError, match="diverged"):
         adam_step(state, params, {"w": np.array([np.nan, 0.0])}, 0.1)
+
+
+@pytest.mark.parametrize("w", [np.array([np.nan, 0.0]), np.array([0.5, -2.0])],
+                         ids=["nan", "past the limit"])
+def test_check_finite_rejects_nan_and_params_past_the_limit(w):
+    check_finite({"w": np.array([0.5, -1.0])}, 1.0)
+    with pytest.raises(DivergenceError, match="diverged"):
+        check_finite({"b": np.zeros(2), "w": w}, 1.0)
 
 
 def test_adam_moment_shapes_track_params():

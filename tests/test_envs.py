@@ -332,6 +332,10 @@ def test_env_validation():
         congestion_env(eta=-1.0)
     with pytest.raises(EnvError):
         demand_env(horizon=40)  # default path covers 30 steps only
+    with pytest.raises(EnvError, match="at least one component"):
+        CongestionReward(())
+    with pytest.raises(EnvError, match="at least two waypoints"):
+        demand_env(waypoints=((0, (0, 0)),))
 
 
 # Non-finite inputs used to build, then made training diverge or score zero
@@ -385,7 +389,8 @@ def test_other_reward_parameters_must_be_finite(make):
 # dropped, or fail with an IndexError or TypeError; it must raise EnvError.
 
 _NOT_PAIRS = {"three coordinates": (0.5, -0.5, 3.0), "one coordinate": (1.0,),
-              "scalar": 1.0, "nested": ((0.0, 0.0),), "string": "12"}
+              "scalar": 1.0, "nested": ((0.0, 0.0),), "string": "12",
+              "not a number": ("a", 1)}
 
 
 @pytest.mark.parametrize("point", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())

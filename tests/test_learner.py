@@ -309,6 +309,14 @@ def test_evaluate_divergence_raises():
         evaluate(spec, state, 4, np.random.default_rng(22))
 
 
+def test_rollout_divergence_raises_on_a_non_finite_next_state():
+    # the actor saturates, so the actions stay finite, but a * x overflows
+    spec = lqr_env(a=1e300, init_mean=(1e10, 0.0))
+    state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=4)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+        rollout(spec, state, 4, np.random.default_rng(24))
+
+
 def test_evaluate_rejects_empty_population():
     spec = congestion_env()
     with pytest.raises(ValueError):
@@ -318,8 +326,11 @@ def test_evaluate_rejects_empty_population():
 @pytest.mark.parametrize("kw", [
     {"sigma": 0.0}, {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
     {"hidden": 0}, {"hidden": -3}, {"hidden": 2.5},
+    # an unseeded state could not be rebuilt, and numpy's own errors for the
+    # others did not say which argument was wrong
+    {"seed": None}, {"seed": -1}, {"seed": 1.5},
 ], ids=kw_id)
-def test_init_train_state_rejects_bad_sigma_and_hidden(kw):
+def test_init_train_state_rejects_bad_seed_sigma_and_hidden(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
         fresh_state(congestion_env(), **kw)
 

@@ -270,6 +270,10 @@ def test_normalization_enforced():
         mass = np.full((3, 3), 1.0 / 9.0)
         mass[0, 0] = -mass[0, 0]
         DensityGrid(spec, np.abs(mass) * 0 + mass)
+    with pytest.raises(GridError, match="mass shape"):
+        DensityGrid(GridSpec(0.0, 1.0, 0.0, 1.0, 4), np.full((3, 3), 1.0 / 9.0))
+    with pytest.raises(GridError, match="non-finite mass"):
+        DensityGrid(spec, np.full((3, 3), np.nan))
 
 
 def test_builds_normalize_over_random_inputs():

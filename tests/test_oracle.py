@@ -357,7 +357,9 @@ def test_malformed_flow_fails_loudly(entry, case):
         _FLOW_ENTRY_POINTS[entry](ring_game(), _malformed_flows()[case])
 
 
-@pytest.mark.parametrize("agent", [-1, 2, 3])
+# 0.5 and 1.0 used to fail as numpy IndexErrors, and True became a boolean
+# mask that failed as a reward of the wrong shape
+@pytest.mark.parametrize("agent", [-1, 2, 3, 0.5, 1.0, True])
 def test_nplayer_payoff_rejects_agent_out_of_range(agent):
     game = ring_game()
     for payoff in (nplayer_payoff, nplayer_payoff_enumerated):
@@ -459,6 +461,19 @@ def test_exploitability_nonnegative_and_br_fixed_point():
     for _ in range(50):
         pol = random_policy(game, rng)
         assert exploitability(game, pol) >= 0.0
+
+
+def test_exploitability_is_exactly_zero_where_every_policy_is_optimal():
+    # both actions move s -> s+1 on a 3-state cycle, so every policy is a
+    # best response: each advantage is exactly 0, and so is their sum
+    trans = np.zeros((3, 2, 3))
+    for s in range(3):
+        trans[s, :, (s + 1) % 3] = 1.0
+    reward = lambda s, m, a: np.where(np.asarray(s) == 0, 1.0 / (1.0 + np.asarray(m)), 0.0)
+    game = DiscreteMFG(3, 2, 4, trans, reward, np.full(3, 1.0 / 3.0))
+    rng = np.random.default_rng(0)
+    gaps = [exploitability(game, random_policy(game, rng)) for _ in range(2000)]
+    assert gaps == [0.0] * 2000
 
 
 def test_fictitious_play_decoupled_converges_immediately():
@@ -881,6 +896,9 @@ def test_lqr_analytic_rejects_unstable():
     spec = lqr_env(q=((0.0, 0.0), (0.0, 0.0)), eta=1.0, a=1.5, target=(0.0, 0.0))
     with pytest.raises(OracleError, match="non-stabilizable"):
         lqr_analytic(spec)
+    # no control cost and no control: the gain's linear system is singular
+    with pytest.raises(OracleError, match="singular control weight"):
+        lqr_analytic(lqr_env(eta=0.0, b=0.0, a=0.5))
 
 
 @pytest.mark.parametrize("a", [1.5, -1.0])
@@ -901,6 +919,9 @@ def test_game_validation():
     trans = np.ones((2, 2, 2))  # rows sum to 2
     with pytest.raises(OracleError):
         DiscreteMFG(2, 2, 1, trans, lambda s, m, a: 0.0, np.array([0.5, 0.5]))
+    with pytest.raises(OracleError, match="kernel shape"):
+        DiscreteMFG(2, 2, 1, np.full((2, 2, 3), 1.0 / 3.0), lambda s, m, a: 0.0,
+                    np.array([0.5, 0.5]))
     with pytest.raises(OracleError):
         ring = ring_game()
         best_response(ring, np.ones((2, 4)))

@@ -21,6 +21,11 @@ most 1.9e-14: TWO_STATE_TRACE, MOVING_RING_TRACE_SHA, MOVING_RING_LAST_GAP,
 DENSE_TRACE_SHA, DENSE_FIRST_GAP and DENSE_LAST_GAP.  The ring's trace and
 entry 7 of the two-state trace stay exactly 0, and every policy, flow,
 value, exploitability and gap pin is unchanged.
+
+exploitability was re-pinned once, when it became that same advantage sum
+read off one one-column workspace in place of mu0 @ (V* - V^pi) from
+per-state values: DENSE_RANDOM_EXPLOITABILITY and
+DENSE_AVERAGE_EXPLOITABILITY moved in their last bits.
 """
 
 import hashlib
@@ -65,10 +70,12 @@ DENSE_LAST_GAP = 0.00983273816733725
 DENSE_BEST_RESPONSE_SHA = "145f742e126cb99d908c69e675b61a09f15b0cbf40d658048b951bc776dacbc7"
 DENSE_BEST_VALUES_SHA = "e60e0ed015e8fec5d96c65a06a5ae29605253c13f37602a9eb596da2b2317052"
 DENSE_RANDOM_VALUES_SHA = "fa97513cd84df596f51eb9295412f4d15cf8ec70c9c11c4c04f05b4d912df2a6"
-DENSE_RANDOM_EXPLOITABILITY = 9.69126445094944
-# the average policy's certificate recomputed on its own, from per-state
-# values rather than fictitious play's advantage sum, so the last bits differ
-DENSE_AVERAGE_EXPLOITABILITY = 0.009832738167341955
+DENSE_RANDOM_EXPLOITABILITY = 9.691264450949438
+# the average policy's certificate recomputed on its own: the same advantage
+# sum as the trace's last entry, but a one-column workspace's products take
+# numpy's matrix-vector route, whose bits can differ from a row of fictitious
+# play's two-column products; here the last bits do
+DENSE_AVERAGE_EXPLOITABILITY = 0.009832738167339754
 DENSE_GAP = (1.212520938999263, 0.6681680065140856)
 
 
@@ -141,6 +148,7 @@ def test_moving_ring_fictitious_play_is_bit_identical():
     assert len(set(trace.tolist())) == 50  # the certificate moves at every iteration
     assert trace[0] == MOVING_RING_FIRST_GAP
     assert trace[-1] == MOVING_RING_LAST_GAP
+    assert exploitability(moving_ring(), policy) == MOVING_RING_LAST_GAP
     assert _digest(policy) == MOVING_RING_POLICY_SHA
     assert _digest(flow) == MOVING_RING_FLOW_SHA
     assert _digest(trace) == MOVING_RING_TRACE_SHA
@@ -166,7 +174,8 @@ def test_dense_game_oracles_are_bit_identical():
 
 
 def test_last_trace_entry_is_the_average_policys_exploitability_to_rounding():
-    # the trace sums flow-weighted advantages, exploitability per-state values
+    # both are the same advantage sum, but exploitability's sweeps run one
+    # column and fictitious play's two, and the products' bits can differ
     for game, iterations in ((moving_ring(), 50), (dense_game(), 30)):
         policy, _, trace = fictitious_play(game, iterations)
         assert abs(trace[-1] - exploitability(game, policy)) <= 1e-12
