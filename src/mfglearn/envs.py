@@ -51,8 +51,14 @@ def is_count(value, least: int = 1) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def is_real(value) -> bool:
+    """An int or float, numpy's scalars included, but not a bool: True would
+    pass a range check as the number 1."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_positive(value, what: str):
-    if not (value > 0.0 and math.isfinite(value)):
+    if not (is_real(value) and 0.0 < value < math.inf):
         raise EnvError("%s %r: must be finite and > 0" % (what, value))
 
 
@@ -116,9 +122,11 @@ class DemandReward:
     uses_density = True
 
     def __post_init__(self):
-        wps = tuple((float(t), _finite_point(p, "demand path point")) for t, p in self.waypoints)
-        if not all(math.isfinite(t) for t, _ in wps):
-            raise EnvError("demand path times must be finite")
+        wps = []
+        for t, p in self.waypoints:
+            if not (is_real(t) and -math.inf < t < math.inf):
+                raise EnvError("demand path times must be finite numbers, got %r" % (t,))
+            wps.append((float(t), _finite_point(p, "demand path point")))
         if len(wps) < 2:
             raise EnvError("demand path needs at least two waypoints")
         times = [t for t, _ in wps]
@@ -126,7 +134,7 @@ class DemandReward:
             raise EnvError("demand path times must be strictly increasing")
         _check_positive(self.spread, "singular path spread")
         _check_positive(self.alpha, "averseness alpha")
-        object.__setattr__(self, "waypoints", wps)
+        object.__setattr__(self, "waypoints", tuple(wps))
         object.__setattr__(self, "spread", float(self.spread))
 
     def position(self, t: float) -> np.ndarray:
@@ -150,7 +158,10 @@ class LqrReward:
     uses_density = False
 
     def __post_init__(self):
-        q = np.array(self.q, dtype=float)
+        try:
+            q = np.array(self.q, dtype=float)
+        except (TypeError, ValueError):
+            raise EnvError("Q must be a 2x2 matrix of numbers, got %r" % (self.q,))
         if not np.all(np.isfinite(q)):
             raise EnvError("Q must be finite")
         if q.shape != (2, 2) or not np.allclose(q, q.T):
@@ -195,14 +206,14 @@ class EnvSpec:
             raise EnvError("horizon must be an int >= 1, got %r" % (self.horizon,))
         for name in ("a", "b"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not (is_real(value) and -math.inf < value < math.inf):
                 raise EnvError("%s must be finite, got %r" % (name, value))
         for name in ("eta", "sigma1", "init_std"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
+            if not (is_real(value) and 0 <= value < math.inf):
                 raise EnvError("%s must be finite and >= 0, got %r" % (name, value))
-        if not 0.0 < self.gamma <= 1.0:
-            raise EnvError("discount gamma must be in (0, 1]")
+        if not (is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
+            raise EnvError("discount gamma must be a number in (0, 1], got %r" % (self.gamma,))
         if isinstance(self.reward, DemandReward):
             first, last = self.reward.waypoints[0][0], self.reward.waypoints[-1][0]
             if not first <= 1 <= self.horizon <= last:
@@ -255,8 +266,20 @@ def movement_cost(spec: EnvSpec, u):
 
 
 def reward(spec: EnvSpec, t, x, u, density):
-    """Per-step reward at arrival state x (step t), net of movement cost."""
-    return spec.reward(t, x, density) - movement_cost(spec, u)
+    """Per-step rewards at arrival states x (step t), net of movement cost.
+
+    ``x`` and ``u`` are (n, 2) batches of one shape and ``density`` the (n,)
+    densities at x; any other shape raises EnvError.  The result is (n,).
+    """
+    xx = _batch(x, "states")
+    uu = _batch(u, "actions")
+    if uu.shape != xx.shape:
+        raise EnvError("states %r and actions %r differ in shape" % (xx.shape, uu.shape))
+    dens = np.asarray(density, dtype=float)
+    if dens.shape != xx.shape[:1]:
+        raise EnvError("density must be one value per state, shape %r, got shape %r"
+                       % (xx.shape[:1], dens.shape))
+    return spec.reward(t, xx, dens) - movement_cost(spec, uu)
 
 
 def sample_initial(spec: EnvSpec, rng, n: int):

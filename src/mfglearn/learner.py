@@ -48,7 +48,7 @@ from typing import ClassVar
 import numpy as np
 
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite, params_flat_norm
-from .envs import EnvSpec, is_count, reward, sample_initial, step
+from .envs import EnvSpec, is_count, is_real, reward, sample_initial, step
 from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
@@ -74,7 +74,7 @@ class Schedules:
     def __post_init__(self):
         for name in ("actor_lr", "critic_lr"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if not (is_real(value) and 0 < value < np.inf):
                 raise ValueError("%s must be finite and > 0, got %r" % (name, value))
 
 
@@ -116,7 +116,7 @@ def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
         raise ValueError("seed must be an int >= 0, got %r" % (seed,))
     if not is_count(hidden):
         raise ValueError("hidden width must be an int >= 1, got %r" % (hidden,))
-    if not (np.isfinite(sigma) and sigma > 0):
+    if not (is_real(sigma) and 0 < sigma < np.inf):
         raise ValueError("policy sigma must be finite and > 0, got %r" % (sigma,))
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import is_count
+from .envs import is_count, is_real
 
 MASS_TOL = 1e-9
 
@@ -34,6 +34,9 @@ class GridSpec:
     resolution: int = 50
 
     def __post_init__(self):
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(is_real(b) for b in bounds):
+            raise GridError("invalid grid: bounds must be numbers, got %r" % (bounds,))
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise GridError("invalid grid: degenerate bounds")
         if not is_count(self.resolution):

@@ -31,10 +31,12 @@ sweeps they share take the oracle's own arrays unchecked.
 
 The sweeps run on workspaces (``_Sweeps``) of preallocated, time-major
 buffers: time is the leading axis, so every step of a sweep reads and
-writes contiguous blocks, through views bound once per workspace.  A
-workspace belongs to one call, and fictitious play runs all its iterations
-on one.  The public entry points copy out what they return, so no result
-aliases a workspace, and writing into a result changes no later call.
+writes contiguous blocks, through views bound once per workspace.  Every
+public call builds exactly one workspace and runs all its sweeps on it;
+fictitious play finds its first best response, to the uniform policy's
+flow, on the same two-column workspace as all its iterations.  The public
+entry points copy out what they return, so no result aliases a workspace,
+and writing into a result changes no later call.
 Besides flows and values, a workspace keeps each forward step's joint
 (s, a) mass, flow times policy, and each backward step's q table.  From
 these it certifies a policy without a third sweep column: by the
@@ -78,6 +80,15 @@ def _check_count(value, what: str):
         raise OracleError("%s must be an int of at least one, got %r" % (what, value))
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a new float array, or OracleError when numpy cannot
+    convert it."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise OracleError("%s must be an array of numbers, got %r" % (what, value))
+
+
 def _reward_table(game, s, mass) -> np.ndarray:
     """The reward of every action at each (state, mass) pair, as a read-only
     float (..., A) array: one ``game.reward`` call on the (..., 1) column of
@@ -118,12 +129,12 @@ class DiscreteMFG:
         _check_count(self.horizon, "horizon")
         if not callable(self.reward):
             raise OracleError("reward must be callable, got %r" % (self.reward,))
-        p = np.array(self.transitions, dtype=float)
+        p = _floats(self.transitions, "transitions")
         if p.shape != (self.n_states, self.n_actions, self.n_states):
             raise OracleError("transition kernel shape %r" % (p.shape,))
         if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=2) - 1.0) <= PROB_TOL)):
             raise OracleError("transition rows must be distributions")
-        mu = np.array(self.mu0, dtype=float)
+        mu = _floats(self.mu0, "mu0")
         if not (mu.shape == (self.n_states,) and np.all(mu >= 0)
                 and abs(mu.sum() - 1.0) <= PROB_TOL):
             raise OracleError("mu0 must be a distribution over states")
@@ -288,58 +299,34 @@ class _Sweeps:
         return float(np.vdot(joint, advantage))
 
 
-def _backward(game: DiscreteMFG, flows: np.ndarray, policy: np.ndarray | None = None):
-    """Backward induction against a (K, T+1, S) stack of flows at once.
-
-    A thin wrapper: the flows (and ``policy``, when given) are copied into a
-    new workspace, whose time-major backward sweep runs once.  Returns its
-    best actions (T, K, S) and values (T+1, K', S): values[:, k] is the
-    optimum against flows[k] for k < K and, when ``policy`` is given,
-    values[:, K] is that policy's value against the last flow.  Both are the
-    workspace's own buffers; a public caller copies what it returns.
-    """
-    sweeps = _Sweeps(game, len(flows), policy is not None)
-    sweeps.flows[...] = flows.swapaxes(0, 1)
-    if policy is not None:
-        sweeps.policies[:, -1] = policy
-    sweeps.backward()
-    return sweeps.best, sweeps.values
-
-
 def best_response(game: DiscreteMFG, flow: np.ndarray):
     """Backward-induction optimum against a frozen flow.
 
     Returns (deterministic policy (T,S,A), values (T+1,S)); ties break
     toward the lowest action index.
     """
-    best, values = _backward(game, _check_flow(game, flow)[None])
-    return _one_hot(game, best[:, 0]), values[:, 0].copy()
+    sweeps = _Sweeps(game, 1)
+    sweeps.flows[:, 0] = _check_flow(game, flow)
+    sweeps.backward()
+    return _one_hot(game, sweeps.best[:, 0]), sweeps.values[:, 0].copy()
 
 
 def policy_value(game: DiscreteMFG, policy: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Expected values (T+1, S) of a stochastic policy against a frozen flow."""
-    policy = _check_policy(game, policy)
-    _, values = _backward(game, _check_flow(game, flow)[None], policy)
-    return values[:, 1].copy()
-
-
-def _forward(game: DiscreteMFG, policies: np.ndarray) -> np.ndarray:
-    """The (K, T+1, S) flows of a (K, T, S, A) stack of policies.
-
-    A thin wrapper: the policies are copied into a new workspace, whose
-    time-major forward sweep runs once.  Returns a (K, T+1, S) view of its
-    (T+1, K, S) flow stack; a public caller copies what it returns.
-    """
-    sweeps = _Sweeps(game, len(policies))
-    sweeps.policies[...] = policies.swapaxes(0, 1)
-    sweeps.forward()
-    return sweeps.flows.swapaxes(0, 1)
+    sweeps = _Sweeps(game, 1, policy_column=True)
+    sweeps.policies[:, 0] = _check_policy(game, policy)
+    sweeps.flows[:, 0] = _check_flow(game, flow)
+    sweeps.backward()
+    return sweeps.values[:, 1].copy()
 
 
 def induced_flow(game: DiscreteMFG, policy: np.ndarray) -> np.ndarray:
     """Forward-propagate the population under a shared (T, S, A) policy;
     returns its (T+1, S) flow."""
-    return _forward(game, _check_policy(game, policy)[None])[0].copy()
+    sweeps = _Sweeps(game, 1)
+    sweeps.policies[:, 0] = _check_policy(game, policy)
+    sweeps.forward()
+    return sweeps.flows[:, 0].copy()
 
 
 def exploitability(game: DiscreteMFG, policy: np.ndarray) -> float:
@@ -361,13 +348,17 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     averages.  Returns (average policy, average flow, exploitability trace of
     the average policy per iteration).
 
-    All iterations run on one two-column workspace.  Its policy stack holds
+    Everything runs on one two-column workspace.  Its policy stack holds
     the best response and the average policy, both updated in place.  The
-    forward sweep gives their flows together; the new best response's flow
-    is folded into the running average, which then takes its column, so the
-    backward sweep against the average flow and the average policy's own
-    flow gives the next best response and the optimal values V* and q tables
-    Q* against the average policy's flow.
+    first best response comes from one forward and one backward sweep with
+    the uniform policy in both columns, so the reward meets only flows that
+    are distributions; the average column is then zeroed, so iteration 1
+    sets the average to that best response exactly.  In each iteration the
+    forward sweep gives both columns' flows together; the new best
+    response's flow is folded into the running average, which then takes
+    its column, so the backward sweep against the average flow and the
+    average policy's own flow gives the next best response and the optimal
+    values V* and q tables Q* against the average policy's flow.
 
     The certificate is the performance-difference lemma's form of the
     exploitability: trace[n-1] = sum over t, s, a of joint_t(s, a) *
@@ -377,14 +368,13 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     """
     _check_count(iterations, "iterations")
     T, S, A = game.horizon, game.n_states, game.n_actions
-    # the first best response comes from one-column sweeps: a one-row
-    # product takes numpy's matrix-vector route, whose bits differ from a row
-    # of a two-row product
-    first_best, _ = _backward(game, _forward(game, uniform_policy(game)[None]))
     sweeps = _Sweeps(game, 2)
-    sweeps.best[:, 0] = first_best[:, 0]
     policies, best = sweeps.policies, sweeps.best[:, 0]
     pol, avg_policy = policies[:, 0], policies[:, 1]
+    policies[...] = uniform_policy(game)[:, None]
+    sweeps.forward()
+    sweeps.backward()
+    avg_policy.fill(0.0)
     new_flow = sweeps.flows[:, 0]  # the best response's flow, then the average flow
     avg_flow = np.zeros((T + 1, S))
     step = np.empty((T, S, A))
@@ -601,8 +591,11 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
     """(mean, std) over trials of |finite-N mean payoff - exact limit value|."""
     policy = _check_policy(game, policy)
     _check_count(trials, "trials")
-    _, values = _backward(game, _forward(game, policy[None]), policy)
-    j_inf = float(game.mu0 @ values[0, 1])
+    sweeps = _Sweeps(game, 1, policy_column=True)
+    sweeps.policies[:, 0] = policy
+    sweeps.forward()
+    sweeps.backward()
+    j_inf = float(game.mu0 @ sweeps.values[0, 1])
     gaps = np.abs(_population_values(game, policy, n_agents, trials, rng) - j_inf)
     return float(gaps.mean()), float(gaps.std())
 
@@ -650,7 +643,7 @@ def two_state_congestion(horizon: int = 2, weights=(1.0, 0.6)) -> DiscreteMFG:
     for s in range(2):
         trans[s, 0, s] = 1.0
         trans[s, 1, 1 - s] = 1.0
-    w = np.asarray(weights, dtype=float)
+    w = _floats(weights, "two_state_congestion weights")
     if w.shape != (2,):
         raise OracleError("two_state_congestion takes one weight per state, got %r" % (weights,))
     if not np.isfinite(w).all():

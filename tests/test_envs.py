@@ -86,6 +86,23 @@ def test_movement_cost_takes_a_batch(u):
         reward(spec, 1, np.zeros((1, 2)), u, 0.0)
 
 
+_BAD_REWARD_INPUTS = {
+    "column density": (congestion_env, (_ROWS, _ROWS, np.zeros((3, 1))), "density must be one value"),
+    "one density": (congestion_env, (_ROWS, _ROWS, np.zeros(1)), "density must be one value"),
+    "one point": (congestion_env, (np.zeros(2), _ROWS, np.zeros(3)), "states must be an .n, 2. batch"),
+    "three columns": (congestion_env, (np.zeros((3, 3)), _ROWS, np.zeros(3)),
+                      "states must be an .n, 2. batch"),
+    "one-row state": (lqr_env, (_ROW, _ROWS, np.zeros(1)), "differ in shape"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_REWARD_INPUTS))
+def test_reward_takes_batches_of_one_length(case):
+    make_env, args, message = _BAD_REWARD_INPUTS[case]
+    with pytest.raises(EnvError, match=message):
+        reward(make_env(), 1, *args)
+
+
 def test_congestion_peak_value():
     r = _peak((0.3, -0.2), 1.0)
     assert r(1, [0.3, -0.2], 0.0) == pytest.approx(1.0 / (2.0 * np.pi))
@@ -228,6 +245,8 @@ def test_lqr_q_must_be_psd():
         LqrReward((0.0, 0.0), ((1.0, 0.0), (0.5, 1.0)))  # not symmetric
     with pytest.raises(EnvError):
         LqrReward((0.0, 0.0), ((-1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(EnvError, match="Q must be a 2x2 matrix of numbers"):
+        LqrReward(q="a")
 
 
 def test_sample_initial_degenerate():
@@ -303,18 +322,21 @@ def test_horizon_must_be_an_int_at_least_one(make_env, horizon):
 
 @pytest.mark.parametrize("kw", [
     {"a": math.nan}, {"a": math.inf}, {"b": -math.inf}, {"b": math.nan},
+    {"a": True}, {"a": "x"},
 ], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
 @pytest.mark.parametrize("make_env", [lqr_env, congestion_env], ids=lambda f: f.__name__)
 def test_dynamics_coefficients_must_be_finite(make_env, kw):
     with pytest.raises(EnvError, match="%s must be finite" % next(iter(kw))):
         make_env(**kw)
     make_env(a=-0.5, b=-2.0)   # any finite sign is allowed
+    make_env(a=np.float32(0.5), b=np.int64(2))   # numpy scalars are numbers too
 
 
 @pytest.mark.parametrize("kw", [
     {"eta": math.nan}, {"eta": -1.0}, {"eta": math.inf},
     {"sigma1": math.nan}, {"sigma1": -1.0}, {"sigma1": math.inf},
     {"init_std": math.nan}, {"init_std": -0.1}, {"init_std": math.inf},
+    {"eta": True}, {"init_std": "1"},
 ], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
 @pytest.mark.parametrize("make_env", [lqr_env, congestion_env], ids=lambda f: f.__name__)
 def test_scales_must_be_finite_and_non_negative(make_env, kw):
@@ -328,6 +350,9 @@ def test_env_validation():
         congestion_env(alpha=0.0)
     with pytest.raises(EnvError):
         congestion_env(gamma=0.0)
+    for gamma in (True, "x"):
+        with pytest.raises(EnvError, match="gamma must be a number"):
+            congestion_env(gamma=gamma)
     with pytest.raises(EnvError):
         congestion_env(eta=-1.0)
     with pytest.raises(EnvError):
@@ -353,7 +378,8 @@ def test_congestion_peak_centre_must_be_finite(make):
 @pytest.mark.parametrize("waypoints, message", [
     (((0, (0.0, 0.0)), (math.nan, (1.0, 0.0))), "times must be finite"),
     (((0, (0.0, 0.0)), (10, (math.nan, 0.0))), "point must be finite"),
-], ids=["nan time", "nan point"])
+    ((("a", (0, 0)), (1, (0, 0))), "times must be finite numbers"),
+], ids=["nan time", "nan point", "string time"])
 def test_demand_path_waypoints_must_be_finite(waypoints, message):
     with pytest.raises(EnvError, match=message):
         DemandReward(waypoints)
@@ -379,7 +405,10 @@ def test_congestion_density_must_be_finite(density):
     lambda: demand_env(path_spread=math.inf),
     lambda: lqr_env(target=(math.nan, 0.0)),
     lambda: lqr_env(q=((math.inf, 0.0), (0.0, 1.0))),
-], ids=["inf spread", "inf alpha", "inf path spread", "nan target", "inf q"])
+    lambda: CongestionReward(alpha="a"),
+    lambda: DemandReward(spread="a"),
+], ids=["inf spread", "inf alpha", "inf path spread", "nan target", "inf q", "string alpha",
+        "string spread"])
 def test_other_reward_parameters_must_be_finite(make):
     with pytest.raises(EnvError, match="finite"):
         make()

@@ -50,6 +50,8 @@ def multi_block_counts():
 @pytest.mark.parametrize("kw", [
     {"actor_lr": -1.0}, {"actor_lr": 0.0}, {"actor_lr": math.nan},
     {"critic_lr": 0.0}, {"critic_lr": math.inf},
+    # a bool rate trained at 1.0, and a string or None raised a bare TypeError
+    {"actor_lr": True}, {"actor_lr": "a"}, {"actor_lr": None},
 ], ids=kw_id)
 def test_schedule_rates_must_be_finite_and_positive(kw):
     with pytest.raises(ValueError, match="must be finite"):
@@ -325,6 +327,7 @@ def test_evaluate_rejects_empty_population():
 
 @pytest.mark.parametrize("kw", [
     {"sigma": 0.0}, {"sigma": -0.1}, {"sigma": math.nan}, {"sigma": math.inf},
+    {"sigma": True}, {"sigma": "a"},
     {"hidden": 0}, {"hidden": -3}, {"hidden": 2.5},
     # an unseeded state could not be rebuilt, and numpy's own errors for the
     # others did not say which argument was wrong

@@ -120,6 +120,10 @@ def test_empty_population_rejected():
 def test_degenerate_bounds_rejected():
     with pytest.raises(GridError, match="invalid grid"):
         GridSpec(0.0, 0.0, 0.0, 1.0, 4)
+    # a bool bound used to pass as 0 or 1, and a string raised a bare TypeError
+    for bounds in [{"x_min": True}, {"x_max": "3"}]:
+        with pytest.raises(GridError, match="bounds must be numbers"):
+            GridSpec(**bounds)
 
 
 @pytest.mark.parametrize("bounds", [

@@ -10,7 +10,7 @@ import pytest
 
 from mfglearn import oracle
 from mfglearn.envs import congestion_env, demand_env, lqr_env
-from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _forward, _joint_states,
+from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _joint_states, _Sweeps,
                              best_response, exploitability, fictitious_play, induced_flow,
                              lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
                              policy_value, random_policy, ring_game, scaling_experiment,
@@ -285,13 +285,16 @@ def test_induced_flow_matches_monte_carlo():
 
 
 def test_induced_flow_of_a_stack_matches_per_policy_calls():
-    # the private forward pass fictitious play runs on a stack of policies
+    # the K-column forward pass fictitious play runs on a workspace's policy stack
     rng = np.random.default_rng(22)
     for _ in range(20):
         game = random_game(rng, n_states=int(rng.integers(1, 8)),
                            n_actions=int(rng.integers(1, 4)), horizon=int(rng.integers(1, 6)))
         stack = np.stack([random_policy(game, rng) for _ in range(int(rng.integers(1, 4)))])
-        flows = _forward(game, stack)
+        sweeps = _Sweeps(game, len(stack))
+        sweeps.policies[...] = stack.swapaxes(0, 1)
+        sweeps.forward()
+        flows = sweeps.flows.swapaxes(0, 1)
         assert flows.shape == (len(stack), game.horizon + 1, game.n_states)
         for policy, flow in zip(stack, flows):
             np.testing.assert_allclose(flow, induced_flow(game, policy), rtol=0, atol=1e-12)
@@ -537,6 +540,25 @@ def test_monotone_uniqueness_from_multiple_starts():
         assert np.abs(a - b).sum(axis=1).max() < 1e-2
 
 
+@pytest.mark.parametrize("index", range(7))
+def test_fictitious_play_starts_from_the_best_response_to_the_uniform_flow(index):
+    # the first best response comes from the two-column workspace's own sweeps
+    game = _contract_games()[index]
+    policy, _, _ = fictitious_play(game, 1)
+    expected, _ = best_response(game, induced_flow(game, uniform_policy(game)))
+    assert np.array_equal(policy, expected)
+
+
+def test_fictitious_play_meets_only_flows_that_are_distributions():
+    # -log(m) is finite wherever a flow has full support, as it does on this
+    # kernel, but a column of zero mass would make it infinite
+    rng = np.random.default_rng(34)
+    game = dataclasses.replace(random_game(rng, n_states=4, n_actions=3, horizon=4),
+                               reward=lambda s, m, a: -np.log(np.asarray(m)) + 0.0 * a)
+    _, _, trace = fictitious_play(game, 20)
+    assert np.all(np.isfinite(trace)) and np.all(trace >= 0.0)
+
+
 def test_ring_game_fp_certificate():
     game = ring_game()
     _, _, trace = fictitious_play(game, 500)
@@ -584,6 +606,28 @@ def test_writing_into_results_changes_no_later_call(game):
             assert np.array_equal(a, b), name
     exploitability(game, policy)
     assert np.array_equal(policy, policy_before)  # inputs are copied in, never written
+
+
+_SWEEPING_CALLS = dict({name: _REWARD_CALLERS[name] for name in
+                        ("best_response", "policy_value", "exploitability", "fictitious_play",
+                         "nplayer_gap")}, induced_flow=lambda g, f, p: induced_flow(g, p))
+
+
+@pytest.mark.parametrize("entry", sorted(_SWEEPING_CALLS))
+def test_every_sweeping_entry_point_builds_one_workspace(entry, monkeypatch):
+    game = ring_game(6, 5, reward_state=2)
+    policy = random_policy(game, np.random.default_rng(33))
+    flow = induced_flow(game, policy)
+    built = []
+    init = _Sweeps.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Sweeps, "__init__", counting_init)
+    _SWEEPING_CALLS[entry](game, flow, policy)
+    assert len(built) == 1
 
 
 # --- exact N-player payoff ------------------------------------------------------
@@ -922,6 +966,10 @@ def test_game_validation():
     with pytest.raises(OracleError, match="kernel shape"):
         DiscreteMFG(2, 2, 1, np.full((2, 2, 3), 1.0 / 3.0), lambda s, m, a: 0.0,
                     np.array([0.5, 0.5]))
+    with pytest.raises(OracleError, match="transitions must be an array of numbers"):
+        DiscreteMFG(2, 2, 1, "abc", lambda s, m, a: 0.0, np.array([0.5, 0.5]))
+    with pytest.raises(OracleError, match="mu0 must be an array of numbers"):
+        DiscreteMFG(2, 2, 1, np.full((2, 2, 2), 0.5), lambda s, m, a: 0.0, "ab")
     with pytest.raises(OracleError):
         ring = ring_game()
         best_response(ring, np.ones((2, 4)))
@@ -958,6 +1006,8 @@ _BAD_BUILT_IN_GAMES = {
                              "weights must be finite"),
     "two-state inf weight": (lambda: two_state_congestion(3, weights=(1.0, np.inf)),
                              "weights must be finite"),
+    "two-state string weights": (lambda: two_state_congestion(weights=("a", "b")),
+                                 "weights must be an array of numbers"),
 }
 
 
