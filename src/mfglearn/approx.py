@@ -24,12 +24,6 @@ class DivergenceError(RuntimeError):
     """Raised when gradients or parameters stop being finite."""
 
 
-# rows per block of the tanh derivative in Mlp.backward.  The loop stays: on
-# a 2,046-row, width-64 critic block (2-vCPU x86-64, BLAS on 1 thread,
-# timeit) the blocked backward takes 0.19-0.25 ms in float32 (0.45 ms in
-# float64), and one full-size ``1 - h**2`` temporary in its place takes
-# 0.24-0.33 ms (1.1-1.2 ms), for the same bits
-TANH_BLOCK = 1024
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator guard
 
 
@@ -120,14 +114,10 @@ class Mlp:
         h = self._hidden(xx, p) if hidden is None else hidden
         # np.dot, not @: matmul skips BLAS when dy has one column, as the critic's does
         dz = np.dot(dy, p["w2"])
-        # dz *= 1 - h^2 a block of rows at a time, so no full-size temporary is made
-        buf = np.empty((min(TANH_BLOCK, len(h)), h.shape[1]), dtype=h.dtype)
-        for lo in range(0, len(h), TANH_BLOCK):
-            hb = h[lo:lo + TANH_BLOCK]
-            db = buf[:len(hb)]
-            np.multiply(hb, hb, out=db)
-            np.subtract(1.0, db, out=db)
-            dz[lo:lo + TANH_BLOCK] *= db
+        # dz *= 1 - h^2, built in one scratch array
+        s = h * h
+        np.subtract(1.0, s, out=s)
+        dz *= s
         grads = {
             "w2": dy.T @ h,
             "b2": dy.sum(axis=0),

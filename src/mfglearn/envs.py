@@ -46,6 +46,31 @@ def _finite_point(p, what: str) -> tuple:
     return point
 
 
+def _pairs(entries, what: str) -> list:
+    """``entries`` as a list of 2-tuples, or EnvError naming the first entry
+    that is not a pair (or ``entries`` itself when it is not a sequence)."""
+    try:
+        items = list(entries)
+    except TypeError:
+        raise EnvError("%ss must be a sequence of pairs, got %r" % (what, entries)) from None
+    pairs = []
+    for entry in items:
+        try:
+            first, second = entry
+        except (TypeError, ValueError):
+            raise EnvError("%s %r is not a pair" % (what, entry)) from None
+        pairs.append((first, second))
+    return pairs
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or EnvError when an entry is not a number."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise EnvError("%s must be an array of numbers" % what) from None
+
+
 def is_count(value, least: int = 1) -> bool:
     """An int >= least; a bool is an int to isinstance, but numpy rejects it as a size."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
@@ -94,12 +119,15 @@ class CongestionReward:
     uses_density = True
 
     def __post_init__(self):
-        if len(self.components) == 0:
-            raise EnvError("congestion reward needs at least one component")
         comps = []
-        for mu, spread in self.components:
-            _check_positive(spread, "singular spread")
-            comps.append((_finite_point(mu, "peak centre"), float(spread)))
+        for comp in _pairs(self.components, "congestion component"):
+            mu, spread = comp
+            # the centre first: a bare centre (x, y) reads as centre x, spread y
+            centre = _finite_point(mu, "component %r: peak centre" % (comp,))
+            _check_positive(spread, "component %r: singular spread" % (comp,))
+            comps.append((centre, float(spread)))
+        if not comps:
+            raise EnvError("congestion reward needs at least one component")
         _check_positive(self.alpha, "averseness alpha")
         object.__setattr__(self, "components", tuple(comps))
 
@@ -123,7 +151,7 @@ class DemandReward:
 
     def __post_init__(self):
         wps = []
-        for t, p in self.waypoints:
+        for t, p in _pairs(self.waypoints, "demand path waypoint"):
             if not (is_real(t) and -math.inf < t < math.inf):
                 raise EnvError("demand path times must be finite numbers, got %r" % (t,))
             wps.append((float(t), _finite_point(p, "demand path point")))
@@ -232,8 +260,8 @@ class EnvSpec:
 
 def _batch(values, what: str) -> np.ndarray:
     """``values`` as a float (n, 2) array, or EnvError for any other shape,
-    one (2,) point included."""
-    arr = np.asarray(values, dtype=float)
+    one (2,) point included, or for an entry that is not a number."""
+    arr = _floats(values, what)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise EnvError("%s must be an (n, 2) batch, got shape %r" % (what, arr.shape))
     return arr
@@ -275,7 +303,7 @@ def reward(spec: EnvSpec, t, x, u, density):
     uu = _batch(u, "actions")
     if uu.shape != xx.shape:
         raise EnvError("states %r and actions %r differ in shape" % (xx.shape, uu.shape))
-    dens = np.asarray(density, dtype=float)
+    dens = _floats(density, "density")
     if dens.shape != xx.shape[:1]:
         raise EnvError("density must be one value per state, shape %r, got shape %r"
                        % (xx.shape[:1], dens.shape))
@@ -304,7 +332,7 @@ def demand_env(alpha: float = 0.1, eta: float = 2.0, horizon: int = 30,
                waypoints=None, path_spread: float = 0.1,
                init_mean=(-0.2, 0.0), **kw) -> EnvSpec:
     """Demand-tracking game: a reward peak traverses a path over the horizon."""
-    path = DemandReward.waypoints if waypoints is None else tuple(waypoints)
+    path = DemandReward.waypoints if waypoints is None else waypoints
     return EnvSpec(DemandReward(path, path_spread, alpha), horizon=horizon, eta=eta,
                    init_mean=init_mean, **kw)
 

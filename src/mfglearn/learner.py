@@ -12,14 +12,13 @@ reward reads it (``EnvSpec.uses_density``).
 
 An episode holds its log and little else.  The rollout draws its noise
 straight into the log (policy noise into the action array, dynamics noise
-into the state slots it will become), and runs the actor over near-equal
-blocks of at most ``UPDATE_BLOCK`` agents.  Both updates walk the episode
-log in consecutive blocks of agents, in ascending-agent-id order, with about
-``UPDATE_BLOCK`` network rows per block, so the hidden layers stay
-cache-sized and do not grow with N.  The per-block gradients (and the TD
-loss) are added in block order before the one Adam step.  Block contents
-and order depend only on agent ids, so permuting the agent order of an
-episode log leaves every parameter update bit-identical.
+into the state slots it will become).  Every network pass, the rollout's
+actor and both updates, runs over consecutive blocks of agents with at most
+``UPDATE_BLOCK`` network rows each, so the hidden layers stay cache-sized
+and do not grow with N.  The updates walk the log in ascending-agent-id
+order and add the per-block gradients (and the TD loss) in block order
+before the one Adam step, so permuting the agent order of an episode log
+leaves every parameter update bit-identical.
 
 The networks read float32 copies of their rows (the rollout's actor blocks,
 the critic's features and the policy-gradient actor rows) and so run in
@@ -28,14 +27,14 @@ returns, measures and beliefs stay float64: mixed-precision training in the
 form of Micikevicius et al. (2018), float32 activations on float64 master
 weights.
 
-Agents are independent given the mean field, so the blocks of one actor
-pass or one update run on every core the process may use: the calling
-thread and a pool of helper threads each take one block at a time (numpy's
-kernels release the interpreter lock).  One block of activations is alive
-per worker; an update keeps each block's parameter-sized gradient until its
-last block is done (about 3 KB per block at width 64).  The blocks and the
-order their results are added in do not depend on the number of workers, so
-neither does any result.
+Agents are independent given the mean field, so the blocks of one pass run
+on every core the process may use: the calling thread and a pool of helper
+threads each take one block at a time (numpy's kernels release the
+interpreter lock).  One block of activations is alive per worker; an
+update keeps each block's parameter-sized gradient until its last block is
+done (about 3 KB per block at width 64).  The blocks and the order their
+results are added in do not depend on the number of workers, so neither
+does any result.
 """
 
 from __future__ import annotations
@@ -52,9 +51,9 @@ from .envs import EnvSpec, is_count, is_real, reward, sample_initial, step
 from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
-# network rows per block: the most agents per actor pass in a rollout step,
-# and about the critic rows per block of agents in td_update and pg_update;
-# each worker of _map_blocks holds one block's activations at a time
+# the most network rows per block of agents (see _agent_blocks): a rollout
+# step's actor pass and each update block of td_update and pg_update; each
+# worker of _map_blocks holds one block's activations at a time
 UPDATE_BLOCK = 2048
 # workers for the blocks: the calling thread plus _WORKERS - 1 pool threads
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
@@ -156,10 +155,6 @@ class EpisodeLog:
     def horizon(self) -> int:
         return self.actions.shape[0]
 
-    @property
-    def terminal_positions(self) -> np.ndarray:
-        return self.states[-1]
-
     def returns(self, gamma: float) -> np.ndarray:
         disc = gamma ** np.arange(self.horizon)
         return disc @ self.rewards
@@ -182,18 +177,16 @@ def _log_arrays(horizon: int, n_agents: int):
     return np.zeros((horizon + 1, n_agents, 2)), np.zeros((horizon, n_agents, 2))
 
 
-def _row_blocks(n: int) -> list:
-    """ceil(n / UPDATE_BLOCK) consecutive (lo, hi) ranges covering 0..n whose
-    sizes differ by at most one.
+def _agent_blocks(n: int, rows_per_agent: int) -> list:
+    """Consecutive slices of max(1, UPDATE_BLOCK // rows_per_agent) agents
+    covering agents 0..n; the last one may be shorter.
 
-    Near-equal blocks keep every block at least UPDATE_BLOCK / 2 rows long
-    once n > UPDATE_BLOCK.  The network's output product is row-local, so
-    the blocked actor pass gives the same floats as one pass over all n rows
-    (tests/test_rollout_reference.py pins it).
+    A float32 row's network outputs do not depend on the batch it sits in
+    (tests/test_approx.py pins it), so the blocks give the same floats as
+    one pass over all n agents.
     """
-    k = -(-n // UPDATE_BLOCK)
-    bounds = [i * n // k for i in range(k + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    per_block = max(1, UPDATE_BLOCK // rows_per_agent)
+    return [slice(lo, lo + per_block) for lo in range(0, n, per_block)]
 
 
 def _helper_pool(threads: int):
@@ -276,7 +269,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
     dynamics noise; both are overwritten step by step with the episode.  An
     action slot becomes noise * sigma + mean, which is bit for bit the
     mean + sigma * noise of a separate noise array.  The actor runs over the
-    near-equal agent blocks of :func:`_row_blocks`, side by side
+    agent blocks of :func:`_agent_blocks`, one row per agent, side by side
     (:func:`_map_blocks`), each block writing its own slice of ``actions``.
     ``realized`` picks the grid rewards and densities see: the step's
     realized measure (evaluation) or its belief average (training).
@@ -296,13 +289,12 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
 
     densities[0] = density_at(grid_for(0), states[0])
     sigma = state.actor.sigma
-    blocks = _row_blocks(n_agents)
+    blocks = _agent_blocks(n_agents, 1)
     for k in range(T):
-        def act(block):
-            lo, hi = block
-            a = actions[k, lo:hi]
+        def act(rows):
+            a = actions[k, rows]
             a *= sigma
-            a += state.actor.mean_net.forward(states[k, lo:hi].astype(np.float32))
+            a += state.actor.mean_net.forward(states[k, rows].astype(np.float32))
         _map_blocks(act, blocks)
         a = actions[k]
         if not np.all(np.isfinite(a)):
@@ -367,15 +359,13 @@ def _sum_over_agent_blocks(log: EpisodeLog, block_terms):
     """Sum ``block_terms(block) -> (grads, value)`` over consecutive blocks
     of agents of the canonical log.
 
-    A block holds UPDATE_BLOCK // (T+1) agents (at least one).  The blocks
-    run side by side (:func:`_map_blocks`); their gradients and values are
-    added in block order.
+    An agent has T+1 critic rows, so the blocks are :func:`_agent_blocks`
+    of T+1 rows per agent.  They run side by side (:func:`_map_blocks`);
+    their gradients and values are added in block order.
     """
     log = _canonical(log)
     T, n = log.rewards.shape
-    per_block = max(1, UPDATE_BLOCK // (T + 1))
-    terms = _map_blocks(lambda lo: block_terms(log._agents(slice(lo, lo + per_block))),
-                        range(0, n, per_block))
+    terms = _map_blocks(lambda cols: block_terms(log._agents(cols)), _agent_blocks(n, T + 1))
     grads, total = None, 0.0
     for block_grads, value in terms:
         total += value

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfglearn.approx import (TANH_BLOCK, AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step,
-                             check_finite)
+from mfglearn.approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite
 from mfglearn.envs import lqr_env
 from mfglearn.learner import init_train_state, rollout
 from mfglearn.meanfield import GridSpec
@@ -147,7 +146,7 @@ def test_passes_bit_identical_to_plain_formulas_across_row_blocks():
     rng = np.random.default_rng(13)
     net = Mlp.init(3, 64, 2, rng)
     p = net.params
-    rows = 3 * TANH_BLOCK + 17
+    rows = 3 * 1024 + 17
     x = rng.standard_normal((rows, 3))
     upstream = rng.standard_normal((rows, 2))
     h_ref = np.tanh(x @ p["w1"].T + p["b1"])
@@ -187,6 +186,31 @@ def test_outputs_are_row_local_at_every_batch_size(dtype, in_dim, out_dim):
         x = rng.standard_normal((n, in_dim)).astype(dtype)
         perm = rng.permutation(n)
         assert np.array_equal(net.forward(x[perm]), net.forward(x)[perm]), n
+
+
+# every size to 130 and the learner's block sizes and remainders: 904 and
+# 1,808 rows are the last actor block at N = 5,000 and 10,000, 2,046 rows one
+# update block at T = 30, and 2,049 and 4,097 rows end in a 1-row block
+BLOCK_SIZES = list(range(1, 131)) + [904, 1808, 2046, 2048, 2049, 4097]
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(2, 2), (3, 1)], ids=["actor", "critic"])
+def test_float32_outputs_do_not_depend_on_the_block(in_dim, out_dim):
+    """The learner runs its networks over agent blocks; a float32 block of
+    rows must give bit for bit the same outputs as those rows in the whole
+    batch.  (A float64 one-row batch can differ: see forward_with_hidden.)"""
+    rng = np.random.default_rng(15)
+    net = Mlp.init(in_dim, 64, out_dim, rng)
+    for n in BLOCK_SIZES:
+        x = rng.standard_normal((n, in_dim)).astype(np.float32)
+        whole = net.forward(x)
+        # the learner's 2,048-row blocks, the first and last rows alone and
+        # a random cut into contiguous blocks
+        cuts = {0, 1, n - 1, n} | set(range(0, n, 2048))
+        cuts |= set(rng.integers(0, n + 1, size=min(n, 8)).tolist())
+        bounds = sorted(cuts)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            assert np.array_equal(net.forward(x[lo:hi]), whole[lo:hi]), (n, lo, hi)
 
 
 # a float32 pass agrees with the float64 pass of the same batch to this many

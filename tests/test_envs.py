@@ -66,6 +66,8 @@ _BAD_STEP_INPUTS = {
     "three columns": ((np.zeros((3, 3)), _ROWS, _ROWS), "states must be an .n, 2. batch"),
     "one-row action": ((_ROWS, _ROW, _ROWS), "differ in shape"),
     "one-row state": ((_ROW, _ROWS, _ROWS), "differ in shape"),
+    "string states": (([["a", "b"]], _ROW, _ROW), "states must be an array of numbers"),
+    "ragged actions": ((_ROWS[:2], [[1.0, 2.0], [3.0]], _ROWS[:2]), "actions must be an array of numbers"),
 }
 
 
@@ -93,6 +95,7 @@ _BAD_REWARD_INPUTS = {
     "three columns": (congestion_env, (np.zeros((3, 3)), _ROWS, np.zeros(3)),
                       "states must be an .n, 2. batch"),
     "one-row state": (lqr_env, (_ROW, _ROWS, np.zeros(1)), "differ in shape"),
+    "string density": (congestion_env, (_ROW, _ROW, ["a"]), "density must be an array of numbers"),
 }
 
 
@@ -442,3 +445,21 @@ def test_points_accept_any_pair_of_numbers(point):
     expected = (float(point[0]), float(point[1]))
     assert spec.reward.target == expected and spec.init_mean == expected
     assert all(type(c) is float for c in spec.reward.target + spec.init_mean)
+
+
+# Components and waypoints were unpacked as pairs unchecked: a bare TypeError,
+# or for a component that is only a centre, a misleading spread error.
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DemandReward(waypoints=((0, (0, 0)), 5)), r"demand path waypoint 5 is not a pair"),
+    (lambda: demand_env(waypoints=5), r"demand path waypoints must be a sequence of pairs, got 5"),
+    (lambda: CongestionReward(components=5), r"congestion components must be a sequence of pairs"),
+    (lambda: CongestionReward(components=((0.0, 0.0, 0.3),)),
+     r"congestion component \(0.0, 0.0, 0.3\) is not a pair"),
+    (lambda: CongestionReward(components=((0.0, 0.0),)),
+     r"component \(0.0, 0.0\): peak centre must be a pair of numbers, got 0.0"),
+], ids=["demand waypoint", "demand_env waypoints", "components", "three-entry component",
+        "centre without spread"])
+def test_components_and_waypoints_must_be_pairs(make, message):
+    with pytest.raises(EnvError, match=message):
+        make()

@@ -131,7 +131,7 @@ def test_rollout_symmetric_population_is_dirac():
     state = fresh_state(spec)
     state.actor.sigma = 1e-154  # negligible exploration noise, squares stay finite
     log = rollout(spec, state, 50, np.random.default_rng(6))
-    term = log.terminal_positions
+    term = log.states[-1]
     assert np.all(term == term[0])
     assert log.measures[-1].mass.max() == 1.0
 

@@ -15,7 +15,7 @@ import pytest
 from mfglearn import learner
 from mfglearn.approx import DivergenceError, Mlp
 from mfglearn.envs import EnvError, demand_env
-from mfglearn.learner import UPDATE_BLOCK, _map_blocks, _row_blocks, evaluate, init_train_state, train
+from mfglearn.learner import UPDATE_BLOCK, _agent_blocks, _map_blocks, evaluate, init_train_state, train
 from mfglearn.meanfield import GridSpec
 
 # 3 row blocks per rollout step and 13 agent blocks per update
@@ -36,8 +36,8 @@ def _run():
 
 
 def test_the_run_has_several_blocks():
-    assert len(_row_blocks(N_AGENTS)) == 3
-    assert len(range(0, N_AGENTS, PER_BLOCK)) == 13
+    assert len(_agent_blocks(N_AGENTS, 1)) == 3
+    assert len(_agent_blocks(N_AGENTS, HORIZON + 1)) == 13
 
 
 def test_results_do_not_depend_on_worker_count(monkeypatch):
@@ -159,8 +159,8 @@ def _poison_forward(monkeypatch, error, poisoned_rows):
 
 
 @pytest.mark.parametrize("error, poisoned_rows", [
-    (DivergenceError, {hi - lo for lo, hi in _row_blocks(N_AGENTS)}),   # the rollout
-    (EnvError, {(HORIZON + 1) * PER_BLOCK}),                            # td_update
+    (DivergenceError, {len(range(N_AGENTS)[b]) for b in _agent_blocks(N_AGENTS, 1)}),   # the rollout
+    (EnvError, {(HORIZON + 1) * PER_BLOCK}),                                          # td_update
 ], ids=["rollout", "update"])
 def test_a_raising_block_stops_train_cleanly(monkeypatch, error, poisoned_rows):
     monkeypatch.setattr(learner, "_WORKERS", 2)

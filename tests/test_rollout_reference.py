@@ -64,8 +64,9 @@ def _trained_state(make_env):
 
 SETUPS = {"demand T=4": lambda: _trained_state(lambda: demand_env(horizon=4)),
           "congestion": lambda: _trained_state(congestion_env)}
-# one agent, one block, exactly one full block, and populations whose
-# blocks would leave a small remainder if cut at UPDATE_BLOCK rows
+# one agent, one block, exactly one full block, and populations whose last
+# block is short: N = UPDATE_BLOCK + 1 and 2 * UPDATE_BLOCK + 1 end in a
+# 1-row block
 N_AGENTS = [1, 50, UPDATE_BLOCK, UPDATE_BLOCK + 1, 2 * UPDATE_BLOCK + 1, 10_000]
 RUNS = {
     "rollout": (rollout, ref_rollout, {}),
