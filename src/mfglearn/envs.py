@@ -260,20 +260,22 @@ class EnvSpec:
 
 def _batch(values, what: str) -> np.ndarray:
     """``values`` as a float (n, 2) array, or EnvError for any other shape,
-    one (2,) point included, or for an entry that is not a number."""
+    one (2,) point included, or for an entry that is not a finite number."""
     arr = _floats(values, what)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise EnvError("%s must be an (n, 2) batch, got shape %r" % (what, arr.shape))
+    if not np.all(np.isfinite(arr)):
+        raise EnvError("non-finite state/action: %s must be finite" % what)
     return arr
 
 
 def step(spec: EnvSpec, x, u, noise):
     """One linear-Gaussian transition: a*x + b*u + sigma1*noise.
 
-    ``x``, ``u`` and ``noise`` are (n, 2) batches of one shape, one row per
-    agent, and the result is the (n, 2) batch of next states; any other
-    shape raises EnvError.  ``noise`` is a standard-normal draw supplied by
-    the caller, so the map is deterministic given its arguments.
+    ``x``, ``u`` and ``noise`` are finite (n, 2) batches of one shape, one
+    row per agent, and the result is the (n, 2) batch of next states;
+    anything else raises EnvError.  ``noise`` is a standard-normal draw
+    supplied by the caller, so the map is deterministic given its arguments.
     """
     xx = _batch(x, "states")
     uu = _batch(u, "actions")
@@ -281,14 +283,12 @@ def step(spec: EnvSpec, x, u, noise):
     if not xx.shape == uu.shape == nn.shape:
         raise EnvError("states %r, actions %r and noise %r differ in shape"
                        % (xx.shape, uu.shape, nn.shape))
-    if not (np.all(np.isfinite(xx)) and np.all(np.isfinite(uu)) and np.all(np.isfinite(nn))):
-        raise EnvError("non-finite state/action")
     return spec.a * xx + spec.b * uu + spec.sigma1 * nn
 
 
 def movement_cost(spec: EnvSpec, u):
-    """(n,) movement penalties 0.5*eta*|u|^2 of an (n, 2) batch of actions;
-    any other shape raises EnvError."""
+    """(n,) movement penalties 0.5*eta*|u|^2 of a finite (n, 2) batch of
+    actions; anything else raises EnvError."""
     uu = _batch(u, "actions")
     return 0.5 * spec.eta * (uu[:, 0] * uu[:, 0] + uu[:, 1] * uu[:, 1])
 
@@ -297,7 +297,8 @@ def reward(spec: EnvSpec, t, x, u, density):
     """Per-step rewards at arrival states x (step t), net of movement cost.
 
     ``x`` and ``u`` are (n, 2) batches of one shape and ``density`` the (n,)
-    densities at x; any other shape raises EnvError.  The result is (n,).
+    densities at x; any other shape, or a non-finite state or action,
+    raises EnvError.  The result is (n,).
     """
     xx = _batch(x, "states")
     uu = _batch(u, "actions")

@@ -15,10 +15,10 @@ straight into the log (policy noise into the action array, dynamics noise
 into the state slots it will become).  Every network pass, the rollout's
 actor and both updates, runs over consecutive blocks of agents with at most
 ``UPDATE_BLOCK`` network rows each, so the hidden layers stay cache-sized
-and do not grow with N.  The updates walk the log in ascending-agent-id
-order and add the per-block gradients (and the TD loss) in block order
-before the one Adam step, so permuting the agent order of an episode log
-leaves every parameter update bit-identical.
+and do not grow with N.  One helper serves both updates: it walks the log
+in ascending-agent-id order, adds the per-block gradients (and the TD loss)
+in block order, takes the one Adam step and checks the stepped network, so
+permuting an episode log's agents leaves every update bit-identical.
 
 The networks read float32 copies of their rows (the rollout's actor blocks,
 the critic's features and the policy-gradient actor rows) and so run in
@@ -48,7 +48,7 @@ import numpy as np
 
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite, params_flat_norm
 from .envs import EnvSpec, is_count, is_real, reward, sample_initial, step
-from .meanfield import BeliefState, DensityGrid, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
+from .meanfield import BeliefState, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
 # the most network rows per block of agents (see _agent_blocks): a rollout
@@ -97,10 +97,6 @@ class TrainState:
     @property
     def grid(self) -> GridSpec:
         return self.beliefs[0].average.spec
-
-    def check_finite(self):
-        check_finite(self.actor.mean_net.params, PARAM_LIMIT)
-        check_finite(self.critic.params, PARAM_LIMIT)
 
 
 def _critic_inputs(spec: EnvSpec) -> int:
@@ -282,12 +278,8 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
     states[0] = sample_initial(spec, rng, n_agents)
     measures.append(build_empirical_measure(states[0], state.grid))
 
-    def grid_for(k: int) -> DensityGrid:
-        if realized:
-            return measures[k]
-        return state.beliefs[k].average
-
-    densities[0] = density_at(grid_for(0), states[0])
+    grids = measures if realized else [b.average for b in state.beliefs]
+    densities[0] = density_at(grids[0], states[0])
     sigma = state.actor.sigma
     blocks = _agent_blocks(n_agents, 1)
     for k in range(T):
@@ -305,7 +297,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
             raise DivergenceError("diverged")
         states[k + 1] = nxt
         measures.append(build_empirical_measure(nxt, state.grid))
-        densities[k + 1] = density_at(grid_for(k + 1), nxt)
+        densities[k + 1] = density_at(grids[k + 1], nxt)
         rewards[k] = reward(spec, k + 1, nxt, a, densities[k + 1])
 
     log = EpisodeLog(states, actions, rewards, densities, measures,
@@ -355,9 +347,10 @@ def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
     return feats, hidden, log.rewards + gamma * v_next - v[:T]
 
 
-def _sum_over_agent_blocks(log: EpisodeLog, block_terms):
-    """Sum ``block_terms(block) -> (grads, value)`` over consecutive blocks
-    of agents of the canonical log.
+def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
+    """One Adam step on ``params`` down the sum of ``block_terms(block) ->
+    (grads, value)`` over consecutive blocks of agents of the canonical log,
+    then a check of the stepped network; returns the summed (grads, value).
 
     An agent has T+1 critic rows, so the blocks are :func:`_agent_blocks`
     of T+1 rows per agent.  They run side by side (:func:`_map_blocks`);
@@ -370,6 +363,8 @@ def _sum_over_agent_blocks(log: EpisodeLog, block_terms):
     for block_grads, value in terms:
         total += value
         grads = block_grads if grads is None else {k: grads[k] + block_grads[k] for k in grads}
+    adam_step(opt, params, grads, rate)
+    check_finite(params, PARAM_LIMIT)
     return grads, total
 
 
@@ -377,7 +372,7 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     """One Adam step on the summed TD(0) loss; returns the pre-update loss.
 
     The loss and the critic gradient are summed over blocks of agents in
-    ascending id order (see :func:`_sum_over_agent_blocks`).
+    ascending id order (see :func:`_adam_over_agent_blocks`).
     """
     def block_terms(block):
         feats, hidden, delta = _td_errors(state, block, gamma)
@@ -387,18 +382,17 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
         grads, _ = state.critic.backward(feats, upstream.reshape(-1, 1), hidden)
         return grads, 0.5 * float((delta * delta).sum())
 
-    grads, loss = _sum_over_agent_blocks(log, block_terms)
-    adam_step(state.critic_opt, state.critic.params, grads, state.schedules.critic_lr)
-    state.check_finite()
-    return loss
+    return _adam_over_agent_blocks(log, block_terms, state.critic_opt, state.critic.params,
+                                   state.schedules.critic_lr)[1]
 
 
 def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     """Advantage-weighted policy-gradient ascent step; returns the gradient norm.
 
-    The advantage is the TD error under the current critic.  The gradient
-    is summed over blocks of agents in ascending id order (see
-    :func:`_sum_over_agent_blocks`).
+    The advantage is the TD error under the current critic.  The scores are
+    weighted by minus the advantage, so their sum over blocks of agents in
+    ascending id order is the descent direction (see
+    :func:`_adam_over_agent_blocks`).
     """
     def block_terms(block):
         # only the TD errors are kept: the critic's inputs and hidden layer
@@ -407,14 +401,11 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
         T, n = delta.shape
         x = block.states[:T].reshape(T * n, 2).astype(np.float32)
         a = block.actions.reshape(T * n, 2)
-        return state.actor.logprob_grad(x, a, weights=delta.reshape(-1)), 0.0
+        return state.actor.logprob_grad(x, a, weights=-delta.reshape(-1)), 0.0
 
-    grads, _ = _sum_over_agent_blocks(log, block_terms)
-    norm = params_flat_norm(grads)
-    descent = {k: -g for k, g in grads.items()}
-    adam_step(state.actor_opt, state.actor.mean_net.params, descent, state.schedules.actor_lr)
-    state.check_finite()
-    return norm
+    descent, _ = _adam_over_agent_blocks(log, block_terms, state.actor_opt,
+                                         state.actor.mean_net.params, state.schedules.actor_lr)
+    return params_flat_norm(descent)
 
 
 # one row of the training trace per episode

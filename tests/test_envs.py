@@ -44,6 +44,20 @@ def test_step_rejects_non_finite():
         step(spec, [[0.0, 0.0]], [[np.inf, 0.0]], [[0.0, 0.0]])
 
 
+# movement_cost and reward used to return NaN or -inf for these; a None
+# entry becomes NaN on the float cast
+@pytest.mark.parametrize("call", [
+    lambda: movement_cost(congestion_env(eta=1.0), [[None, 1.0]]),
+    lambda: reward(congestion_env(), 1, np.zeros((1, 2)), [[np.inf, 0.0]], [0.0]),
+    lambda: reward(congestion_env(), 1, [[np.nan, 0.0]], np.zeros((1, 2)), [0.0]),
+    lambda: reward(lqr_env(), 1, [[0.0, np.nan]], np.zeros((1, 2)), [0.0]),
+], ids=["movement cost None action", "congestion inf action", "congestion nan state",
+        "lqr nan state"])
+def test_movement_cost_and_reward_reject_non_finite(call):
+    with pytest.raises(EnvError, match="non-finite state/action"):
+        call()
+
+
 def test_step_affine():
     spec = congestion_env(a=0.7, b=1.3, sigma1=0.0)
     rng = np.random.default_rng(0)

@@ -263,6 +263,45 @@ def test_pg_single_step_ascends_on_average():
     assert np.mean(improvements) > 0.0
 
 
+# --- each update steps and checks its own network ------------------------------
+
+def _network_snapshot(net, opt):
+    """Copies of a network's parameters and of its Adam step count and moments."""
+    return (opt.t, *({k: a.copy() for k, a in d.items()} for d in (net.params, opt.m, opt.v)))
+
+
+@pytest.mark.parametrize("update", [td_update, pg_update], ids=["td", "pg"])
+def test_each_update_leaves_the_other_network_and_its_moments_alone(update):
+    spec = demand_env(horizon=3)
+    state = fresh_state(spec, hidden=8)
+    # one episode first, so both networks have nonzero Adam moments
+    train(spec, state, 32, 1, np.random.default_rng(28))
+    log = rollout(spec, state, 32, np.random.default_rng(29))
+    actor, critic = (state.actor.mean_net, state.actor_opt), (state.critic, state.critic_opt)
+    stepped, other = (critic, actor) if update is td_update else (actor, critic)
+    t, before = stepped[1].t, _network_snapshot(*other)
+    update(state, log, spec.gamma)
+    after = _network_snapshot(*other)
+    assert after[0] == before[0] and stepped[1].t == t + 1
+    for was, now in zip(before[1:], after[1:]):
+        assert all(np.array_equal(was[k], now[k]) for k in was)
+
+
+def test_each_update_checks_only_the_network_it_steps():
+    spec = bandit_spec()
+    log = rollout(spec, fresh_state(spec), 8, np.random.default_rng(30))
+    critic_out = fresh_state(spec)
+    critic_out.critic.params["b2"][:] = 2.0 * learner.PARAM_LIMIT
+    with pytest.raises(DivergenceError):
+        td_update(critic_out, log, spec.gamma)
+    # the actor past the limit is pg_update's to catch, not td_update's
+    actor_out = fresh_state(spec)
+    actor_out.actor.mean_net.params["b2"][:] = 2.0 * learner.PARAM_LIMIT
+    td_update(actor_out, log, spec.gamma)
+    with pytest.raises(DivergenceError):
+        pg_update(actor_out, log, spec.gamma)
+
+
 # --- train loop -----------------------------------------------------------------
 
 def test_train_zero_episodes_leaves_state():
