@@ -21,7 +21,7 @@ import numpy as np
 
 
 class DivergenceError(RuntimeError):
-    """Raised when gradients or parameters stop being finite."""
+    """Raised by :func:`check_finite`, naming the array that diverged."""
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8   # Adam moment decays and denominator guard
@@ -145,10 +145,8 @@ class AdamState:
 
 def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
     """One bias-corrected Adam update with step size ``rate``, in place on
-    ``params``."""
-    for k in params:
-        if not np.all(np.isfinite(grads[k])):
-            raise DivergenceError("diverged")
+    ``params``; a missing or non-finite gradient raises first, changing nothing."""
+    check_finite({k: grads[k] for k in params})
     state.t += 1
     b1t = 1.0 - _BETA1 ** state.t
     b2t = 1.0 - _BETA2 ** state.t
@@ -210,7 +208,12 @@ def params_flat_norm(params: dict) -> float:
     return math.sqrt(sum(float((p * p).sum()) for p in params.values()))
 
 
-def check_finite(params: dict, limit: float):
-    for k, p in params.items():
-        if not np.all(np.isfinite(p)) or np.abs(p).max() > limit:
-            raise DivergenceError("diverged")
+def check_finite(arrays: dict, limit: float = np.finfo(float).max):
+    """Raise DivergenceError("diverged: <key>") at the first array of
+    ``arrays`` holding a NaN, an infinity or an entry past ``limit`` in
+    absolute value.  The default limit makes it a finiteness test; it is the
+    learner's only test of divergence."""
+    for k, p in arrays.items():
+        # NaN fails both comparisons; unlike abs(p), they make no float copy of p
+        if not ((p <= limit) & (p >= -limit)).all():
+            raise DivergenceError("diverged: %s" % k)

@@ -90,11 +90,6 @@ class TrainState:
     episode: int = 0   # episodes trained so far: the trace's counter
 
     @property
-    def belief(self) -> BeliefState:
-        """The terminal-step belief (the only one for one-shot games)."""
-        return self.beliefs[-1]
-
-    @property
     def grid(self) -> GridSpec:
         return self.beliefs[0].average.spec
 
@@ -151,10 +146,6 @@ class EpisodeLog:
     def horizon(self) -> int:
         return self.actions.shape[0]
 
-    def returns(self, gamma: float) -> np.ndarray:
-        disc = gamma ** np.arange(self.horizon)
-        return disc @ self.rewards
-
     def permuted(self, perm) -> "EpisodeLog":
         """Episode log with agents presented in a different order."""
         return self._agents(np.asarray(perm))
@@ -199,16 +190,14 @@ def _map_blocks(fn, items) -> list:
     """[fn(item) for item in items], run on up to ``_WORKERS`` threads.
 
     Worker j takes items j, j + W, j + 2W, ... in turn; worker 0 is the
-    calling thread and the others come from a module thread pool.  The
-    results come back in item order, so a caller that reduces them in that
-    order gets the same floats for any W.  When fn raises, no later item
-    starts, every item that did start is waited for, and the error of the
-    earliest failing item is raised: the one a plain loop would raise.
+    calling thread and the others come from a module thread pool, made only
+    when W > 1.  The results come back in item order, so a caller that
+    reduces them in that order gets the same floats for any W.  For every W,
+    when fn raises, no later item starts, every item that did start is
+    waited for, and the error of the earliest failing item is raised.
     """
     items = list(items)
-    workers = min(_WORKERS, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
+    workers = max(1, min(_WORKERS, len(items)))
     results = [None] * len(items)
     errors = {}
     lock = threading.Lock()
@@ -225,8 +214,7 @@ def _map_blocks(fn, items) -> list:
                     errors[i] = err
                 return
 
-    pool = _helper_pool(workers - 1)
-    helpers = [pool.submit(run_share, j) for j in range(1, workers)]
+    helpers = [_helper_pool(workers - 1).submit(run_share, j) for j in range(1, workers)]
     try:
         run_share(0)
     finally:
@@ -289,21 +277,18 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
             a += state.actor.mean_net.forward(states[k, rows].astype(np.float32))
         _map_blocks(act, blocks)
         a = actions[k]
-        if not np.all(np.isfinite(a)):
-            raise DivergenceError("diverged")
+        check_finite({"actions": a})
         # the dynamics noise is read from the slot before the step overwrites it
         nxt = step(spec, states[k], a, states[k + 1])
-        if not np.all(np.isfinite(nxt)):
-            raise DivergenceError("diverged")
+        check_finite({"states": nxt})
         states[k + 1] = nxt
         measures.append(build_empirical_measure(nxt, state.grid))
         densities[k + 1] = density_at(grids[k + 1], nxt)
         rewards[k] = reward(spec, k + 1, nxt, a, densities[k + 1])
 
-    log = EpisodeLog(states, actions, rewards, densities, measures,
-                     np.arange(n_agents), 0.0)
-    log.mean_return = float(log.returns(spec.gamma).mean())
-    return log
+    mean_return = float((spec.gamma ** np.arange(T) @ rewards).mean())
+    return EpisodeLog(states, actions, rewards, densities, measures,
+                      np.arange(n_agents), mean_return)
 
 
 def fp_update_state(state: TrainState, log: EpisodeLog):
@@ -437,9 +422,9 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
         for _ in range(episodes):
             log = None   # let the previous log go before the rollout allocates the next
             log = rollout(spec, state, n_agents, rng)
-            old_terminal = state.belief.average
+            old_terminal = state.beliefs[-1].average
             fp_update_state(state, log)
-            drift = grid_distance(old_terminal, state.belief.average)
+            drift = grid_distance(old_terminal, state.beliefs[-1].average)
             loss = td_update(state, log, spec.gamma)
             norm = pg_update(state, log, spec.gamma)
             rows.append((state.episode, log.mean_return, drift, norm, loss))

@@ -23,6 +23,15 @@ class GridError(ValueError):
     """Raised for malformed grids or mismatched grid shapes."""
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or GridError when an entry is not a
+    number or the rows are ragged."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise GridError("%s must be an array of numbers" % what) from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of a histogram: bounds and bins per axis."""
@@ -65,9 +74,9 @@ class GridSpec:
         clamp is taken in float, on the coordinates, before the cast to int,
         so a point however far out lands in its edge bin; points of any
         other shape, one (2,) point included, and non-finite points raise
-        GridError.
+        GridError, as do entries that are not numbers.
         """
-        pts = np.asarray(points, dtype=float)
+        pts = _floats(points, "points")
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GridError("points must be (n, 2), got shape %r" % (pts.shape,))
         if not np.isfinite(pts).all():
@@ -95,7 +104,7 @@ class DensityGrid:
     mass: np.ndarray
 
     def __post_init__(self):
-        mass = np.array(self.mass, dtype=float)
+        mass = _floats(self.mass, "invalid grid: mass").copy()
         n = self.spec.resolution
         if mass.shape != (n, n):
             raise GridError("invalid grid: mass shape %r != (%d, %d)" % (mass.shape, n, n))
@@ -147,7 +156,7 @@ def build_empirical_measure(positions, template: GridSpec) -> DensityGrid:
     Counting is integer-exact, so the result is bit-identical under
     permutation of the position list.
     """
-    pts = np.asarray(positions, dtype=float)
+    pts = _floats(positions, "points")
     if pts.size == 0:
         raise GridError("empty population")
     n = template.resolution

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -304,18 +305,39 @@ def test_adam_quadratic_matches_hand_trace():
 
 
 def test_adam_rejects_non_finite():
-    params = {"w": np.ones(2)}
+    # it names the gradient and changes neither the params nor the moments,
+    # nor does a missing gradient
+    params = {"b": np.ones(2), "w": np.ones(3)}
     state = AdamState.for_params(params)
-    with pytest.raises(DivergenceError, match="diverged"):
-        adam_step(state, params, {"w": np.array([np.nan, 0.0])}, 0.1)
+    adam_step(state, params, {"b": np.full(2, 0.5), "w": np.full(3, -0.5)}, 0.1)
+    before = (state.t, copy.deepcopy(state.m), copy.deepcopy(state.v), copy.deepcopy(params))
+    with pytest.raises(DivergenceError, match="^diverged: w$"):
+        adam_step(state, params, {"b": np.ones(2), "w": np.array([0.0, np.nan, 1.0])}, 0.1)
+    with pytest.raises(KeyError):
+        adam_step(state, params, {"b": np.ones(2)}, 0.1)
+    assert state.t == before[0]
+    for was, now in zip(before[1:], (state.m, state.v, params)):
+        assert all(np.array_equal(was[k], now[k]) for k in was)
 
 
-@pytest.mark.parametrize("w", [np.array([np.nan, 0.0]), np.array([0.5, -2.0])],
-                         ids=["nan", "past the limit"])
+@pytest.mark.parametrize("w", [np.array([np.nan]), np.array([-np.inf, 0.0]), np.array([0.5, -2.0])],
+                         ids=["nan", "infinity", "past the limit"])
 def test_check_finite_rejects_nan_and_params_past_the_limit(w):
     check_finite({"w": np.array([0.5, -1.0])}, 1.0)
-    with pytest.raises(DivergenceError, match="diverged"):
+    with pytest.raises(DivergenceError, match="^diverged: w$"):
         check_finite({"b": np.zeros(2), "w": w}, 1.0)
+    with pytest.raises(DivergenceError, match="^diverged: a$"):   # the first failing array
+        check_finite({"a": w, "w": w}, 1.0)
+
+
+def test_check_finite_limit_is_inclusive_and_defaults_to_the_largest_float():
+    big = np.finfo(float).max
+    check_finite({"w": np.array([1.0, -1.0])}, 1.0)
+    check_finite({"w": np.array([big, -big])})
+    check_finite({"w": np.zeros(0), "b": np.zeros((0, 2))}, 1.0)   # empty arrays pass
+    for bad in (np.array([np.inf]), np.array([np.nan]), np.array([np.inf], dtype=np.float32)):
+        with pytest.raises(DivergenceError, match="^diverged: w$"):
+            check_finite({"w": bad})
 
 
 def test_adam_moment_shapes_track_params():

@@ -1,9 +1,17 @@
-"""The CI workflow, read as text (CI installs no YAML parser), so a workload
-added to the benchmark cannot silently miss the CI smoke run."""
+"""Checks on the repository's files that run none of its code.
 
+The CI workflow is read as text (CI installs no YAML parser), so a workload
+added to the benchmark cannot silently miss the CI smoke run.  Each package
+module is parsed with ``ast``, so an import left behind by a refactor fails
+here.
+"""
+
+import ast
 import json
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -16,3 +24,28 @@ def test_ci_benchmark_checks_run_every_benchmark_workload():
     assert len(loops) == 1
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert sorted(loops[0].split()) == sorted(w["name"] for w in bench["workloads"])
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_a_dead_import():
+    source = "import os.path\nimport sys as system\nfrom math import pi, tau\nsystem.exit(pi)\n"
+    assert _unused_imports(source) == ["os", "tau"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "mfglearn").glob("*.py") if p.name != "__init__.py"))
+def test_package_module_uses_every_import(module):
+    source = (ROOT / "src" / "mfglearn" / module).read_text()
+    assert _unused_imports(source) == []

@@ -346,7 +346,7 @@ def test_evaluate_divergence_raises():
     spec = bandit_spec()
     state = fresh_state(spec)
     state.actor.mean_net.forward = lambda x: np.full((len(x), 2), np.inf)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="^diverged: actions$"):
         evaluate(spec, state, 4, np.random.default_rng(22))
 
 
@@ -354,7 +354,7 @@ def test_rollout_divergence_raises_on_a_non_finite_next_state():
     # the actor saturates, so the actions stay finite, but a * x overflows
     spec = lqr_env(a=1e300, init_mean=(1e10, 0.0))
     state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=4)
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^diverged: states$"):
         rollout(spec, state, 4, np.random.default_rng(24))
 
 

@@ -76,42 +76,44 @@ def test_map_blocks_keeps_item_order(monkeypatch):
 
 
 def test_map_blocks_raises_the_earliest_error_after_every_started_item(monkeypatch):
-    monkeypatch.setattr(learner, "_WORKERS", 3)
-    running, lock = [], threading.Lock()
+    for workers in (3, 1):
+        monkeypatch.setattr(learner, "_WORKERS", workers)
+        running, lock = [], threading.Lock()
 
-    def fn(i):
-        with lock:
-            running.append(i)
-        try:
-            if i == 4:   # fails after item 5 has failed
-                time.sleep(0.05)
-                raise EnvError("item 4")
-            if i == 5:
-                raise DivergenceError("item 5")
-            time.sleep(0.02)
-            return i
-        finally:
+        def fn(i):
             with lock:
-                running.remove(i)
+                running.append(i)
+            try:
+                if i == 4:   # fails after item 5 has failed
+                    time.sleep(0.05)
+                    raise EnvError("item 4")
+                if i == 5:
+                    raise DivergenceError("item 5")
+                time.sleep(0.02)
+                return i
+            finally:
+                with lock:
+                    running.remove(i)
 
-    with pytest.raises(EnvError, match="item 4"):
-        _map_blocks(fn, range(12))
-    assert running == []
+        with pytest.raises(EnvError, match="item 4"):
+            _map_blocks(fn, range(12))
+        assert running == []
 
 
 def test_map_blocks_starts_no_item_after_a_failed_one(monkeypatch):
-    monkeypatch.setattr(learner, "_WORKERS", 2)
-    started = []
+    for workers in (2, 1):
+        monkeypatch.setattr(learner, "_WORKERS", workers)
+        started = []
 
-    def fn(i):
-        started.append(i)
-        if i == 0:
-            raise EnvError("item 0")
-        time.sleep(0.05)   # item 0 has failed before this item ends
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise EnvError("item 0")
+            time.sleep(0.05)   # item 0 has failed before this item ends
 
-    with pytest.raises(EnvError, match="item 0"):
-        _map_blocks(fn, range(10))
-    assert sorted(started) in ([0], [0, 1])   # item 1 may start before item 0 fails
+        with pytest.raises(EnvError, match="item 0"):
+            _map_blocks(fn, range(10))
+        assert sorted(started) in ([0], [0, 1])   # item 1 may start before item 0 fails
 
 
 def test_map_blocks_under_frequent_thread_switches(monkeypatch):

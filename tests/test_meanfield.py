@@ -111,6 +111,17 @@ def test_points_that_are_not_pairs_rejected(points):
         density_at(DensityGrid.uniform(spec), points)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: GridSpec().bin_index([["a", "b"]]),
+    lambda: build_empirical_measure([[1.0, 2.0], [3.0]], GridSpec()),
+    lambda: density_at(DensityGrid.uniform(GridSpec()), [["a", "b"]]),
+    lambda: DensityGrid(GridSpec(resolution=1), [["a"]]),
+], ids=["bin_index strings", "ragged measure", "density_at strings", "string mass"])
+def test_entries_that_are_not_numbers_raise_grid_error(call):
+    with pytest.raises(GridError, match="must be an array of numbers"):
+        call()
+
+
 def test_empty_population_rejected():
     spec = GridSpec(0.0, 1.0, 0.0, 1.0, 4)
     with pytest.raises(GridError, match="empty population"):
