@@ -69,8 +69,7 @@ class Mlp:
         return xx, {k: p.astype(xx.dtype, copy=False) for k, p in self.params.items()}
 
     def forward(self, x):
-        y, _ = self.forward_with_hidden(x)
-        return y
+        return self.forward_with_hidden(x)[0]
 
     @staticmethod
     def _hidden(xx, p):
@@ -118,11 +117,15 @@ class Mlp:
         s = h * h
         np.subtract(1.0, s, out=s)
         dz *= s
+        # einsum adds dz's rows in order, as axis-0 sum does on a C-contiguous
+        # array, so b1 keeps its bits at half the cost (35 against 73 us, timeit,
+        # 2,046 x 64 float32, 2-vCPU x86-64); b2 keeps sum, which a one-column
+        # array adds pairwise
         grads = {
             "w2": dy.T @ h,
             "b2": dy.sum(axis=0),
             "w1": dz.T @ xx,
-            "b1": dz.sum(axis=0),
+            "b1": np.einsum("ij->j", dz),
         }
         dx = dz @ p["w1"]
         return {k: np.asarray(g, dtype=float) for k, g in grads.items()}, dx
@@ -202,10 +205,6 @@ class GaussianPolicy:
         upstream *= w[:, None]
         grads, _ = self.mean_net.backward(x, upstream, h)
         return grads
-
-
-def params_flat_norm(params: dict) -> float:
-    return math.sqrt(sum(float((p * p).sum()) for p in params.values()))
 
 
 def check_finite(arrays: dict, limit: float = np.finfo(float).max):

@@ -286,11 +286,15 @@ def step(spec: EnvSpec, x, u, noise):
     return spec.a * xx + spec.b * uu + spec.sigma1 * nn
 
 
+def _movement_cost(spec: EnvSpec, uu: np.ndarray):
+    """0.5*eta*|u|^2 of each row of an (n, 2) batch ``_batch`` has checked."""
+    return 0.5 * spec.eta * (uu[:, 0] * uu[:, 0] + uu[:, 1] * uu[:, 1])
+
+
 def movement_cost(spec: EnvSpec, u):
     """(n,) movement penalties 0.5*eta*|u|^2 of a finite (n, 2) batch of
     actions; anything else raises EnvError."""
-    uu = _batch(u, "actions")
-    return 0.5 * spec.eta * (uu[:, 0] * uu[:, 0] + uu[:, 1] * uu[:, 1])
+    return _movement_cost(spec, _batch(u, "actions"))
 
 
 def reward(spec: EnvSpec, t, x, u, density):
@@ -308,7 +312,7 @@ def reward(spec: EnvSpec, t, x, u, density):
     if dens.shape != xx.shape[:1]:
         raise EnvError("density must be one value per state, shape %r, got shape %r"
                        % (xx.shape[:1], dens.shape))
-    return spec.reward(t, xx, dens) - movement_cost(spec, uu)
+    return spec.reward(t, xx, dens) - _movement_cost(spec, uu)
 
 
 def sample_initial(spec: EnvSpec, rng, n: int):

@@ -12,13 +12,14 @@ reward reads it (``EnvSpec.uses_density``).
 
 An episode holds its log and little else.  The rollout draws its noise
 straight into the log (policy noise into the action array, dynamics noise
-into the state slots it will become).  Every network pass, the rollout's
-actor and both updates, runs over consecutive blocks of agents with at most
-``UPDATE_BLOCK`` network rows each, so the hidden layers stay cache-sized
-and do not grow with N.  One helper serves both updates: it walks the log
-in ascending-agent-id order, adds the per-block gradients (and the TD loss)
-in block order, takes the one Adam step and checks the stepped network, so
-permuting an episode log's agents leaves every update bit-identical.
+into the state slots it will become), moves the crowd, then scores each
+step.  Every network pass, the rollout's actor and both updates, runs over
+consecutive blocks of agents with at most ``UPDATE_BLOCK`` rows each, so
+the hidden layers stay cache-sized and do not grow with N.  One helper
+serves both updates: it walks the log in ascending-agent-id order, adds the
+per-block gradients (and the TD loss) in block order, takes the one Adam
+step and checks the stepped network, so permuting an episode log's agents
+leaves every update bit-identical.
 
 The networks read float32 copies of their rows (the rollout's actor blocks,
 the critic's features and the policy-gradient actor rows) and so run in
@@ -39,6 +40,7 @@ does any result.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -46,7 +48,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite, params_flat_norm
+from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite
 from .envs import EnvSpec, is_count, is_real, reward, sample_initial, step
 from .meanfield import BeliefState, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
@@ -130,8 +132,8 @@ class EpisodeLog:
     The rollout's noise is drawn into ``states`` and ``actions`` and turned
     into states and actions in place, so no separate noise arrays exist.
 
-    Arrays are indexed [step, agent]; ``agent_ids`` identifies columns so
-    consumers can reduce in canonical id order.
+    Arrays are indexed [step, agent]; :meth:`agents` selects columns, and
+    ``agent_ids`` identifies them so consumers can reduce in id order.
     """
 
     states: np.ndarray       # (T+1, N, 2)
@@ -142,16 +144,9 @@ class EpisodeLog:
     agent_ids: np.ndarray    # (N,)
     mean_return: float       # discounted return averaged over agents
 
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
-    def permuted(self, perm) -> "EpisodeLog":
-        """Episode log with agents presented in a different order."""
-        return self._agents(np.asarray(perm))
-
-    def _agents(self, cols) -> "EpisodeLog":
-        """The log of the agents in columns ``cols`` (views for a slice)."""
+    def agents(self, cols) -> "EpisodeLog":
+        """The log of the agents in columns ``cols``, in that order: views of
+        this log's arrays for a slice, reordered copies for an index array."""
         return EpisodeLog(self.states[:, cols], self.actions[:, cols],
                           self.rewards[:, cols], self.densities[:, cols],
                           self.measures, self.agent_ids[cols], self.mean_return)
@@ -255,36 +250,31 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
     mean + sigma * noise of a separate noise array.  The actor runs over the
     agent blocks of :func:`_agent_blocks`, one row per agent, side by side
     (:func:`_map_blocks`), each block writing its own slice of ``actions``.
-    ``realized`` picks the grid rewards and densities see: the step's
-    realized measure (evaluation) or its belief average (training).
+    The crowd moves first and is scored after, so a divergence raises before
+    any score; density k is read from measure k if ``realized``, else belief k.
     """
     T, n_agents, _ = actions.shape
-    rewards = np.zeros((T, n_agents))
-    densities = np.zeros((T + 1, n_agents))
-    measures = []
-
     states[0] = sample_initial(spec, rng, n_agents)
-    measures.append(build_empirical_measure(states[0], state.grid))
-
-    grids = measures if realized else [b.average for b in state.beliefs]
-    densities[0] = density_at(grids[0], states[0])
-    sigma = state.actor.sigma
     blocks = _agent_blocks(n_agents, 1)
     for k in range(T):
         def act(rows):
             a = actions[k, rows]
-            a *= sigma
+            a *= state.actor.sigma
             a += state.actor.mean_net.forward(states[k, rows].astype(np.float32))
         _map_blocks(act, blocks)
-        a = actions[k]
-        check_finite({"actions": a})
+        check_finite({"actions": actions[k]})
         # the dynamics noise is read from the slot before the step overwrites it
-        nxt = step(spec, states[k], a, states[k + 1])
-        check_finite({"states": nxt})
-        states[k + 1] = nxt
-        measures.append(build_empirical_measure(nxt, state.grid))
-        densities[k + 1] = density_at(grids[k + 1], nxt)
-        rewards[k] = reward(spec, k + 1, nxt, a, densities[k + 1])
+        states[k + 1] = step(spec, states[k], actions[k], states[k + 1])
+        check_finite({"states": states[k + 1]})
+
+    rewards, densities = np.empty((T, n_agents)), np.empty((T + 1, n_agents))
+    measures = []
+    for k in range(T + 1):
+        measures.append(build_empirical_measure(states[k], state.grid))
+        grid = measures[k] if realized else state.beliefs[k].average
+        densities[k] = density_at(grid, states[k])
+        if k:
+            rewards[k - 1] = reward(spec, k, states[k], actions[k - 1], densities[k])
 
     mean_return = float((spec.gamma ** np.arange(T) @ rewards).mean())
     return EpisodeLog(states, actions, rewards, densities, measures,
@@ -316,7 +306,7 @@ def _canonical(log: EpisodeLog) -> EpisodeLog:
     """The log in ascending agent-id order (as is when already sorted)."""
     if np.all(log.agent_ids[1:] > log.agent_ids[:-1]):
         return log
-    return log.permuted(np.argsort(log.agent_ids))
+    return log.agents(np.argsort(log.agent_ids))
 
 
 def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
@@ -343,7 +333,7 @@ def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
     """
     log = _canonical(log)
     T, n = log.rewards.shape
-    terms = _map_blocks(lambda cols: block_terms(log._agents(cols)), _agent_blocks(n, T + 1))
+    terms = _map_blocks(lambda cols: block_terms(log.agents(cols)), _agent_blocks(n, T + 1))
     grads, total = None, 0.0
     for block_grads, value in terms:
         total += value
@@ -383,14 +373,13 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
         # only the TD errors are kept: the critic's inputs and hidden layer
         # are let go before the actor pass
         delta = _td_errors(state, block, gamma)[2]
-        T, n = delta.shape
-        x = block.states[:T].reshape(T * n, 2).astype(np.float32)
-        a = block.actions.reshape(T * n, 2)
+        x = block.states[:-1].reshape(-1, 2).astype(np.float32)
+        a = block.actions.reshape(-1, 2)
         return state.actor.logprob_grad(x, a, weights=-delta.reshape(-1)), 0.0
 
     descent, _ = _adam_over_agent_blocks(log, block_terms, state.actor_opt,
                                          state.actor.mean_net.params, state.schedules.actor_lr)
-    return params_flat_norm(descent)
+    return math.sqrt(sum(float((g * g).sum()) for g in descent.values()))
 
 
 # one row of the training trace per episode

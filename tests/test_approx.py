@@ -168,6 +168,14 @@ def test_passes_bit_identical_to_plain_formulas_across_row_blocks():
     assert np.array_equal(h, h_ref)  # backward leaves the cached layer as it was
 
 
+def test_hidden_bias_einsum_adds_rows_like_numpy_sum():
+    # Mlp.backward takes b1 = einsum("ij->j", dz) for numpy's axis-0 sum:
+    # both add a C-contiguous float32 block's rows in order, at every size
+    z = np.random.default_rng(16).standard_normal((4097, 64)).astype(np.float32)
+    for n in range(1, 4098):
+        assert np.array_equal(np.einsum("ij->j", z[:n]), z[:n].sum(axis=0)), n
+
+
 # every batch size to 130, where a BLAS output product gave equal rows
 # unequal outputs at about half the sizes, and sizes around the learner's
 # blocks

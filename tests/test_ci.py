@@ -2,8 +2,8 @@
 
 The CI workflow is read as text (CI installs no YAML parser), so a workload
 added to the benchmark cannot silently miss the CI smoke run.  Each package
-module is parsed with ``ast``, so an import left behind by a refactor fails
-here.
+module and each file under ``tests/`` is parsed with ``ast``, so an import
+left behind by a refactor fails here.
 """
 
 import ast
@@ -48,4 +48,10 @@ def test_unused_imports_finds_a_dead_import():
     p.name for p in (ROOT / "src" / "mfglearn").glob("*.py") if p.name != "__init__.py"))
 def test_package_module_uses_every_import(module):
     source = (ROOT / "src" / "mfglearn" / module).read_text()
+    assert _unused_imports(source) == []
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "tests").glob("*.py")))
+def test_test_file_uses_every_import(name):
+    source = (ROOT / "tests" / name).read_text()
     assert _unused_imports(source) == []

@@ -140,7 +140,7 @@ def test_rollout_mean_return_recomputed():
     spec = congestion_env(alpha=1.5)
     state = fresh_state(spec)
     log = rollout(spec, state, 200, np.random.default_rng(7))
-    disc = spec.gamma ** np.arange(log.horizon)
+    disc = spec.gamma ** np.arange(log.actions.shape[0])
     by_hand = np.mean([float(disc @ log.rewards[:, i]) for i in range(200)])
     assert log.mean_return == pytest.approx(by_hand, abs=1e-12)
     assert log.actions.shape[0] == spec.horizon
@@ -342,20 +342,45 @@ def test_train_divergence_attaches_partial_trace():
     assert len(info.value.trace) > 0
 
 
-def test_evaluate_divergence_raises():
+def count_scoring_calls(monkeypatch):
+    """Count the learner's calls of the functions that score a step."""
+    calls = dict.fromkeys(("build_empirical_measure", "density_at", "reward"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(learner, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(learner, name, counted)
+    return calls
+
+
+def test_rollout_and_evaluate_score_each_step_once(monkeypatch):
+    spec = demand_env(horizon=3)
+    state = fresh_state(spec)
+    calls = count_scoring_calls(monkeypatch)
+    for simulate in (rollout, evaluate):
+        calls.update(dict.fromkeys(calls, 0))
+        simulate(spec, state, 20, np.random.default_rng(25))
+        assert calls == {"build_empirical_measure": 4, "density_at": 4, "reward": 3}
+
+
+def test_evaluate_divergence_raises(monkeypatch):
     spec = bandit_spec()
     state = fresh_state(spec)
     state.actor.mean_net.forward = lambda x: np.full((len(x), 2), np.inf)
+    calls = count_scoring_calls(monkeypatch)
     with pytest.raises(DivergenceError, match="^diverged: actions$"):
         evaluate(spec, state, 4, np.random.default_rng(22))
+    assert not any(calls.values())   # no step was scored
 
 
-def test_rollout_divergence_raises_on_a_non_finite_next_state():
+def test_rollout_divergence_raises_on_a_non_finite_next_state(monkeypatch):
     # the actor saturates, so the actions stay finite, but a * x overflows
     spec = lqr_env(a=1e300, init_mean=(1e10, 0.0))
     state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=4)
+    calls = count_scoring_calls(monkeypatch)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^diverged: states$"):
         rollout(spec, state, 4, np.random.default_rng(24))
+    assert not any(calls.values())   # no step was scored
 
 
 def test_evaluate_rejects_empty_population():
@@ -526,7 +551,7 @@ def test_updates_bit_identical_under_agent_permutation():
         state = fresh_state(spec, **kw)
         log = rollout(spec, state, n, np.random.default_rng(18))
         perm = np.random.default_rng(19).permutation(n)
-        shuffled = log.permuted(perm)
+        shuffled = log.agents(perm)
 
         s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
         td_update(s1, log, spec.gamma)
@@ -537,6 +562,21 @@ def test_updates_bit_identical_under_agent_permutation():
             assert np.array_equal(s1.critic.params[k], s2.critic.params[k])
         for k in s1.actor.mean_net.params:
             assert np.array_equal(s1.actor.mean_net.params[k], s2.actor.mean_net.params[k])
+
+
+def test_episode_log_agents_views_a_slice_and_copies_an_index_array():
+    spec = demand_env(horizon=3)
+    log = rollout(spec, fresh_state(spec), 10, np.random.default_rng(27))
+    perm = np.random.default_rng(28).permutation(10)
+    for cols, shared in ((slice(2, 7), True), (perm, False)):
+        part = log.agents(cols)
+        assert np.array_equal(part.agent_ids, log.agent_ids[cols])
+        assert np.shares_memory(part.agent_ids, log.agent_ids) == shared
+        for name in ("states", "actions", "rewards", "densities"):
+            assert np.array_equal(getattr(part, name), getattr(log, name)[:, cols]), name
+            assert np.shares_memory(getattr(part, name), getattr(log, name)) == shared, name
+        assert part.measures is log.measures
+        assert part.mean_return == log.mean_return
 
 
 def test_instantaneous_coupling_mode():
