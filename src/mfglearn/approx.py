@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_count, check_positive
+
 
 class DivergenceError(RuntimeError):
     """Raised by :func:`check_finite`, naming the array that diverged."""
@@ -40,6 +42,8 @@ class Mlp:
 
     @classmethod
     def init(cls, in_dim: int, hidden: int, out_dim: int, rng) -> "Mlp":
+        for width, name in ((in_dim, "input"), (hidden, "hidden"), (out_dim, "output")):
+            check_count(width, "%s width" % name, ValueError)
         # symmetric uniform init keeps tanh in its near-linear regime
         s1 = math.sqrt(6.0 / (in_dim + hidden))
         s2 = math.sqrt(6.0 / (hidden + out_dim))
@@ -167,11 +171,15 @@ def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
 class GaussianPolicy:
     """Diagonal Gaussian over actions: mean from an Mlp, fixed std sigma.
 
-    Like the Mlp, every method takes an (n, in_dim) batch of states.
+    Like the Mlp, every method takes an (n, in_dim) batch of states.  A
+    sigma that is not a finite number > 0 raises ValueError when it is built.
     """
 
     mean_net: Mlp
     sigma: float = 0.1
+
+    def __post_init__(self):
+        check_positive(self.sigma, "policy sigma", ValueError)
 
     def mean(self, x):
         return self.mean_net.forward(x)

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_floats, check_count, check_positive, is_real
+
 
 class EnvError(ValueError):
     """Raised for malformed environment parameters or inputs."""
@@ -61,30 +63,6 @@ def _pairs(entries, what: str) -> list:
             raise EnvError("%s %r is not a pair" % (what, entry)) from None
         pairs.append((first, second))
     return pairs
-
-
-def _floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or EnvError when an entry is not a number."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise EnvError("%s must be an array of numbers" % what) from None
-
-
-def is_count(value, least: int = 1) -> bool:
-    """An int >= least; a bool is an int to isinstance, but numpy rejects it as a size."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
-
-
-def is_real(value) -> bool:
-    """An int or float, numpy's scalars included, but not a bool: True would
-    pass a range check as the number 1."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
-def _check_positive(value, what: str):
-    if not (is_real(value) and 0.0 < value < math.inf):
-        raise EnvError("%s %r: must be finite and > 0" % (what, value))
 
 
 def _crowded_peaks(x, density, peaks, alpha):
@@ -124,11 +102,11 @@ class CongestionReward:
             mu, spread = comp
             # the centre first: a bare centre (x, y) reads as centre x, spread y
             centre = _finite_point(mu, "component %r: peak centre" % (comp,))
-            _check_positive(spread, "component %r: singular spread" % (comp,))
+            check_positive(spread, "component %r: singular spread" % (comp,), EnvError)
             comps.append((centre, float(spread)))
         if not comps:
             raise EnvError("congestion reward needs at least one component")
-        _check_positive(self.alpha, "averseness alpha")
+        check_positive(self.alpha, "averseness alpha", EnvError)
         object.__setattr__(self, "components", tuple(comps))
 
     def __call__(self, t, x, density):
@@ -160,8 +138,8 @@ class DemandReward:
         times = [t for t, _ in wps]
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise EnvError("demand path times must be strictly increasing")
-        _check_positive(self.spread, "singular path spread")
-        _check_positive(self.alpha, "averseness alpha")
+        check_positive(self.spread, "singular path spread", EnvError)
+        check_positive(self.alpha, "averseness alpha", EnvError)
         object.__setattr__(self, "waypoints", tuple(wps))
         object.__setattr__(self, "spread", float(self.spread))
 
@@ -230,8 +208,7 @@ class EnvSpec:
         if not isinstance(self.reward, (CongestionReward, DemandReward, LqrReward)):
             raise EnvError("reward must be a CongestionReward, DemandReward or LqrReward, got %r"
                            % (self.reward,))
-        if not is_count(self.horizon):
-            raise EnvError("horizon must be an int >= 1, got %r" % (self.horizon,))
+        check_count(self.horizon, "horizon", EnvError)
         for name in ("a", "b"):
             value = getattr(self, name)
             if not (is_real(value) and -math.inf < value < math.inf):
@@ -261,7 +238,7 @@ class EnvSpec:
 def _batch(values, what: str) -> np.ndarray:
     """``values`` as a float (n, 2) array, or EnvError for any other shape,
     one (2,) point included, or for an entry that is not a finite number."""
-    arr = _floats(values, what)
+    arr = as_floats(values, what, EnvError)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise EnvError("%s must be an (n, 2) batch, got shape %r" % (what, arr.shape))
     if not np.all(np.isfinite(arr)):
@@ -308,7 +285,7 @@ def reward(spec: EnvSpec, t, x, u, density):
     uu = _batch(u, "actions")
     if uu.shape != xx.shape:
         raise EnvError("states %r and actions %r differ in shape" % (xx.shape, uu.shape))
-    dens = _floats(density, "density")
+    dens = as_floats(density, "density", EnvError)
     if dens.shape != xx.shape[:1]:
         raise EnvError("density must be one value per state, shape %r, got shape %r"
                        % (xx.shape[:1], dens.shape))

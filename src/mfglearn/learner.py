@@ -49,7 +49,8 @@ from typing import ClassVar
 import numpy as np
 
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step, check_finite
-from .envs import EnvSpec, is_count, is_real, reward, sample_initial, step
+from ._checks import check_count, check_positive
+from .envs import EnvSpec, reward, sample_initial, step
 from .meanfield import BeliefState, GridSpec, belief_update, build_empirical_measure, density_at, grid_distance
 
 PARAM_LIMIT = 1e6
@@ -74,9 +75,7 @@ class Schedules:
 
     def __post_init__(self):
         for name in ("actor_lr", "critic_lr"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 < value < np.inf):
-                raise ValueError("%s must be finite and > 0, got %r" % (name, value))
+            check_positive(getattr(self, name), name, ValueError)
 
 
 @dataclass
@@ -104,12 +103,7 @@ def _critic_inputs(spec: EnvSpec) -> int:
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
                      schedules: Schedules | None = None, hidden: int = 64,
                      sigma: float = 0.1) -> TrainState:
-    if not is_count(seed, 0):
-        raise ValueError("seed must be an int >= 0, got %r" % (seed,))
-    if not is_count(hidden):
-        raise ValueError("hidden width must be an int >= 1, got %r" % (hidden,))
-    if not (is_real(sigma) and 0 < sigma < np.inf):
-        raise ValueError("policy sigma must be finite and > 0, got %r" % (sigma,))
+    check_count(seed, "seed", ValueError, least=0)
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))
     actor_net = Mlp.init(2, hidden, 2, rng)
@@ -154,8 +148,7 @@ class EpisodeLog:
 
 def _log_arrays(horizon: int, n_agents: int):
     """Zeroed (T+1, N, 2) state and (T, N, 2) action arrays for one episode."""
-    if not is_count(n_agents):
-        raise ValueError("n_agents must be an int >= 1, got %r" % (n_agents,))
+    check_count(n_agents, "n_agents", ValueError)
     return np.zeros((horizon + 1, n_agents, 2)), np.zeros((horizon, n_agents, 2))
 
 
@@ -400,8 +393,7 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     the density (3 inputs) exactly when ``spec.uses_density``, and its
     beliefs must cover the horizon (see :func:`rollout`).
     """
-    if not is_count(episodes, least=0):
-        raise ValueError("episodes must be an int >= 0, got %r" % (episodes,))
+    check_count(episodes, "episodes", ValueError, least=0)
     if state.critic.in_dim != _critic_inputs(spec):
         raise ValueError("state's critic takes %d inputs, this environment's takes %d"
                          % (state.critic.in_dim, _critic_inputs(spec)))

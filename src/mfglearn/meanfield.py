@@ -14,22 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import is_count, is_real
+from ._checks import as_floats, check_count, is_real
 
 MASS_TOL = 1e-9
 
 
 class GridError(ValueError):
     """Raised for malformed grids or mismatched grid shapes."""
-
-
-def _floats(values, what: str) -> np.ndarray:
-    """``values`` as a float array, or GridError when an entry is not a
-    number or the rows are ragged."""
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise GridError("%s must be an array of numbers" % what) from None
 
 
 @dataclass(frozen=True)
@@ -48,8 +39,7 @@ class GridSpec:
             raise GridError("invalid grid: bounds must be numbers, got %r" % (bounds,))
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
             raise GridError("invalid grid: degenerate bounds")
-        if not is_count(self.resolution):
-            raise GridError("invalid grid: resolution must be an int >= 1, got %r" % (self.resolution,))
+        check_count(self.resolution, "invalid grid: resolution", GridError)
         # an infinite bound, or a span or area past the largest float, gives
         # infinite bins, in which density_at reads 0 everywhere
         if not 0.0 < self.bin_area < math.inf:
@@ -76,7 +66,7 @@ class GridSpec:
         other shape, one (2,) point included, and non-finite points raise
         GridError, as do entries that are not numbers.
         """
-        pts = _floats(points, "points")
+        pts = as_floats(points, "points", GridError)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GridError("points must be (n, 2), got shape %r" % (pts.shape,))
         if not np.isfinite(pts).all():
@@ -104,7 +94,7 @@ class DensityGrid:
     mass: np.ndarray
 
     def __post_init__(self):
-        mass = _floats(self.mass, "invalid grid: mass").copy()
+        mass = as_floats(self.mass, "invalid grid: mass", GridError).copy()
         n = self.spec.resolution
         if mass.shape != (n, n):
             raise GridError("invalid grid: mass shape %r != (%d, %d)" % (mass.shape, n, n))
@@ -156,7 +146,7 @@ def build_empirical_measure(positions, template: GridSpec) -> DensityGrid:
     Counting is integer-exact, so the result is bit-identical under
     permutation of the position list.
     """
-    pts = _floats(positions, "points")
+    pts = as_floats(positions, "points", GridError)
     if pts.size == 0:
         raise GridError("empty population")
     n = template.resolution

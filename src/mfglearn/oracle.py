@@ -54,7 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .envs import LqrReward, is_count
+from ._checks import as_floats, check_count, is_count
+from .envs import LqrReward
 
 PROB_TOL = 1e-12
 GAP_BLOCK = 2 ** 16  # uniform draws per chunk of side-by-side finite-N trials
@@ -73,20 +74,6 @@ _RICCATI_TOL, _RICCATI_MAX_ITER = 1e-12, 10 ** 5
 
 class OracleError(ValueError):
     pass
-
-
-def _check_count(value, what: str):
-    if not is_count(value):
-        raise OracleError("%s must be an int of at least one, got %r" % (what, value))
-
-
-def _floats(value, what: str) -> np.ndarray:
-    """``value`` as a new float array, or OracleError when numpy cannot
-    convert it."""
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise OracleError("%s must be an array of numbers, got %r" % (what, value))
 
 
 def _reward_table(game, s, mass) -> np.ndarray:
@@ -124,17 +111,17 @@ class DiscreteMFG:
     mu0: np.ndarray
 
     def __post_init__(self):
-        _check_count(self.n_states, "n_states")
-        _check_count(self.n_actions, "n_actions")
-        _check_count(self.horizon, "horizon")
+        check_count(self.n_states, "n_states", OracleError)
+        check_count(self.n_actions, "n_actions", OracleError)
+        check_count(self.horizon, "horizon", OracleError)
         if not callable(self.reward):
             raise OracleError("reward must be callable, got %r" % (self.reward,))
-        p = _floats(self.transitions, "transitions")
+        p = as_floats(self.transitions, "transitions", OracleError).copy()
         if p.shape != (self.n_states, self.n_actions, self.n_states):
             raise OracleError("transition kernel shape %r" % (p.shape,))
         if not (np.all(p >= 0) and np.all(np.abs(p.sum(axis=2) - 1.0) <= PROB_TOL)):
             raise OracleError("transition rows must be distributions")
-        mu = _floats(self.mu0, "mu0")
+        mu = as_floats(self.mu0, "mu0", OracleError).copy()
         if not (mu.shape == (self.n_states,) and np.all(mu >= 0)
                 and abs(mu.sum() - 1.0) <= PROB_TOL):
             raise OracleError("mu0 must be a distribution over states")
@@ -366,7 +353,7 @@ def fictitious_play(game: DiscreteMFG, iterations: int):
     the average policy, the forward sweep's joint stack: the workspace's
     certificate, which :func:`exploitability` also returns.
     """
-    _check_count(iterations, "iterations")
+    check_count(iterations, "iterations", OracleError)
     T, S, A = game.horizon, game.n_states, game.n_actions
     sweeps = _Sweeps(game, 2)
     policies, best = sweeps.policies, sweeps.best[:, 0]
@@ -552,9 +539,8 @@ def _population_values(game: DiscreteMFG, policy: np.ndarray, n_agents: int, tri
     its (c, 1 + 2T, N) uniforms at once, which is the stream c one-trial
     loops would draw in turn; a trial larger than the budget draws one step
     at a time.  Either way the results and the generator's state afterwards
-    do not depend on the chunking.
+    do not depend on the chunking.  The caller checks ``n_agents`` and ``trials``.
     """
-    _check_count(n_agents, "agents")
     T, S, A = game.horizon, game.n_states, game.n_actions
     start, act, move = _cdf_table(game.mu0), _cdf_table(policy), _cdf_table(game.transitions)
     per_trial = (1 + 2 * T) * n_agents
@@ -584,13 +570,15 @@ def simulate_population_value(game: DiscreteMFG, policy: np.ndarray, n_agents: i
     """Mean realized payoff of n agents sharing a policy, with rewards driven
     by the realized empirical measure."""
     policy = _check_policy(game, policy)
+    check_count(n_agents, "agents", OracleError)
     return float(_population_values(game, policy, n_agents, 1, rng)[0])
 
 
 def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: int, rng):
     """(mean, std) over trials of |finite-N mean payoff - exact limit value|."""
     policy = _check_policy(game, policy)
-    _check_count(trials, "trials")
+    check_count(n_agents, "agents", OracleError)
+    check_count(trials, "trials", OracleError)
     sweeps = _Sweeps(game, 1, policy_column=True)
     sweeps.policies[:, 0] = policy
     sweeps.forward()
@@ -605,7 +593,7 @@ def scaling_experiment(game: DiscreteMFG, policy: np.ndarray, sizes, trials: int
     over at least two distinct N."""
     sizes = list(sizes)
     for n in sizes:
-        _check_count(n, "agents")
+        check_count(n, "agents", OracleError)
     if len(set(sizes)) < 2:
         raise OracleError("a slope needs at least two distinct sizes, got %r" % (sizes,))
     rows = []
@@ -623,7 +611,7 @@ def scaling_experiment(game: DiscreteMFG, policy: np.ndarray, sizes, trials: int
 def ring_game(n_states: int = 4, horizon: int = 4, reward_state: int = 0) -> DiscreteMFG:
     """Monotone congestion on a ring: stay/move-clockwise, one rewarding state
     paying 1/(1 + mass there)."""
-    _check_count(n_states, "n_states")
+    check_count(n_states, "n_states", OracleError)
     if not (is_count(reward_state, 0) and reward_state < n_states):
         raise OracleError("reward_state %r is not one of the %d states" % (reward_state, n_states))
     trans = np.zeros((n_states, 2, n_states))
@@ -643,7 +631,7 @@ def two_state_congestion(horizon: int = 2, weights=(1.0, 0.6)) -> DiscreteMFG:
     for s in range(2):
         trans[s, 0, s] = 1.0
         trans[s, 1, 1 - s] = 1.0
-    w = _floats(weights, "two_state_congestion weights")
+    w = as_floats(weights, "two_state_congestion weights", OracleError).copy()
     if w.shape != (2,):
         raise OracleError("two_state_congestion takes one weight per state, got %r" % (weights,))
     if not np.isfinite(w).all():

@@ -80,6 +80,17 @@ def test_forward_dim_mismatch():
         net.forward([[1.0, 2.0, 3.0]])
 
 
+# unchecked, width 0 builds a network that outputs b2 alone, and numpy's
+# errors for -1 or 2.5 do not say which width is wrong
+@pytest.mark.parametrize("widths, name", [
+    ((0, 4, 1), "input"), ((2, 0, 1), "hidden"), ((2, 4, 0), "output"),
+    ((2, -1, 1), "hidden"), ((2, 2.5, 1), "hidden"), ((True, 4, 1), "input"),
+], ids=["input 0", "hidden 0", "output 0", "hidden -1", "hidden 2.5", "input True"])
+def test_mlp_init_checks_its_widths(widths, name):
+    with pytest.raises(ValueError, match="%s width must be an int >= 1" % name):
+        Mlp.init(*widths, np.random.default_rng(3))
+
+
 @pytest.mark.parametrize("call", [
     lambda net, x: net.forward(x),
     lambda net, x: net.forward_with_hidden(x),
@@ -375,6 +386,15 @@ def rollout_first_actions(sigma, n_agents, seed):
     state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=8, sigma=sigma)
     log = rollout(spec, state, n_agents, np.random.default_rng(seed))
     return state.actor, log.states[0], log.actions[0]
+
+
+# unchecked, a negative sigma gives finite gradients, and zero fails only
+# in log_prob, with a bare math domain error
+@pytest.mark.parametrize("sigma", [0.0, -0.1, math.nan, math.inf, True, "a"])
+def test_gaussian_policy_checks_its_sigma(sigma):
+    net = Mlp.init(2, 4, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="policy sigma must be finite and > 0"):
+        GaussianPolicy(net, sigma)
 
 
 def test_sample_action_degenerate_sigma():

@@ -55,3 +55,14 @@ def test_package_module_uses_every_import(module):
 def test_test_file_uses_every_import(name):
     source = (ROOT / "tests" / name).read_text()
     assert _unused_imports(source) == []
+
+
+def test_no_function_is_defined_in_two_package_modules():
+    # a helper copied into a second module drifts from the first; shared
+    # rules live once, in mfglearn._checks
+    homes = {}
+    for path in sorted((ROOT / "src" / "mfglearn").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                homes.setdefault(node.name, []).append(path.name)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
