@@ -9,6 +9,6 @@ from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
 from .learner import (EpisodeLog, Schedules, TrainState, init_train_state, pg_update,
                       rollout, td_update, train)
 from .oracle import (DiscreteMFG, best_response, exploitability, fictitious_play,
-                     induced_flow, lqr_analytic, nplayer_gap, ring_game)
+                     induced_flow, lqr_analytic, ring_game)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

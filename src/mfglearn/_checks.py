@@ -40,3 +40,10 @@ def check_count(value, what: str, error, least: int = 1):
 def check_positive(value, what: str, error):
     if not (is_real(value) and 0.0 < value < math.inf):
         raise error("%s must be finite and > 0, got %r" % (what, value))
+
+
+def check_real(value, what: str, error, least=None):
+    """A finite real number, and >= ``least`` when it is given."""
+    if not (is_real(value) and -math.inf < value < math.inf and (least is None or value >= least)):
+        bound = "" if least is None else " and >= %g" % least
+        raise error("%s must be finite%s, got %r" % (what, bound, value))

@@ -167,12 +167,13 @@ def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
     return params
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianPolicy:
     """Diagonal Gaussian over actions: mean from an Mlp, fixed std sigma.
 
     Like the Mlp, every method takes an (n, in_dim) batch of states.  A
-    sigma that is not a finite number > 0 raises ValueError when it is built.
+    sigma that is not a finite number > 0 raises ValueError when it is built,
+    and the frozen fields cannot be reassigned past that check.
     """
 
     mean_net: Mlp

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_floats, check_count, check_positive, is_real
+from ._checks import as_floats, check_count, check_positive, check_real, is_real
 
 
 class EnvError(ValueError):
@@ -130,8 +130,7 @@ class DemandReward:
     def __post_init__(self):
         wps = []
         for t, p in _pairs(self.waypoints, "demand path waypoint"):
-            if not (is_real(t) and -math.inf < t < math.inf):
-                raise EnvError("demand path times must be finite numbers, got %r" % (t,))
+            check_real(t, "demand path times", EnvError)
             wps.append((float(t), _finite_point(p, "demand path point")))
         if len(wps) < 2:
             raise EnvError("demand path needs at least two waypoints")
@@ -210,13 +209,9 @@ class EnvSpec:
                            % (self.reward,))
         check_count(self.horizon, "horizon", EnvError)
         for name in ("a", "b"):
-            value = getattr(self, name)
-            if not (is_real(value) and -math.inf < value < math.inf):
-                raise EnvError("%s must be finite, got %r" % (name, value))
+            check_real(getattr(self, name), name, EnvError)
         for name in ("eta", "sigma1", "init_std"):
-            value = getattr(self, name)
-            if not (is_real(value) and 0 <= value < math.inf):
-                raise EnvError("%s must be finite and >= 0, got %r" % (name, value))
+            check_real(getattr(self, name), name, EnvError, least=0)
         if not (is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
             raise EnvError("discount gamma must be a number in (0, 1], got %r" % (self.gamma,))
         if isinstance(self.reward, DemandReward):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -395,6 +396,14 @@ def test_gaussian_policy_checks_its_sigma(sigma):
     net = Mlp.init(2, 4, 2, np.random.default_rng(3))
     with pytest.raises(ValueError, match="policy sigma must be finite and > 0"):
         GaussianPolicy(net, sigma)
+
+
+def test_gaussian_policy_sigma_cannot_be_reassigned():
+    # the check runs once, when the policy is built, so sigma must not change after it
+    policy = make_policy()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.sigma = 0.0
+    assert policy.sigma == 0.1
 
 
 def test_sample_action_degenerate_sigma():

@@ -1,17 +1,24 @@
-"""Checks on the repository's files that run none of its code.
+"""Checks on the repository's files that run none of its code beyond importing it.
 
 The CI workflow is read as text (CI installs no YAML parser), so a workload
 added to the benchmark cannot silently miss the CI smoke run.  Each package
 module and each file under ``tests/`` is parsed with ``ast``, so an import
-left behind by a refactor fails here.
+left behind by a refactor fails here.  Every code name the README cites must
+resolve, so deleting a public function cannot leave the README naming it.
 """
 
 import ast
+import builtins
+import importlib
+import importlib.util
 import json
 import pathlib
+import pkgutil
 import re
 
 import pytest
+
+import mfglearn
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -66,3 +73,38 @@ def test_no_function_is_defined_in_two_package_modules():
             if isinstance(node, ast.FunctionDef):
                 homes.setdefault(node.name, []).append(path.name)
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def _unresolved_names(markdown: str) -> list:
+    """Backticked dotted identifiers in ``markdown`` (fenced blocks aside)
+    that are no attribute of ``mfglearn`` or of one of its modules, no
+    builtin, no test function under ``tests/``, no path from the repository
+    root and no importable top-level module."""
+    homes = [mfglearn] + [importlib.import_module("mfglearn." + m.name)
+                          for m in pkgutil.iter_modules(mfglearn.__path__)]
+    tests = {node.name for path in (ROOT / "tests").rglob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+
+    def resolves(name):
+        for home in homes:
+            obj = home
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return (hasattr(builtins, name) or name in tests or (ROOT / name).exists()
+                or ("." not in name and importlib.util.find_spec(name) is not None))
+
+    text = re.sub(r"```.*?```", "", markdown, flags=re.S)
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", text)
+    return sorted({name for name in names if not resolves(name)})
+
+
+def test_readme_names_finds_a_made_up_name():
+    text = "`oracle.no_such_solver`, `Mlp.init`, `ValueError`, `ROADMAP.md`, `numpy`, `no_such_module`"
+    assert _unresolved_names(text) == ["no_such_module", "oracle.no_such_solver"]
+
+
+def test_readme_names_only_what_exists():
+    assert _unresolved_names((ROOT / "README.md").read_text()) == []

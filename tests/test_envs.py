@@ -395,7 +395,7 @@ def test_congestion_peak_centre_must_be_finite(make):
 @pytest.mark.parametrize("waypoints, message", [
     (((0, (0.0, 0.0)), (math.nan, (1.0, 0.0))), "times must be finite"),
     (((0, (0.0, 0.0)), (10, (math.nan, 0.0))), "point must be finite"),
-    ((("a", (0, 0)), (1, (0, 0))), "times must be finite numbers"),
+    ((("a", (0, 0)), (1, (0, 0))), "times must be finite, got 'a'"),
 ], ids=["nan time", "nan point", "string time"])
 def test_demand_path_waypoints_must_be_finite(waypoints, message):
     with pytest.raises(EnvError, match=message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mfglearn import learner
-from mfglearn.approx import DivergenceError, Mlp
+from mfglearn.approx import DivergenceError, GaussianPolicy, Mlp
 from mfglearn.envs import EnvError, bimodal_env, congestion_env, demand_env, lqr_env
 from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, fp_update_state, init_train_state,
                               pg_update, rollout, td_update, train)
@@ -129,7 +129,8 @@ def test_rollout_single_agent_hand_check():
 def test_rollout_symmetric_population_is_dirac():
     spec = bandit_spec(init_mean=(0.4, 0.1))
     state = fresh_state(spec)
-    state.actor.sigma = 1e-154  # negligible exploration noise, squares stay finite
+    # negligible exploration noise, squares stay finite
+    state.actor = GaussianPolicy(state.actor.mean_net, 1e-154)
     log = rollout(spec, state, 50, np.random.default_rng(6))
     term = log.states[-1]
     assert np.all(term == term[0])

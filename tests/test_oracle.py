@@ -13,8 +13,8 @@ from mfglearn.envs import congestion_env, demand_env, lqr_env
 from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _joint_states, _Sweeps,
                              best_response, exploitability, fictitious_play, induced_flow,
                              lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
-                             policy_value, random_policy, ring_game, scaling_experiment,
-                             simulate_population_value, two_state_congestion, uniform_policy)
+                             policy_value, random_policy, ring_game, simulate_population_value,
+                             two_state_congestion, uniform_policy)
 from tracemem import traced_peak
 
 
@@ -826,36 +826,6 @@ def test_gap_decreases_with_population():
     gap_small, _ = nplayer_gap(game, policy, 8, 200, rng)
     gap_large, _ = nplayer_gap(game, policy, 4096, 200, rng)
     assert gap_large < gap_small
-
-
-def test_scaling_slope_matches_root_n():
-    rng = np.random.default_rng(18)
-    game = ring_game()
-    policy, _, _ = fictitious_play(game, 50)
-    rows, slope = scaling_experiment(game, policy, [8, 16, 32, 64, 128, 256, 512, 1024], 200, rng)
-    assert -0.7 <= slope <= -0.3
-    assert all(r[1] == 200 for r in rows)
-
-
-@pytest.mark.parametrize("sizes", [[10], [10, 10], []])
-def test_scaling_needs_two_distinct_sizes(sizes):
-    game = ring_game()
-    with pytest.raises(OracleError, match="two distinct sizes"):
-        scaling_experiment(game, uniform_policy(game), sizes, 3, np.random.default_rng(0))
-
-
-class _NoDraws:
-    """A generator stand-in that fails the test if a trial draws from it."""
-
-    def random(self, size=None):
-        raise AssertionError("a trial ran before every size was checked")
-
-
-@pytest.mark.parametrize("bad", [8.7, True, "8", 0], ids=["8.7", "True", "'8'", "0"])
-def test_scaling_sizes_must_be_counts(bad):
-    game = ring_game()
-    with pytest.raises(OracleError, match="agents must be an int >= 1"):
-        scaling_experiment(game, uniform_policy(game), [8, 16, bad], 3, _NoDraws())
 
 
 # --- Riccati ------------------------------------------------------------------
