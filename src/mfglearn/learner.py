@@ -126,8 +126,9 @@ class EpisodeLog:
     The rollout's noise is drawn into ``states`` and ``actions`` and turned
     into states and actions in place, so no separate noise arrays exist.
 
-    Arrays are indexed [step, agent]; :meth:`agents` selects columns, and
-    ``agent_ids`` identifies them so consumers can reduce in id order.
+    Arrays are indexed [step, agent].  :meth:`agents` selects columns, which
+    ``agent_ids`` identify so consumers can reduce in id order; a selection
+    shares the whole crowd's ``measures``, ``mean_return`` and ``gamma``.
     """
 
     states: np.ndarray       # (T+1, N, 2)
@@ -137,13 +138,14 @@ class EpisodeLog:
     measures: list           # T+1 DensityGrids of the realized population
     agent_ids: np.ndarray    # (N,)
     mean_return: float       # discounted return averaged over agents
+    gamma: float             # the discount the episode was scored with
 
     def agents(self, cols) -> "EpisodeLog":
         """The log of the agents in columns ``cols``, in that order: views of
         this log's arrays for a slice, reordered copies for an index array."""
         return EpisodeLog(self.states[:, cols], self.actions[:, cols],
                           self.rewards[:, cols], self.densities[:, cols],
-                          self.measures, self.agent_ids[cols], self.mean_return)
+                          self.measures, self.agent_ids[cols], self.mean_return, self.gamma)
 
 
 def _log_arrays(horizon: int, n_agents: int):
@@ -271,7 +273,7 @@ def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
 
     mean_return = float((spec.gamma ** np.arange(T) @ rewards).mean())
     return EpisodeLog(states, actions, rewards, densities, measures,
-                      np.arange(n_agents), mean_return)
+                      np.arange(n_agents), mean_return, spec.gamma)
 
 
 def fp_update_state(state: TrainState, log: EpisodeLog):
@@ -302,17 +304,17 @@ def _canonical(log: EpisodeLog) -> EpisodeLog:
     return log.agents(np.argsort(log.agent_ids))
 
 
-def _td_errors(state: TrainState, log: EpisodeLog, gamma: float):
+def _td_errors(state: TrainState, log: EpisodeLog):
     """Critic inputs, the critic's hidden layer on them, and the (T, n)
     float64 TD errors r + gamma * V(x') - V(x) of the log's n agents under
-    the current critic."""
+    the current critic, with the log's own discount."""
     T, n = log.rewards.shape
     feats = _critic_features(state, log.states, log.densities)
     out, hidden = state.critic.forward_with_hidden(feats)
     v = out.reshape(T + 1, n)
     v_next = v[1:].astype(float)
     v_next[T - 1] = 0.0  # terminal value is zero at episode end
-    return feats, hidden, log.rewards + gamma * v_next - v[:T]
+    return feats, hidden, log.rewards + log.gamma * v_next - v[:T]
 
 
 def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
@@ -336,14 +338,14 @@ def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
     return grads, total
 
 
-def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
+def td_update(state: TrainState, log: EpisodeLog) -> float:
     """One Adam step on the summed TD(0) loss; returns the pre-update loss.
 
     The loss and the critic gradient are summed over blocks of agents in
     ascending id order (see :func:`_adam_over_agent_blocks`).
     """
     def block_terms(block):
-        feats, hidden, delta = _td_errors(state, block, gamma)
+        feats, hidden, delta = _td_errors(state, block)
         T, n = delta.shape
         upstream = np.zeros((T + 1, n))
         upstream[:T] = -delta  # semi-gradient: targets held fixed
@@ -354,7 +356,7 @@ def td_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
                                    state.schedules.critic_lr)[1]
 
 
-def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
+def pg_update(state: TrainState, log: EpisodeLog) -> float:
     """Advantage-weighted policy-gradient ascent step; returns the gradient norm.
 
     The advantage is the TD error under the current critic.  The scores are
@@ -365,7 +367,7 @@ def pg_update(state: TrainState, log: EpisodeLog, gamma: float) -> float:
     def block_terms(block):
         # only the TD errors are kept: the critic's inputs and hidden layer
         # are let go before the actor pass
-        delta = _td_errors(state, block, gamma)[2]
+        delta = _td_errors(state, block)[2]
         x = block.states[:-1].reshape(-1, 2).astype(np.float32)
         a = block.actions.reshape(-1, 2)
         return state.actor.logprob_grad(x, a, weights=-delta.reshape(-1)), 0.0
@@ -406,8 +408,8 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
             old_terminal = state.beliefs[-1].average
             fp_update_state(state, log)
             drift = grid_distance(old_terminal, state.beliefs[-1].average)
-            loss = td_update(state, log, spec.gamma)
-            norm = pg_update(state, log, spec.gamma)
+            loss = td_update(state, log)
+            norm = pg_update(state, log)
             rows.append((state.episode, log.mean_return, drift, norm, loss))
             state.episode += 1
     except DivergenceError as err:

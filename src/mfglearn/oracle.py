@@ -599,7 +599,8 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
 
 def ring_game(n_states: int = 4, horizon: int = 4, reward_state: int = 0) -> DiscreteMFG:
     """Monotone congestion on a ring: stay/move-clockwise, one rewarding state
-    paying 1/(1 + mass there)."""
+    paying 1/(1 + mass there) > 0 and the others 0, so the best response
+    ignores the flow and fictitious play's certificate is exactly 0."""
     check_count(n_states, "n_states", OracleError)
     if not (is_count(reward_state, 0) and reward_state < n_states):
         raise OracleError("reward_state %r is not one of the %d states" % (reward_state, n_states))
@@ -612,19 +613,15 @@ def ring_game(n_states: int = 4, horizon: int = 4, reward_state: int = 0) -> Dis
     return DiscreteMFG(n_states, 2, horizon, trans, reward, mu0)
 
 
-def two_state_congestion(horizon: int = 2, weights=(1.0, 0.6)) -> DiscreteMFG:
-    """Two locations with own-mass-discounted rewards w_s/(1 + mass(s));
+def two_state_congestion(horizon: int = 2) -> DiscreteMFG:
+    """Two locations paying 1.0 and 0.6, each over (1 + its own mass);
     actions stay/switch.  Crowding the better spot pushes part of the
     population to the other, so fictitious play has genuine work to do."""
     trans = np.zeros((2, 2, 2))
     for s in range(2):
         trans[s, 0, s] = 1.0
         trans[s, 1, 1 - s] = 1.0
-    w = as_floats(weights, "two_state_congestion weights", OracleError).copy()
-    if w.shape != (2,):
-        raise OracleError("two_state_congestion takes one weight per state, got %r" % (weights,))
-    if not np.isfinite(w).all():
-        raise OracleError("two_state_congestion weights must be finite, got %r" % (weights,))
+    w = np.array([1.0, 0.6])
     reward = lambda s, m, a: w[np.asarray(s)] / (1.0 + np.asarray(m))
     return DiscreteMFG(2, 2, horizon, trans, reward, np.array([1.0, 0.0]))
 

@@ -3,8 +3,9 @@
 The CI workflow is read as text (CI installs no YAML parser), so a workload
 added to the benchmark cannot silently miss the CI smoke run.  Each package
 module and each file under ``tests/`` is parsed with ``ast``, so an import
-left behind by a refactor fails here.  Every code name the README cites must
-resolve, so deleting a public function cannot leave the README naming it.
+left behind by a refactor, or a function defined in two of them, fails
+here.  Every code name the README cites must resolve, so deleting a public
+function cannot leave the README naming it.
 """
 
 import ast
@@ -64,15 +65,26 @@ def test_test_file_uses_every_import(name):
     assert _unused_imports(source) == []
 
 
-def test_no_function_is_defined_in_two_package_modules():
-    # a helper copied into a second module drifts from the first; shared
-    # rules live once, in mfglearn._checks
+def _defined_twice(paths) -> dict:
+    """Top-level function names defined in more than one of ``paths``, with their files."""
     homes = {}
-    for path in sorted((ROOT / "src" / "mfglearn").glob("*.py")):
+    for path in sorted(paths):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 homes.setdefault(node.name, []).append(path.name)
-    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+    return {name: files for name, files in homes.items() if len(files) > 1}
+
+
+def test_no_function_is_defined_in_two_package_modules():
+    # a helper copied into a second module drifts from the first; shared
+    # rules live once, in mfglearn._checks
+    assert _defined_twice((ROOT / "src" / "mfglearn").glob("*.py")) == {}
+
+
+def test_no_function_is_defined_in_two_test_files():
+    # the same rule for tests: a copied helper or a copied test drifts from
+    # the first, so a shared helper lives in one file and the others import it
+    assert _defined_twice((ROOT / "tests").glob("*.py")) == {}
 
 
 def _unresolved_names(markdown: str) -> list:

@@ -10,7 +10,7 @@ from mfglearn.approx import DivergenceError, GaussianPolicy, Mlp
 from mfglearn.envs import EnvError, bimodal_env, congestion_env, demand_env, lqr_env
 from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, fp_update_state, init_train_state,
                               pg_update, rollout, td_update, train)
-from mfglearn.meanfield import BeliefState, DensityGrid, GridError, GridSpec, belief_update, density_at
+from mfglearn.meanfield import GridError, GridSpec, density_at
 
 GRID = GridSpec(resolution=20)
 
@@ -63,17 +63,6 @@ def test_schedules_hold_the_two_adam_rates():
     assert Schedules().mode == "paper"   # a constant, not a setting
     with pytest.raises(TypeError):
         Schedules(mode="paper")
-
-
-def test_paper_schedule_is_exact_running_mean():
-    # the belief update folds five measures into their plain mean
-    rng = np.random.default_rng(0)
-    masses = [rng.random((GRID.resolution, GRID.resolution)) for _ in range(5)]
-    masses = [m / m.sum() for m in masses]
-    belief = BeliefState.initial(GRID)
-    for m in masses:
-        belief = belief_update(belief, DensityGrid(GRID, m))
-    np.testing.assert_allclose(belief.average.mass, np.mean(masses, axis=0), rtol=1e-12)
 
 
 def test_trained_beliefs_are_the_mean_of_the_logged_measures():
@@ -175,14 +164,15 @@ def test_td_zero_rewards_zero_critic():
     log = rollout(spec, state, 8, np.random.default_rng(10))
     log.rewards[:] = 0.0
     before = {k: v.copy() for k, v in state.critic.params.items()}
-    loss = td_update(state, log, spec.gamma)
+    loss = td_update(state, log)
     assert loss == 0.0
     for k in before:
         assert np.array_equal(state.critic.params[k], before[k])
 
 
 def test_td_single_transition_is_regression():
-    # gamma=0 and one transition: TD gradient equals the regression gradient
+    # one transition of a horizon-1 bandit: the discount multiplies only the
+    # zeroed terminal value, so the TD gradient equals the regression gradient
     # of 0.5*(r - v(x0))^2; the lqr critic sees the position alone
     spec = bandit_spec()
     state = fresh_state(spec)
@@ -193,7 +183,7 @@ def test_td_single_transition_is_regression():
     expected_upstream = -(2.5 - v0)
     grads, _ = state.critic.backward(feats, np.array([[expected_upstream]]))
     state2 = copy.deepcopy(state)
-    td_update(state2, log, gamma=0.0)
+    td_update(state2, log)
     # reproduce the adam step on a fresh copy with the regression gradient
     state3 = copy.deepcopy(state)
     from mfglearn.approx import adam_step
@@ -211,10 +201,10 @@ def test_td_loss_decreases_on_frozen_task():
     spec = congestion_env(alpha=2.0)
     state = fresh_state(spec, schedules=Schedules(actor_lr=1e-3, critic_lr=1e-2))
     log = rollout(spec, state, 256, np.random.default_rng(12))  # frozen dataset
-    first = td_update(state, log, spec.gamma)
+    first = td_update(state, log)
     last = first
     for _ in range(199):
-        last = td_update(state, log, spec.gamma)
+        last = td_update(state, log)
     assert last <= 0.1 * first
 
 
@@ -228,7 +218,7 @@ def test_pg_zero_advantage_no_change():
     for k in state.critic.params:
         state.critic.params[k] = np.zeros_like(state.critic.params[k])
     before = {k: v.copy() for k, v in state.actor.mean_net.params.items()}
-    pg_update(state, log, spec.gamma)
+    pg_update(state, log)
     for k in before:
         assert np.array_equal(state.actor.mean_net.params[k], before[k])
 
@@ -258,8 +248,8 @@ def test_pg_single_step_ascends_on_average():
         rng = np.random.default_rng(1000 + seed)
         log = rollout(spec, state, 32, rng)
         before = expected_reward(state.actor.mean(x0))
-        td_update(state, log, spec.gamma)
-        pg_update(state, log, spec.gamma)
+        td_update(state, log)
+        pg_update(state, log)
         improvements.append(expected_reward(state.actor.mean(x0)) - before)
     assert np.mean(improvements) > 0.0
 
@@ -281,7 +271,7 @@ def test_each_update_leaves_the_other_network_and_its_moments_alone(update):
     actor, critic = (state.actor.mean_net, state.actor_opt), (state.critic, state.critic_opt)
     stepped, other = (critic, actor) if update is td_update else (actor, critic)
     t, before = stepped[1].t, _network_snapshot(*other)
-    update(state, log, spec.gamma)
+    update(state, log)
     after = _network_snapshot(*other)
     assert after[0] == before[0] and stepped[1].t == t + 1
     for was, now in zip(before[1:], after[1:]):
@@ -294,13 +284,13 @@ def test_each_update_checks_only_the_network_it_steps():
     critic_out = fresh_state(spec)
     critic_out.critic.params["b2"][:] = 2.0 * learner.PARAM_LIMIT
     with pytest.raises(DivergenceError):
-        td_update(critic_out, log, spec.gamma)
+        td_update(critic_out, log)
     # the actor past the limit is pg_update's to catch, not td_update's
     actor_out = fresh_state(spec)
     actor_out.actor.mean_net.params["b2"][:] = 2.0 * learner.PARAM_LIMIT
-    td_update(actor_out, log, spec.gamma)
+    td_update(actor_out, log)
     with pytest.raises(DivergenceError):
-        pg_update(actor_out, log, spec.gamma)
+        pg_update(actor_out, log)
 
 
 # --- train loop -----------------------------------------------------------------
@@ -555,10 +545,10 @@ def test_updates_bit_identical_under_agent_permutation():
         shuffled = log.agents(perm)
 
         s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
-        td_update(s1, log, spec.gamma)
-        pg_update(s1, log, spec.gamma)
-        td_update(s2, shuffled, spec.gamma)
-        pg_update(s2, shuffled, spec.gamma)
+        td_update(s1, log)
+        pg_update(s1, log)
+        td_update(s2, shuffled)
+        pg_update(s2, shuffled)
         for k in s1.critic.params:
             assert np.array_equal(s1.critic.params[k], s2.critic.params[k])
         for k in s1.actor.mean_net.params:
@@ -578,9 +568,10 @@ def test_episode_log_agents_views_a_slice_and_copies_an_index_array():
             assert np.shares_memory(getattr(part, name), getattr(log, name)) == shared, name
         assert part.measures is log.measures
         assert part.mean_return == log.mean_return
+        assert part.gamma == log.gamma == spec.gamma
 
 
-def test_instantaneous_coupling_mode():
+def test_evaluate_reads_the_realized_crowd_and_rollout_the_beliefs():
     # evaluate couples to the crowd it realizes, training rollouts to the beliefs
     spec = demand_env(horizon=3)
     state = fresh_state(spec)

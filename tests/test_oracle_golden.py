@@ -28,13 +28,12 @@ per-state values: DENSE_RANDOM_EXPLOITABILITY and
 DENSE_AVERAGE_EXPLOITABILITY moved in their last bits.
 """
 
-import hashlib
-
 import numpy as np
 
 from mfglearn.oracle import (DiscreteMFG, best_response, exploitability, fictitious_play,
                              induced_flow, nplayer_gap, nplayer_payoff, policy_value,
                              random_policy, ring_game, two_state_congestion)
+from test_golden_envs import _digest
 
 RING_POLICY_SHA = "5d025f355dbca7c1aa7635392c53b47fb373986e4b044a25cc4711f16fc9e77c"
 RING_FLOW_SHA = "9ac6e867ad459a1ba846462f9a334cadf277a0697b1d3a6d9d4ea31f8e5fcb54"
@@ -77,13 +76,6 @@ DENSE_RANDOM_EXPLOITABILITY = 9.691264450949438
 # play's two-column products; here the last bits do
 DENSE_AVERAGE_EXPLOITABILITY = 0.009832738167339754
 DENSE_GAP = (1.212520938999263, 0.6681680065140856)
-
-
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    return h.hexdigest()
 
 
 def moving_ring(n_states=50, horizon=30):

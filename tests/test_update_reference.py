@@ -83,13 +83,13 @@ def test_updates_match_full_batch_gradients(monkeypatch, make_env):
     monkeypatch.setattr(learner, "adam_step", spy)
 
     want_critic, want_loss, _ = _full_batch_td(spec, copy.deepcopy(state), log)
-    loss = learner.td_update(state, log, spec.gamma)
+    loss = learner.td_update(state, log)
     _assert_grads_close(seen[0], want_critic)
     assert loss == pytest.approx(want_loss, rel=TOL, abs=0)
 
     # the actor's advantage comes from the critic after its Adam step
     want_actor = _full_batch_pg(spec, copy.deepcopy(state), log)
-    norm = learner.pg_update(state, log, spec.gamma)
+    norm = learner.pg_update(state, log)
     _assert_grads_close(seen[1], {k: -g for k, g in want_actor.items()})
     want_norm = math.sqrt(sum(float((g * g).sum()) for g in want_actor.values()))
     assert norm == pytest.approx(want_norm, rel=TOL, abs=0)
