@@ -222,10 +222,6 @@ class EnvSpec:
         object.__setattr__(self, "init_mean", _finite_point(self.init_mean, "init_mean"))
 
     @property
-    def r_matrix(self) -> np.ndarray:
-        return self.eta * np.eye(2)
-
-    @property
     def uses_density(self) -> bool:
         return self.reward.uses_density
 
@@ -258,19 +254,8 @@ def step(spec: EnvSpec, x, u, noise):
     return spec.a * xx + spec.b * uu + spec.sigma1 * nn
 
 
-def _movement_cost(spec: EnvSpec, uu: np.ndarray):
-    """0.5*eta*|u|^2 of each row of an (n, 2) batch ``_batch`` has checked."""
-    return 0.5 * spec.eta * (uu[:, 0] * uu[:, 0] + uu[:, 1] * uu[:, 1])
-
-
-def movement_cost(spec: EnvSpec, u):
-    """(n,) movement penalties 0.5*eta*|u|^2 of a finite (n, 2) batch of
-    actions; anything else raises EnvError."""
-    return _movement_cost(spec, _batch(u, "actions"))
-
-
 def reward(spec: EnvSpec, t, x, u, density):
-    """Per-step rewards at arrival states x (step t), net of movement cost.
+    """Per-step rewards at arrival states x (step t), net of 0.5*eta*|u|^2.
 
     ``x`` and ``u`` are (n, 2) batches of one shape and ``density`` the (n,)
     densities at x; any other shape, or a non-finite state or action,
@@ -284,7 +269,8 @@ def reward(spec: EnvSpec, t, x, u, density):
     if dens.shape != xx.shape[:1]:
         raise EnvError("density must be one value per state, shape %r, got shape %r"
                        % (xx.shape[:1], dens.shape))
-    return spec.reward(t, xx, dens) - _movement_cost(spec, uu)
+    move = 0.5 * spec.eta * (uu[:, 0] * uu[:, 0] + uu[:, 1] * uu[:, 1])
+    return spec.reward(t, xx, dens) - move
 
 
 def sample_initial(spec: EnvSpec, rng, n: int):

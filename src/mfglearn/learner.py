@@ -101,15 +101,14 @@ def _critic_inputs(spec: EnvSpec) -> int:
 
 
 def init_train_state(spec: EnvSpec, grid: GridSpec, seed: int,
-                     schedules: Schedules | None = None, hidden: int = 64,
-                     sigma: float = 0.1) -> TrainState:
+                     schedules: Schedules | None = None, hidden: int = 64) -> TrainState:
     check_count(seed, "seed", ValueError, least=0)
     sched = schedules or Schedules()
     rng = np.random.default_rng(np.random.PCG64(seed))
     actor_net = Mlp.init(2, hidden, 2, rng)
     critic = Mlp.init(_critic_inputs(spec), hidden, 1, rng)
     return TrainState(
-        actor=GaussianPolicy(actor_net, sigma),
+        actor=GaussianPolicy(actor_net),
         critic=critic,
         actor_opt=AdamState.for_params(actor_net.params),
         critic_opt=AdamState.for_params(critic.params),
@@ -388,7 +387,8 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     Returns (state, trace, last episode log); the trace is a record array
     with one row of ``_TRACE_DTYPE`` per episode.  One episode log is alive
     at a time: the previous one is let go before the next rollout.
-    Divergence aborts with the partial trace attached to the raised error.
+    Divergence raises DivergenceError carrying the partial trace as its
+    ``trace``; ``state`` is trained in place up to the failing episode.
     Calling it k episodes at a time continues the same run, so checkpoints go
     between calls; ``state.episode`` counts the episodes trained.  A state
     built for another environment raises ValueError: its critic must read
@@ -414,7 +414,6 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
             state.episode += 1
     except DivergenceError as err:
         err.trace = np.rec.fromrecords(rows, dtype=_TRACE_DTYPE)
-        err.state = state
         raise
     return state, np.rec.fromrecords(rows, dtype=_TRACE_DTYPE), log
 

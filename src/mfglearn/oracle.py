@@ -169,12 +169,7 @@ def _check_policy(game: DiscreteMFG, policy) -> np.ndarray:
         raise OracleError("policy shape %r, expected %r" % (policy.shape, shape))
     if not np.all(policy >= 0.0):
         raise OracleError("policy entries must be nonnegative")
-    # row sums by adding action columns: numpy's reduction over a short
-    # trailing axis costs several times more
-    row_sums = np.zeros(policy.shape[:-1])
-    for a in range(policy.shape[-1]):
-        row_sums += policy[..., a]
-    if not np.all(np.abs(row_sums - 1.0) <= PROB_TOL):
+    if not np.all(np.abs(policy.sum(axis=-1) - 1.0) <= PROB_TOL):
         raise OracleError("policy rows must sum to 1")
     return policy
 
@@ -597,18 +592,17 @@ def nplayer_gap(game: DiscreteMFG, policy: np.ndarray, n_agents: int, trials: in
 
 # --- built-in test games -----------------------------------------------------
 
-def ring_game(n_states: int = 4, horizon: int = 4, reward_state: int = 0) -> DiscreteMFG:
-    """Monotone congestion on a ring: stay/move-clockwise, one rewarding state
-    paying 1/(1 + mass there) > 0 and the others 0, so the best response
-    ignores the flow and fictitious play's certificate is exactly 0."""
+def ring_game(n_states: int = 4, horizon: int = 4) -> DiscreteMFG:
+    """Monotone congestion on a ring: stay/move-clockwise, state 0 paying
+    1/(1 + mass there) > 0 and the others 0, so the best response ignores
+    the flow and fictitious play's certificate is exactly 0.  Paying at
+    another state would be this game relabelled by a rotation."""
     check_count(n_states, "n_states", OracleError)
-    if not (is_count(reward_state, 0) and reward_state < n_states):
-        raise OracleError("reward_state %r is not one of the %d states" % (reward_state, n_states))
     trans = np.zeros((n_states, 2, n_states))
     for s in range(n_states):
         trans[s, 0, s] = 1.0
         trans[s, 1, (s + 1) % n_states] = 1.0
-    reward = lambda s, m, a: np.where(np.asarray(s) == reward_state, 1.0 / (1.0 + np.asarray(m)), 0.0)
+    reward = lambda s, m, a: np.where(np.asarray(s) == 0, 1.0 / (1.0 + np.asarray(m)), 0.0)
     mu0 = np.full(n_states, 1.0 / n_states)
     return DiscreteMFG(n_states, 2, horizon, trans, reward, mu0)
 
@@ -635,11 +629,6 @@ class LqrSolution:
     mean: np.ndarray          # stationary mean of the controlled process
     covariance: np.ndarray    # stationary state covariance
 
-    @property
-    def variance(self) -> float:
-        """Per-axis stationary variance, averaged over the two axes."""
-        return float(np.diag(self.covariance).mean())
-
 
 def lqr_analytic(spec) -> LqrSolution:
     """Stationary optimum of the lqr environment's own reward convention.
@@ -657,7 +646,7 @@ def lqr_analytic(spec) -> LqrSolution:
         # gain, and the value iteration would only overflow
         raise OracleError("non-stabilizable configuration: b = 0 and |a| = %r >= 1" % abs(spec.a))
     q = spec.reward.q_matrix
-    r = spec.r_matrix
+    r = spec.eta * np.eye(2)
     a_mat = spec.a * np.eye(2)
     b_mat = spec.b * np.eye(2)
     alpha = np.asarray(spec.reward.target)

@@ -384,7 +384,8 @@ def rollout_first_actions(sigma, n_agents, seed):
     rollout with every agent at (0.4, -0.3); the rollout draws actions as
     mean + sigma * pre-drawn noise."""
     spec = lqr_env(horizon=1, init_mean=(0.4, -0.3), init_std=0.0)
-    state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=8, sigma=sigma)
+    state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=8)
+    state.actor = GaussianPolicy(state.actor.mean_net, sigma)
     log = rollout(spec, state, n_agents, np.random.default_rng(seed))
     return state.actor, log.states[0], log.actions[0]
 

@@ -3,9 +3,9 @@
 The CI workflow is read as text (CI installs no YAML parser), so a workload
 added to the benchmark cannot silently miss the CI smoke run.  Each package
 module and each file under ``tests/`` is parsed with ``ast``, so an import
-left behind by a refactor, or a function defined in two of them, fails
-here.  Every code name the README cites must resolve, so deleting a public
-function cannot leave the README naming it.
+or a private helper left behind by a refactor, or a function defined in two
+of them, fails here.  Every code name the README cites must resolve, so
+deleting a public function cannot leave the README naming it.
 """
 
 import ast
@@ -63,6 +63,42 @@ def test_package_module_uses_every_import(module):
 def test_test_file_uses_every_import(name):
     source = (ROOT / "tests" / name).read_text()
     assert _unused_imports(source) == []
+
+
+def _unread_private_names(source: str) -> list:
+    """Private top-level names of a module (functions, classes and assigned
+    constants whose names start with ``_``, dunders aside) that the module
+    never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read
+                  if name.startswith("_") and not name.endswith("__"))
+
+
+def test_unread_private_names_finds_a_dead_helper():
+    source = ("__all__ = ['f']\n_LIMIT = 3\n_SPARE: int = 4\n"
+              "def _used(x):\n    return x\n"
+              "def _left_behind(x):\n    return x\n"
+              "class _Gone:\n    pass\n"
+              "def f():\n    _left_behind = 0\n    return _used(_LIMIT)\n")
+    assert _unread_private_names(source) == ["_Gone", "_SPARE", "_left_behind"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in (ROOT / "src" / "mfglearn").glob("*.py") if p.name != "__init__.py"))
+def test_package_module_reads_every_private_name(module):
+    # a private helper is for its own module; one that nothing there reads
+    # is left behind by a refactor
+    source = (ROOT / "src" / "mfglearn" / module).read_text()
+    assert _unread_private_names(source) == []
 
 
 def _defined_twice(paths) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from mfglearn.envs import (CongestionReward, DemandReward, EnvError, EnvSpec, LqrReward,
                            bimodal_env, congestion_env, demand_env, lqr_env,
-                           movement_cost, reward, sample_initial, step)
+                           reward, sample_initial, step)
 from mfglearn.learner import init_train_state, train
 from mfglearn.meanfield import GridSpec
 
@@ -44,10 +44,10 @@ def test_step_rejects_non_finite():
         step(spec, [[0.0, 0.0]], [[np.inf, 0.0]], [[0.0, 0.0]])
 
 
-# movement_cost and reward used to return NaN or -inf for these; a None
+# reward and its movement cost used to return NaN or -inf for these; a None
 # entry becomes NaN on the float cast
 @pytest.mark.parametrize("call", [
-    lambda: movement_cost(congestion_env(eta=1.0), [[None, 1.0]]),
+    lambda: reward(congestion_env(eta=1.0), 1, np.zeros((1, 2)), [[None, 1.0]], [0.0]),
     lambda: reward(congestion_env(), 1, np.zeros((1, 2)), [[np.inf, 0.0]], [0.0]),
     lambda: reward(congestion_env(), 1, [[np.nan, 0.0]], np.zeros((1, 2)), [0.0]),
     lambda: reward(lqr_env(), 1, [[0.0, np.nan]], np.zeros((1, 2)), [0.0]),
@@ -70,7 +70,7 @@ def test_step_affine():
 
 
 # A single (2,) point, or batches of different shapes, used to broadcast
-# silently; step and movement_cost take only (n, 2) batches of one shape.
+# silently; step and reward take only (n, 2) batches of one shape.
 
 _ROW, _ROWS = np.zeros((1, 2)), np.zeros((3, 2))
 _BAD_STEP_INPUTS = {
@@ -96,8 +96,6 @@ def test_step_takes_batches_of_one_shape(case):
                          ids=["one point", "three columns", "3-d"])
 def test_movement_cost_takes_a_batch(u):
     spec = congestion_env(eta=2.0)
-    with pytest.raises(EnvError, match="actions must be an .n, 2. batch"):
-        movement_cost(spec, u)
     with pytest.raises(EnvError, match="actions must be an .n, 2. batch"):
         reward(spec, 1, np.zeros((1, 2)), u, 0.0)
 
@@ -179,15 +177,20 @@ def test_bimodal_sums_components():
 
 
 def test_control_cost_basics():
-    spec = congestion_env(eta=2.0)
-    assert movement_cost(spec, [[0.0, 0.0]]) == 0.0
-    assert movement_cost(spec, [[1.0, 1.0]]) == pytest.approx(2.0)  # 0.5 * 2 * |u|^2
+    def cost(spec, u):
+        # at the lqr target the tracking term is 0, so reward = -0.5*eta*|u|^2
+        x = np.tile(spec.reward.target, (len(u), 1))
+        return -reward(spec, 1, x, u, np.zeros(len(u)))
+
+    spec = lqr_env(eta=2.0)
+    assert cost(spec, [[0.0, 0.0]]) == 0.0
+    assert cost(spec, [[1.0, 1.0]]) == pytest.approx(2.0)  # 0.5 * 2 * |u|^2
     rng = np.random.default_rng(3)
     for eta in rng.uniform(0.1, 2.0, 20):
-        spec = congestion_env(eta=float(eta))
+        spec = lqr_env(eta=float(eta))
         u = rng.standard_normal((1, 2))
-        assert movement_cost(spec, u) == pytest.approx(movement_cost(spec, -u))
-        assert movement_cost(spec, u) >= 0.0
+        assert cost(spec, u) == pytest.approx(cost(spec, -u))
+        assert cost(spec, u) >= 0.0
 
 
 def test_demand_peak_on_path():

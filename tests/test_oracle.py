@@ -53,7 +53,7 @@ def enumerate_deterministic_policies(game):
 
 def _contract_games():
     rng = np.random.default_rng(21)
-    return [ring_game(), ring_game(6, 5, reward_state=2), two_state_congestion(3),
+    return [ring_game(), ring_game(6, 5), two_state_congestion(3),
             random_game(rng, n_states=4, n_actions=3, horizon=4),
             random_game(rng, n_states=3, n_actions=2, horizon=3, coupled=False),
             single_state_game((1.0, 0.0, 0.25)),
@@ -504,7 +504,8 @@ def test_fictitious_play_trace_is_nonnegative_without_tolerance(coupled):
 def test_fictitious_play_two_state_certificate_falls_below_a_thousandth():
     game = two_state_congestion()
     _, _, trace = fictitious_play(game, 500)
-    assert trace.min() < 1e-3
+    # entry 7 is exactly 0, so only the tail shows that the certificate stays small
+    assert trace[-100:].max() < 1e-3
 
 
 def test_fictitious_play_flow_average_recomputed():
@@ -565,7 +566,7 @@ def test_fictitious_play_meets_only_flows_that_are_distributions():
 
 def _workspace_games():
     rng = np.random.default_rng(31)
-    return [two_state_congestion(3), ring_game(6, 5, reward_state=2),
+    return [two_state_congestion(3), ring_game(6, 5),
             random_game(rng, n_states=5, n_actions=3, horizon=4),
             random_game(rng, n_states=4, n_actions=9, horizon=3)]
 
@@ -607,7 +608,7 @@ _SWEEPING_CALLS = dict({name: _REWARD_CALLERS[name] for name in
 
 @pytest.mark.parametrize("entry", sorted(_SWEEPING_CALLS))
 def test_every_sweeping_entry_point_builds_one_workspace(entry, monkeypatch):
-    game = ring_game(6, 5, reward_state=2)
+    game = ring_game(6, 5)
     policy = random_policy(game, np.random.default_rng(33))
     flow = induced_flow(game, policy)
     built = []
@@ -888,7 +889,8 @@ def test_lqr_analytic_stationary_moments():
     np.testing.assert_allclose(sol.mean, [0.5, -0.5], atol=1e-9)
     f = 1.0 - sol.gain[0, 0]
     expected_var = spec.sigma1 ** 2 / (1.0 - f ** 2)
-    assert sol.variance == pytest.approx(expected_var, rel=1e-9)
+    variance = np.diag(sol.covariance).mean()
+    assert variance == pytest.approx(expected_var, rel=1e-9)
     # simulate the closed loop as an independent check on the moments
     rng = np.random.default_rng(20)
     x = np.tile(np.array(spec.reward.target), (20000, 1))
@@ -896,7 +898,7 @@ def test_lqr_analytic_stationary_moments():
         u = -(x @ sol.gain.T) + sol.offset
         x = spec.a * x + spec.b * u + spec.sigma1 * rng.standard_normal(x.shape)
     assert np.abs(x.mean(axis=0) - sol.mean).max() < 0.01
-    assert np.abs(x.var(axis=0).mean() - sol.variance) < 0.15 * sol.variance
+    assert np.abs(x.var(axis=0).mean() - variance) < 0.15 * variance
 
 
 @pytest.mark.parametrize("spec", [congestion_env(), demand_env()], ids=["congestion", "demand"])
@@ -964,9 +966,6 @@ def test_game_sizes_must_be_ints_of_at_least_one(case):
 
 
 _BAD_BUILT_IN_GAMES = {
-    "ring reward_state 9": (lambda: ring_game(4, 4, reward_state=9), "reward_state 9"),
-    "ring reward_state -1": (lambda: ring_game(4, 4, reward_state=-1), "reward_state -1"),
-    "ring reward_state 4": (lambda: ring_game(4, 4, reward_state=4), "reward_state 4"),
     "ring no states": (lambda: ring_game(0), "n_states must be an int >= 1"),
 }
 
@@ -976,11 +975,6 @@ def test_built_in_games_check_their_parameters(case):
     make, message = _BAD_BUILT_IN_GAMES[case]
     with pytest.raises(OracleError, match=message):
         make()
-
-
-def test_ring_game_pays_at_its_last_state():
-    game = ring_game(4, 4, reward_state=3)
-    assert game.reward_table(game.mu0)[:, 0].tolist() == [0.0, 0.0, 0.0, 0.8]
 
 
 def test_game_sizes_accept_numpy_ints():
