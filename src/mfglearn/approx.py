@@ -150,7 +150,7 @@ class AdamState:
                    v={k: np.zeros_like(p) for k, p in params.items()})
 
 
-def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
+def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> None:
     """One bias-corrected Adam update with step size ``rate``, in place on
     ``params``; a missing or non-finite gradient raises first, changing nothing."""
     check_finite({k: grads[k] for k in params})
@@ -164,7 +164,6 @@ def adam_step(state: AdamState, params: dict, grads: dict, rate: float) -> dict:
         mhat = state.m[k] / b1t
         vhat = state.v[k] / b2t
         params[k] -= rate * mhat / (np.sqrt(vhat) + _EPS)
-    return params
 
 
 @dataclass(frozen=True)

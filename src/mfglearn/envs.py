@@ -1,9 +1,8 @@
 """Benchmark environments behind one contract: linear-Gaussian transitions,
 a Gaussian initial-state sampler, a movement cost and one reward object.
 
-All three environments share the transition x' = a*x + b*u + sigma1*noise
-(matrices proportional to the 2x2 identity, so scalars suffice) and the
-movement cost 0.5*eta*|u|^2.  They differ only in ``EnvSpec.reward``, a
+All three environments share the transition x' = x + u + sigma1*noise and
+the movement cost 0.5*eta*|u|^2.  They differ only in ``EnvSpec.reward``, a
 frozen object called as ``r(t, x, density) -> (n,)``:
 
 * CongestionReward: Gaussian desirability peaks (one, or two for the bimodal
@@ -195,10 +194,8 @@ class EnvSpec:
 
     reward: CongestionReward | DemandReward | LqrReward
     horizon: int
-    a: float = 1.0            # A = a * I
-    b: float = 1.0            # B = b * I
     sigma1: float = 0.1
-    eta: float = 0.0          # R = eta * I
+    eta: float = 0.0
     gamma: float = 0.99
     init_mean: tuple = (1.0, 0.0)
     init_std: float = 0.1
@@ -208,8 +205,6 @@ class EnvSpec:
             raise EnvError("reward must be a CongestionReward, DemandReward or LqrReward, got %r"
                            % (self.reward,))
         check_count(self.horizon, "horizon", EnvError)
-        for name in ("a", "b"):
-            check_real(getattr(self, name), name, EnvError)
         for name in ("eta", "sigma1", "init_std"):
             check_real(getattr(self, name), name, EnvError, least=0)
         if not (is_real(self.gamma) and 0.0 < self.gamma <= 1.0):
@@ -238,7 +233,7 @@ def _batch(values, what: str) -> np.ndarray:
 
 
 def step(spec: EnvSpec, x, u, noise):
-    """One linear-Gaussian transition: a*x + b*u + sigma1*noise.
+    """One linear-Gaussian transition: x + u + sigma1*noise.
 
     ``x``, ``u`` and ``noise`` are finite (n, 2) batches of one shape, one
     row per agent, and the result is the (n, 2) batch of next states;
@@ -251,7 +246,7 @@ def step(spec: EnvSpec, x, u, noise):
     if not xx.shape == uu.shape == nn.shape:
         raise EnvError("states %r, actions %r and noise %r differ in shape"
                        % (xx.shape, uu.shape, nn.shape))
-    return spec.a * xx + spec.b * uu + spec.sigma1 * nn
+    return xx + uu + spec.sigma1 * nn
 
 
 def reward(spec: EnvSpec, t, x, u, density):

@@ -10,13 +10,14 @@ fictitious-play estimate of itself rather than the instantaneous crowd;
 sees the belief density at an agent's state only when the environment's
 reward reads it (``EnvSpec.uses_density``).
 
-An episode holds its log and little else.  The rollout draws its noise
-straight into the log (policy noise into the action array, dynamics noise
-into the state slots it will become), moves the crowd, then scores each
-step.  Every network pass, the rollout's actor and both updates, runs over
-consecutive blocks of agents with at most ``UPDATE_BLOCK`` rows each, so
-the hidden layers stay cache-sized and do not grow with N.  One helper
-serves both updates: it walks the log in ascending-agent-id order, adds the
+An episode holds its log and little else.  Trained and evaluated episodes
+draw their noise straight into the log in one order (the policy noise, when
+on, into the action array, then the dynamics noise into the state slots it
+will become, then the initial states), move the crowd, then score each step.
+Every network pass, the rollout's actor and both updates, runs over
+consecutive blocks of agents with at most ``UPDATE_BLOCK`` rows each, so the
+hidden layers stay cache-sized and do not grow with N.  One helper serves
+both updates: it walks the log in ascending-agent-id order, adds the
 per-block gradients (and the TD loss) in block order, takes the one Adam
 step and checks the stepped network, so permuting an episode log's agents
 leaves every update bit-identical.
@@ -60,7 +61,7 @@ PARAM_LIMIT = 1e6
 UPDATE_BLOCK = 2048
 # workers for the blocks: the calling thread plus _WORKERS - 1 pool threads
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-_pool = None   # (ThreadPoolExecutor, its thread count), made on first use
+_pool = None   # the ThreadPoolExecutor of _WORKERS - 1 threads, made on first use
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,6 @@ class EpisodeLog:
                           self.measures, self.agent_ids[cols], self.mean_return, self.gamma)
 
 
-def _log_arrays(horizon: int, n_agents: int):
-    """Zeroed (T+1, N, 2) state and (T, N, 2) action arrays for one episode."""
-    check_count(n_agents, "n_agents", ValueError)
-    return np.zeros((horizon + 1, n_agents, 2)), np.zeros((horizon, n_agents, 2))
-
-
 def _agent_blocks(n: int, rows_per_agent: int) -> list:
     """Consecutive slices of max(1, UPDATE_BLOCK // rows_per_agent) agents
     covering agents 0..n; the last one may be shorter.
@@ -165,14 +160,13 @@ def _agent_blocks(n: int, rows_per_agent: int) -> list:
     return [slice(lo, lo + per_block) for lo in range(0, n, per_block)]
 
 
-def _helper_pool(threads: int):
-    """A thread pool with at least ``threads`` threads, made on first use."""
+def _helper_pool():
+    """The pool of max(1, _WORKERS - 1) helper threads, made on first use."""
     global _pool
-    if _pool is None or _pool[1] < threads:
+    if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
-        # a smaller pool left behind ends its threads when it is collected
-        _pool = (ThreadPoolExecutor(threads, thread_name_prefix="mfglearn-block"), threads)
-    return _pool[0]
+        _pool = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="mfglearn-block")
+    return _pool
 
 
 def _map_blocks(fn, items) -> list:
@@ -203,7 +197,7 @@ def _map_blocks(fn, items) -> list:
                     errors[i] = err
                 return
 
-    helpers = [_helper_pool(workers - 1).submit(run_share, j) for j in range(1, workers)]
+    helpers = [_helper_pool().submit(run_share, j) for j in range(1, workers)]
     try:
         run_share(0)
     finally:
@@ -217,37 +211,39 @@ def _map_blocks(fn, items) -> list:
 def rollout(spec: EnvSpec, state: TrainState, n_agents: int, rng) -> EpisodeLog:
     """Simulate the whole population for one episode under the current policy.
 
-    Noise is drawn up front, straight into the log: the policy noise into
-    ``actions`` and then the dynamics noise into ``states[1:]``, before the
-    initial states.  It is assigned by agent index, and per-step empirical
-    measures are built by exact counting, so the result does not depend on
-    any processing order.  Rewards and the densities agents see come from the
-    fictitious-play belief grids, one per step 0..T, so a state whose belief
-    count does not match ``spec.horizon`` raises ValueError.
+    Noise is drawn up front into the log in :func:`_simulate`'s one order and
+    by agent index, and per-step measures are built by exact counting, so the
+    result does not depend on any processing order.  Rewards and densities
+    come from the fictitious-play belief grids, one per step 0..T, so a state
+    without ``spec.horizon + 1`` beliefs raises ValueError.
     """
     if len(state.beliefs) != spec.horizon + 1:
         raise ValueError("state has %d beliefs, a horizon-%d environment needs %d"
                          % (len(state.beliefs), spec.horizon, spec.horizon + 1))
-    states, actions = _log_arrays(spec.horizon, n_agents)
-    rng.standard_normal(out=actions)
-    rng.standard_normal(out=states[1:])
-    return _simulate(spec, state, rng, states, actions, realized=False)
+    return _simulate(spec, state, n_agents, rng, noise=True, realized=False)
 
 
-def _simulate(spec: EnvSpec, state: TrainState, rng, states, actions,
+def _simulate(spec: EnvSpec, state: TrainState, n_agents: int, rng, noise: bool,
               realized: bool) -> EpisodeLog:
     """The population loop shared by :func:`rollout` and :func:`evaluate`.
 
-    ``actions`` holds the standard-normal policy noise and ``states[1:]`` the
-    dynamics noise; both are overwritten step by step with the episode.  An
-    action slot becomes noise * sigma + mean, which is bit for bit the
-    mean + sigma * noise of a separate noise array.  The actor runs over the
+    It allocates the log and draws into it in one order: standard-normal
+    policy noise into ``actions`` if ``noise`` (else zeros), dynamics noise
+    into ``states[1:]``, then the initial states.  Both noise arrays are
+    overwritten step by step with the episode.  An action slot becomes
+    noise * sigma + mean, bit for bit the mean + sigma * noise of a separate
+    noise array.  The actor runs over the
     agent blocks of :func:`_agent_blocks`, one row per agent, side by side
     (:func:`_map_blocks`), each block writing its own slice of ``actions``.
     The crowd moves first and is scored after, so a divergence raises before
     any score; density k is read from measure k if ``realized``, else belief k.
     """
-    T, n_agents, _ = actions.shape
+    check_count(n_agents, "n_agents", ValueError)
+    T = spec.horizon
+    states, actions = np.zeros((T + 1, n_agents, 2)), np.zeros((T, n_agents, 2))
+    if noise:
+        rng.standard_normal(out=actions)
+    rng.standard_normal(out=states[1:])
     states[0] = sample_initial(spec, rng, n_agents)
     blocks = _agent_blocks(n_agents, 1)
     for k in range(T):
@@ -423,10 +419,7 @@ def evaluate(spec: EnvSpec, state: TrainState, n_agents: int, rng,
     """Roll out the current policy for measurement, exploration noise off by
     default and rewards and densities driven by the realized population.
 
-    The dynamics noise is drawn first, then the policy noise (when on), into
-    the log as in :func:`rollout`."""
-    states, actions = _log_arrays(spec.horizon, n_agents)
-    rng.standard_normal(out=states[1:])
-    if not deterministic:
-        rng.standard_normal(out=actions)
-    return _simulate(spec, state, rng, states, actions, realized=True)
+    The noise is drawn in :func:`rollout`'s order, so with
+    ``deterministic=False`` and an equally seeded generator both return the
+    same states and actions and differ only in the densities and rewards."""
+    return _simulate(spec, state, n_agents, rng, noise=not deterministic, realized=True)

@@ -633,6 +633,7 @@ class LqrSolution:
 def lqr_analytic(spec) -> LqrSolution:
     """Stationary optimum of the lqr environment's own reward convention.
 
+    The dynamics are the environments' x' = x + u + sigma1*noise, so A = B = I.
     The per-step cost is (x' - target)^T Q (x' - target) + 0.5*eta*|u|^2
     charged at the arrival state, discounted by gamma.  The affine value
     recursion V(x) = x^T P x - 2 s^T x + c is iterated to its fixed point;
@@ -641,14 +642,8 @@ def lqr_analytic(spec) -> LqrSolution:
     """
     if not isinstance(spec.reward, LqrReward):
         raise OracleError("lqr_analytic needs an lqr environment")
-    if spec.b == 0.0 and abs(spec.a) >= 1.0:
-        # no control reaches the state, so the closed loop is a*I whatever the
-        # gain, and the value iteration would only overflow
-        raise OracleError("non-stabilizable configuration: b = 0 and |a| = %r >= 1" % abs(spec.a))
     q = spec.reward.q_matrix
     r = spec.eta * np.eye(2)
-    a_mat = spec.a * np.eye(2)
-    b_mat = spec.b * np.eye(2)
     alpha = np.asarray(spec.reward.target)
     gamma = spec.gamma
 
@@ -656,14 +651,14 @@ def lqr_analytic(spec) -> LqrSolution:
     s = np.zeros(2)
     for _ in range(_RICCATI_MAX_ITER):
         qp = q + gamma * p
-        m = r + 2.0 * b_mat.T @ qp @ b_mat
+        m = r + 2.0 * qp
         try:
-            k_gain = 2.0 * np.linalg.solve(m, b_mat.T @ qp @ a_mat)
-            k0 = 2.0 * np.linalg.solve(m, b_mat.T @ (q @ alpha + gamma * s))
+            k_gain = 2.0 * np.linalg.solve(m, qp)
+            k0 = 2.0 * np.linalg.solve(m, q @ alpha + gamma * s)
         except np.linalg.LinAlgError:
             raise OracleError("non-stabilizable configuration: singular control weight")
-        f = a_mat - b_mat @ k_gain
-        g = b_mat @ k0
+        f = np.eye(2) - k_gain
+        g = k0
         p_new = f.T @ qp @ f + 0.5 * k_gain.T @ r @ k_gain
         p_new = 0.5 * (p_new + p_new.T)
         s_new = f.T @ (q @ (alpha - g) - gamma * p @ g + gamma * s) + 0.5 * k_gain.T @ r @ k0

@@ -31,8 +31,8 @@ def test_step_fixed_point():
 
 
 def test_step_arithmetic():
-    spec = congestion_env(a=1.0, b=2.0, sigma1=0.1)
-    out = step(spec, [[0.0, 0.0]], [[0.5, 0.0]], [[1.0, 1.0]])
+    spec = congestion_env(sigma1=0.1)
+    out = step(spec, [[0.25, 0.0]], [[0.75, 0.0]], [[1.0, 1.0]])
     np.testing.assert_allclose(out, [[1.1, 0.1]])
 
 
@@ -59,7 +59,7 @@ def test_movement_cost_and_reward_reject_non_finite(call):
 
 
 def test_step_affine():
-    spec = congestion_env(a=0.7, b=1.3, sigma1=0.0)
+    spec = congestion_env(sigma1=0.0)
     rng = np.random.default_rng(0)
     zero = np.zeros((1, 2))
     for _ in range(20):
@@ -338,18 +338,6 @@ def test_bimodal_is_a_congestion_game():
 def test_horizon_must_be_an_int_at_least_one(make_env, horizon):
     with pytest.raises(EnvError, match="horizon must be an int >= 1"):
         make_env(horizon=horizon)
-
-
-@pytest.mark.parametrize("kw", [
-    {"a": math.nan}, {"a": math.inf}, {"b": -math.inf}, {"b": math.nan},
-    {"a": True}, {"a": "x"},
-], ids=lambda kw: "%s=%s" % next(iter(kw.items())))
-@pytest.mark.parametrize("make_env", [lqr_env, congestion_env], ids=lambda f: f.__name__)
-def test_dynamics_coefficients_must_be_finite(make_env, kw):
-    with pytest.raises(EnvError, match="%s must be finite" % next(iter(kw))):
-        make_env(**kw)
-    make_env(a=-0.5, b=-2.0)   # any finite sign is allowed
-    make_env(a=np.float32(0.5), b=np.int64(2))   # numpy scalars are numbers too
 
 
 @pytest.mark.parametrize("kw", [

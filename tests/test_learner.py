@@ -365,8 +365,8 @@ def test_evaluate_divergence_raises(monkeypatch):
 
 
 def test_rollout_divergence_raises_on_a_non_finite_next_state(monkeypatch):
-    # the actor saturates, so the actions stay finite, but a * x overflows
-    spec = lqr_env(a=1e300, init_mean=(1e10, 0.0))
+    # the actor saturates, so the actions stay finite, but x + sigma1 * noise overflows
+    spec = lqr_env(sigma1=1e308, init_mean=(1e308, 0.0), init_std=0.0)
     state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=4)
     calls = count_scoring_calls(monkeypatch)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="^diverged: states$"):
@@ -581,4 +581,17 @@ def test_evaluate_reads_the_realized_crowd_and_rollout_the_beliefs():
                                       density_at(evaluated.measures[k], evaluated.states[k]))
         np.testing.assert_array_equal(trained.densities[k],
                                       density_at(state.beliefs[k].average, trained.states[k]))
+    assert not np.array_equal(evaluated.densities, trained.densities)
+
+
+def test_noisy_evaluate_and_rollout_share_one_noise_stream():
+    # equal seeds move the crowd alike, so a belief arm and a realized-crowd
+    # arm can be paired on one stream; only the densities they score against differ
+    spec = demand_env(horizon=3)
+    state = fresh_state(spec)
+    train(spec, state, 64, 2, np.random.default_rng(20))
+    evaluated = evaluate(spec, state, 128, np.random.default_rng(21), deterministic=False)
+    trained = rollout(spec, state, 128, np.random.default_rng(21))
+    assert np.array_equal(evaluated.states, trained.states)
+    assert np.array_equal(evaluated.actions, trained.actions)
     assert not np.array_equal(evaluated.densities, trained.densities)

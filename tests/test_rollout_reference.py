@@ -1,11 +1,12 @@
 """The rollout and evaluation loops against a plain reference, bit for bit.
 
 The reference below is the plain population loop: it draws each kind of
-noise as a separate (T, N, 2) array and runs the actor over all N agents in
-one call per step, on float32 rows as the learner does.  ``rollout`` and ``evaluate`` draw the noise into the
-episode log and run the actor over blocks of agents, but they must consume
-the generator in the same order and so return the same floats (compared with
-``==``) and leave the generator in the same state.
+noise as a separate (T, N, 2) array, the policy noise first, and runs the
+actor over all N agents in one call per step, on float32 rows as the learner
+does.  ``rollout`` and ``evaluate`` draw the noise into the episode log and
+run the actor over blocks of agents, but they must consume the generator in
+the same order and so return the same floats (compared with ``==``) and
+leave the generator in the same state.
 """
 
 import numpy as np
@@ -41,17 +42,12 @@ def ref_simulate(spec, state, rng, pol_noise, dyn_noise, realized):
     return states, actions, rewards, densities, [m.mass for m in measures], mean_return
 
 
-def ref_rollout(spec, state, n, rng):
-    pol_noise = rng.standard_normal((spec.horizon, n, 2))
-    dyn_noise = rng.standard_normal((spec.horizon, n, 2))
-    return ref_simulate(spec, state, rng, pol_noise, dyn_noise, realized=False)
-
-
-def ref_evaluate(spec, state, n, rng, deterministic=True):
-    dyn_noise = rng.standard_normal((spec.horizon, n, 2))
-    pol_noise = (np.zeros_like(dyn_noise) if deterministic
-                 else rng.standard_normal((spec.horizon, n, 2)))
-    return ref_simulate(spec, state, rng, pol_noise, dyn_noise, realized=True)
+def ref_episode(spec, state, n, rng, noise, realized):
+    """The one noise order: policy noise (zeros when off), then dynamics noise."""
+    shape = (spec.horizon, n, 2)
+    pol_noise = rng.standard_normal(shape) if noise else np.zeros(shape)
+    dyn_noise = rng.standard_normal(shape)
+    return ref_simulate(spec, state, rng, pol_noise, dyn_noise, realized)
 
 
 def _trained_state(make_env):
@@ -68,10 +64,11 @@ SETUPS = {"demand T=4": lambda: _trained_state(lambda: demand_env(horizon=4)),
 # block is short: N = UPDATE_BLOCK + 1 and 2 * UPDATE_BLOCK + 1 end in a
 # 1-row block
 N_AGENTS = [1, 50, UPDATE_BLOCK, UPDATE_BLOCK + 1, 2 * UPDATE_BLOCK + 1, 10_000]
+# (function, its keywords, the reference's noise and realized flags)
 RUNS = {
-    "rollout": (rollout, ref_rollout, {}),
-    "evaluate": (evaluate, ref_evaluate, {}),
-    "evaluate noisy": (evaluate, ref_evaluate, {"deterministic": False}),
+    "rollout": (rollout, {}, (True, False)),
+    "evaluate": (evaluate, {}, (False, True)),
+    "evaluate noisy": (evaluate, {"deterministic": False}, (True, True)),
 }
 
 
@@ -84,11 +81,11 @@ def setup(request):
 @pytest.mark.parametrize("n", N_AGENTS)
 def test_loop_matches_reference_bit_for_bit(setup, run, n):
     spec, state = setup
-    fn, ref, kw = RUNS[run]
+    fn, kw, flags = RUNS[run]
     seed = 1000 + n
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     log = fn(spec, state, n, got_rng, **kw)
-    states, actions, rewards, densities, masses, mean_return = ref(spec, state, n, want_rng, **kw)
+    states, actions, rewards, densities, masses, mean_return = ref_episode(spec, state, n, want_rng, *flags)
 
     assert np.array_equal(log.states, states)
     assert np.array_equal(log.actions, actions)
