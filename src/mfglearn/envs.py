@@ -1,8 +1,8 @@
 """Benchmark environments behind one contract: linear-Gaussian transitions,
 a Gaussian initial-state sampler, a movement cost and one reward object.
 
-All three environments share the transition x' = x + u + sigma1*noise and
-the movement cost 0.5*eta*|u|^2.  They differ only in ``EnvSpec.reward``, a
+All the games share the transition x' = x + u + sigma1*noise and the
+movement cost 0.5*eta*|u|^2.  They differ only in ``EnvSpec.reward``, a
 frozen object called as ``r(t, x, density) -> (n,)``:
 
 * CongestionReward: Gaussian desirability peaks (one, or two for the bimodal
@@ -16,6 +16,10 @@ the single move) and ``density`` the population density at each of them.  A
 reward's ``uses_density`` says whether it reads the density; the congestion
 and demand rewards do, the LQR reward does not.  Each reward object checks
 its parameters once, when it is built.
+
+The ``*_env`` presets fill in a game's reward object, horizon, eta and
+init_mean; a keyword, ``reward`` included, sets any ``EnvSpec`` field instead,
+as in ``demand_env(reward=DemandReward(alpha=0.5))``.
 """
 
 from __future__ import annotations
@@ -269,34 +273,29 @@ def reward(spec: EnvSpec, t, x, u, density):
 
 
 def sample_initial(spec: EnvSpec, rng, n: int):
-    """Gaussian initial states of n agents, an (n, 2) array."""
+    """Gaussian initial states of n >= 1 agents, an (n, 2) array."""
+    check_count(n, "agent count", EnvError)
     return np.asarray(spec.init_mean) + spec.init_std * rng.standard_normal((n, 2))
 
 
-def congestion_env(alpha: float = 1.0, mu=(0.0, 0.0), spread: float = 0.3,
-                   eta: float = 0.0, **kw) -> EnvSpec:
+def congestion_env(**kw) -> EnvSpec:
     """One-shot spatial congestion game, agents starting near (1, 0)."""
-    return EnvSpec(CongestionReward(((mu, spread),), alpha), horizon=1, eta=eta, **kw)
+    return EnvSpec(**{"reward": CongestionReward(), "horizon": 1, **kw})
 
 
-def bimodal_env(alpha: float = 1.0, peaks=((-1.0, 0.0), (0.0, 0.0)),
-                spread: float = 0.05, eta: float = 0.0, **kw) -> EnvSpec:
+def bimodal_env(**kw) -> EnvSpec:
     """One-shot congestion game with two equal-weight desirability peaks."""
-    comps = tuple((p, spread) for p in peaks)
-    return EnvSpec(CongestionReward(comps, alpha), horizon=1, eta=eta, **kw)
+    peaks = CongestionReward((((-1.0, 0.0), 0.05), ((0.0, 0.0), 0.05)))
+    return EnvSpec(**{"reward": peaks, "horizon": 1, **kw})
 
 
-def demand_env(alpha: float = 0.1, eta: float = 2.0, horizon: int = 30,
-               waypoints=None, path_spread: float = 0.1,
-               init_mean=(-0.2, 0.0), **kw) -> EnvSpec:
+def demand_env(**kw) -> EnvSpec:
     """Demand-tracking game: a reward peak traverses a path over the horizon."""
-    path = DemandReward.waypoints if waypoints is None else waypoints
-    return EnvSpec(DemandReward(path, path_spread, alpha), horizon=horizon, eta=eta,
-                   init_mean=init_mean, **kw)
+    return EnvSpec(**{"reward": DemandReward(), "horizon": 30, "eta": 2.0,
+                      "init_mean": (-0.2, 0.0), **kw})
 
 
-def lqr_env(target=(0.5, -0.5), q=None, eta: float = 1.0, horizon: int = 30,
-            init_mean=(0.0, 0.0), **kw) -> EnvSpec:
+def lqr_env(**kw) -> EnvSpec:
     """Mean-field linear-quadratic tracking problem."""
-    lqr = LqrReward(target, LqrReward.q if q is None else q)
-    return EnvSpec(lqr, horizon=horizon, eta=eta, init_mean=init_mean, **kw)
+    return EnvSpec(**{"reward": LqrReward(), "horizon": 30, "eta": 1.0,
+                      "init_mean": (0.0, 0.0), **kw})

@@ -5,13 +5,16 @@ added to the benchmark cannot silently miss the CI smoke run.  Each package
 module and each file under ``tests/`` is parsed with ``ast``, so an import
 or a private helper left behind by a refactor, or a function defined in two
 of them, fails here.  Every code name the README cites must resolve, so
-deleting a public function cannot leave the README naming it.
+deleting a public function cannot leave the README naming it.  The
+environment presets are read by signature, so a named option cannot creep
+back into one of them.
 """
 
 import ast
 import builtins
 import importlib
 import importlib.util
+import inspect
 import json
 import pathlib
 import pkgutil
@@ -20,6 +23,7 @@ import re
 import pytest
 
 import mfglearn
+from mfglearn import envs
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,6 +36,17 @@ def test_ci_benchmark_checks_run_every_benchmark_workload():
     assert len(loops) == 1
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert sorted(loops[0].split()) == sorted(w["name"] for w in bench["workloads"])
+
+
+def test_env_presets_take_only_envspec_fields():
+    # a reward parameter is set on its reward class; a named option on a
+    # preset would be a second place to set it
+    presets = [f for name, f in vars(envs).items()
+               if name.endswith("_env") and not name.startswith("_") and inspect.isfunction(f)]
+    assert presets
+    for preset in presets:
+        params = list(inspect.signature(preset).parameters.values())
+        assert [p.kind for p in params] == [inspect.Parameter.VAR_KEYWORD], preset.__name__
 
 
 def _unused_imports(source: str) -> list:

@@ -167,7 +167,7 @@ def test_congestion_singular_spread_rejected():
 
 
 def test_bimodal_sums_components():
-    env = bimodal_env(spread=0.05)
+    env = bimodal_env(reward=CongestionReward((((-1.0, 0.0), 0.05), ((0.0, 0.0), 0.05))))
     x = np.array([-1.0, 0.0])
     total = env.reward(1, x, 0.0)
     # two components, each with prefactor 1/(4*pi*spread)
@@ -229,13 +229,13 @@ def test_demand_path_must_cover_the_reward_steps(waypoints):
     # rewards are read at steps 1..T; an uncovered step used to fail only in
     # the middle of the first rollout
     with pytest.raises(EnvError, match="not the reward steps 1..4"):
-        demand_env(horizon=4, waypoints=waypoints)
+        demand_env(horizon=4, reward=DemandReward(waypoints))
     with pytest.raises(EnvError, match="not the reward steps 1..4"):
         EnvSpec(DemandReward(waypoints), horizon=4)
 
 
 def test_demand_path_covering_exactly_the_reward_steps_trains():
-    spec = demand_env(horizon=4, waypoints=((1, (0.0, 0.0)), (4, (1.0, 1.0))))
+    spec = demand_env(horizon=4, reward=DemandReward(((1, (0.0, 0.0)), (4, (1.0, 1.0)))))
     state = init_train_state(spec, GridSpec(resolution=10), seed=0, hidden=4)
     train(spec, state, 10, 1, np.random.default_rng(0))
 
@@ -248,7 +248,7 @@ def test_demand_waypoints_must_increase():
 @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan")])
 def test_demand_singular_path_spread_rejected(spread):
     with pytest.raises(EnvError, match="singular path spread"):
-        demand_env(path_spread=spread)
+        DemandReward(spread=spread)
 
 
 def test_lqr_reward_values():
@@ -289,6 +289,14 @@ def test_sample_initial_seeded_determinism():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 2.5, True])
+def test_sample_initial_needs_an_int_count_of_at_least_one(n):
+    # -1 used to raise numpy's ValueError, 2.5 and True a TypeError, and 0
+    # returned an empty (0, 2) batch
+    with pytest.raises(EnvError, match="agent count must be an int >= 1"):
+        sample_initial(congestion_env(), np.random.default_rng(0), n)
+
+
 def test_reward_dispatch_subtracts_movement():
     spec = demand_env(eta=2.0)
     u = np.array([[0.3, -0.4]])
@@ -300,7 +308,7 @@ def test_reward_dispatch_subtracts_movement():
 
 def test_reward_batch_equivariance():
     # no agent identity anywhere: permuting a batch permutes the rewards
-    spec = congestion_env(alpha=1.5)
+    spec = congestion_env(reward=CongestionReward(alpha=1.5))
     rng = np.random.default_rng(7)
     xs = rng.uniform(-1, 1, (40, 2))
     us = rng.standard_normal((40, 2))
@@ -333,6 +341,25 @@ def test_bimodal_is_a_congestion_game():
         dataclasses.replace(env, reward="congestion-bimodal")
 
 
+@pytest.mark.parametrize("make_env, spec", [
+    (congestion_env, EnvSpec(CongestionReward((((0.0, 0.0), 0.3),), 1.0), horizon=1, eta=0.0,
+                             init_mean=(1.0, 0.0))),
+    (bimodal_env, EnvSpec(CongestionReward((((-1.0, 0.0), 0.05), ((0.0, 0.0), 0.05)), 1.0),
+                          horizon=1, eta=0.0, init_mean=(1.0, 0.0))),
+    (demand_env, EnvSpec(DemandReward(((0, (0.2, -0.2)), (15, (0.2, 0.4)), (30, (0.8, 0.4))),
+                                      0.1, 0.1), horizon=30, eta=2.0, init_mean=(-0.2, 0.0))),
+    (lqr_env, EnvSpec(LqrReward((0.5, -0.5), ((1.0, 0.0), (0.0, 1.0))), horizon=30, eta=1.0,
+                      init_mean=(0.0, 0.0))),
+], ids=["congestion", "bimodal", "demand", "lqr"])
+def test_preset_defaults(make_env, spec):
+    assert make_env() == spec
+
+
+def test_presets_take_reward_parameters_only_on_the_reward():
+    with pytest.raises(TypeError, match="alpha"):
+        congestion_env(alpha=1.5)
+
+
 @pytest.mark.parametrize("horizon", [0, -1, 2.5, 3.0, None])
 @pytest.mark.parametrize("make_env", [demand_env, lqr_env], ids=lambda f: f.__name__)
 def test_horizon_must_be_an_int_at_least_one(make_env, horizon):
@@ -355,7 +382,7 @@ def test_scales_must_be_finite_and_non_negative(make_env, kw):
 
 def test_env_validation():
     with pytest.raises(EnvError):
-        congestion_env(alpha=0.0)
+        CongestionReward(alpha=0.0)
     with pytest.raises(EnvError):
         congestion_env(gamma=0.0)
     for gamma in (True, "x"):
@@ -368,7 +395,7 @@ def test_env_validation():
     with pytest.raises(EnvError, match="at least one component"):
         CongestionReward(())
     with pytest.raises(EnvError, match="at least two waypoints"):
-        demand_env(waypoints=((0, (0, 0)),))
+        DemandReward(((0, (0, 0)),))
 
 
 # Non-finite inputs used to build, then made training diverge or score zero
@@ -376,7 +403,7 @@ def test_env_validation():
 
 @pytest.mark.parametrize("make", [
     lambda: _peak((math.nan, 0.0), 0.3),
-    lambda: congestion_env(mu=(math.inf, 0.0)),
+    lambda: _peak((math.inf, 0.0), 0.3),
 ], ids=["nan centre", "inf centre"])
 def test_congestion_peak_centre_must_be_finite(make):
     with pytest.raises(EnvError, match="peak centre must be finite"):
@@ -409,10 +436,10 @@ def test_congestion_density_must_be_finite(density):
 
 @pytest.mark.parametrize("make", [
     lambda: _peak((0.0, 0.0), math.inf),
-    lambda: congestion_env(alpha=math.inf),
-    lambda: demand_env(path_spread=math.inf),
-    lambda: lqr_env(target=(math.nan, 0.0)),
-    lambda: lqr_env(q=((math.inf, 0.0), (0.0, 1.0))),
+    lambda: CongestionReward(alpha=math.inf),
+    lambda: DemandReward(spread=math.inf),
+    lambda: LqrReward(target=(math.nan, 0.0)),
+    lambda: LqrReward(q=((math.inf, 0.0), (0.0, 1.0))),
     lambda: CongestionReward(alpha="a"),
     lambda: DemandReward(spread="a"),
 ], ids=["inf spread", "inf alpha", "inf path spread", "nan target", "inf q", "string alpha",
@@ -432,10 +459,10 @@ _NOT_PAIRS = {"three coordinates": (0.5, -0.5, 3.0), "one coordinate": (1.0,),
 
 @pytest.mark.parametrize("point", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
 @pytest.mark.parametrize("make, message", [
-    (lambda p: congestion_env(mu=p), "peak centre"),
-    (lambda p: bimodal_env(peaks=((-1.0, 0.0), p)), "peak centre"),
+    (lambda p: _peak(p, 0.3), "peak centre"),
+    (lambda p: CongestionReward((((-1.0, 0.0), 0.05), (p, 0.05))), "peak centre"),
     (lambda p: congestion_env(init_mean=p), "init_mean"),
-    (lambda p: lqr_env(target=p), "tracking target"),
+    (lambda p: LqrReward(target=p), "tracking target"),
     (lambda p: DemandReward(((0, (0.0, 0.0)), (10, p))), "demand path point"),
 ], ids=["congestion mu", "bimodal peak", "init_mean", "lqr target", "demand path point"])
 def test_points_must_be_pairs(make, message, point):
@@ -446,7 +473,7 @@ def test_points_must_be_pairs(make, message, point):
 @pytest.mark.parametrize("point", [[0.25, -1.0], np.array([0.25, -1.0]), (1, -4)],
                          ids=["list", "array", "ints"])
 def test_points_accept_any_pair_of_numbers(point):
-    spec = lqr_env(target=point, init_mean=point)
+    spec = lqr_env(reward=LqrReward(target=point), init_mean=point)
     expected = (float(point[0]), float(point[1]))
     assert spec.reward.target == expected and spec.init_mean == expected
     assert all(type(c) is float for c in spec.reward.target + spec.init_mean)
@@ -457,7 +484,8 @@ def test_points_accept_any_pair_of_numbers(point):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: DemandReward(waypoints=((0, (0, 0)), 5)), r"demand path waypoint 5 is not a pair"),
-    (lambda: demand_env(waypoints=5), r"demand path waypoints must be a sequence of pairs, got 5"),
+    (lambda: demand_env(reward=DemandReward(waypoints=5)),
+     r"demand path waypoints must be a sequence of pairs, got 5"),
     (lambda: CongestionReward(components=5), r"congestion components must be a sequence of pairs"),
     (lambda: CongestionReward(components=((0.0, 0.0, 0.3),)),
      r"congestion component \(0.0, 0.0, 0.3\) is not a pair"),

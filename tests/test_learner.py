@@ -7,7 +7,8 @@ import pytest
 
 from mfglearn import learner
 from mfglearn.approx import DivergenceError, GaussianPolicy, Mlp
-from mfglearn.envs import EnvError, bimodal_env, congestion_env, demand_env, lqr_env
+from mfglearn.envs import (CongestionReward, EnvError, bimodal_env, congestion_env, demand_env,
+                           lqr_env)
 from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, fp_update_state, init_train_state,
                               pg_update, rollout, td_update, train)
 from mfglearn.meanfield import GridError, GridSpec, density_at
@@ -127,7 +128,7 @@ def test_rollout_symmetric_population_is_dirac():
 
 
 def test_rollout_mean_return_recomputed():
-    spec = congestion_env(alpha=1.5)
+    spec = congestion_env(reward=CongestionReward(alpha=1.5))
     state = fresh_state(spec)
     log = rollout(spec, state, 200, np.random.default_rng(7))
     disc = spec.gamma ** np.arange(log.actions.shape[0])
@@ -198,7 +199,7 @@ def test_td_single_transition_is_regression():
 
 
 def test_td_loss_decreases_on_frozen_task():
-    spec = congestion_env(alpha=2.0)
+    spec = congestion_env(reward=CongestionReward(alpha=2.0))
     state = fresh_state(spec, schedules=Schedules(actor_lr=1e-3, critic_lr=1e-2))
     log = rollout(spec, state, 256, np.random.default_rng(12))  # frozen dataset
     first = td_update(state, log)
@@ -534,7 +535,7 @@ def test_update_rows_across_blocks(monkeypatch):
 
 def test_updates_bit_identical_under_agent_permutation():
     # one update block, then several blocks plus a remainder
-    cases = [(congestion_env(alpha=1.5), 100, {}),
+    cases = [(congestion_env(reward=CongestionReward(alpha=1.5)), 100, {}),
              (demand_env(horizon=MULTI_BLOCK_HORIZON), MULTI_BLOCK_AGENTS, {"hidden": 8})]
     for spec, n, kw in cases:
         state = fresh_state(spec, **kw)

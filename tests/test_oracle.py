@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfglearn import oracle
-from mfglearn.envs import congestion_env, demand_env, lqr_env
+from mfglearn.envs import LqrReward, congestion_env, demand_env, lqr_env
 from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _joint_states, _Sweeps,
                              best_response, exploitability, fictitious_play, induced_flow,
                              lqr_analytic, nplayer_gap, nplayer_payoff, nplayer_payoff_enumerated,
@@ -910,10 +910,10 @@ def test_lqr_analytic_rejects_unstable():
     # eigenvalue 1 and never settles
     zero_q = ((0.0, 0.0), (0.0, 0.0))
     with pytest.raises(OracleError, match="non-stabilizable"):
-        lqr_analytic(lqr_env(q=zero_q, eta=1.0, target=(0.0, 0.0)))
+        lqr_analytic(lqr_env(reward=LqrReward((0.0, 0.0), zero_q), eta=1.0))
     # no state cost and no control cost: the gain's linear system is singular
     with pytest.raises(OracleError, match="singular control weight"):
-        lqr_analytic(lqr_env(q=zero_q, eta=0.0))
+        lqr_analytic(lqr_env(reward=LqrReward(q=zero_q), eta=0.0))
 
 
 def test_game_validation():
