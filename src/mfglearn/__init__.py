@@ -3,8 +3,8 @@ exact discrete-game oracles."""
 
 from .meanfield import (BeliefState, DensityGrid, GridSpec, belief_update,
                         build_empirical_measure, density_at, grid_distance)
-from .envs import (CongestionReward, DemandReward, EnvSpec, LqrReward, bimodal_env,
-                   congestion_env, demand_env, lqr_env, sample_initial, step)
+from .envs import (CongestionReward, DemandReward, EnvSpec, LqrReward, congestion_env,
+                   demand_env, lqr_env, sample_initial, step)
 from .approx import AdamState, DivergenceError, GaussianPolicy, Mlp, adam_step
 from .learner import (EpisodeLog, Schedules, TrainState, init_train_state, pg_update,
                       rollout, td_update, train)

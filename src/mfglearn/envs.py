@@ -5,9 +5,10 @@ All the games share the transition x' = x + u + sigma1*noise and the
 movement cost 0.5*eta*|u|^2.  They differ only in ``EnvSpec.reward``, a
 frozen object called as ``r(t, x, density) -> (n,)``:
 
-* CongestionReward: Gaussian desirability peaks (one, or two for the bimodal
-  game) discounted by local crowding, one-shot by default.
-* DemandReward: one such peak that travels along a piecewise-linear path.
+* CongestionReward: one Gaussian desirability peak discounted by local
+  crowding, one-shot by default.
+* DemandReward: the same crowded peak, travelling along a piecewise-linear
+  path.
 * LqrReward: quadratic tracking cost toward a fixed target.
 
 ``t`` is the step 1..T, ``x`` the (n, 2) states the step's actions *arrive*
@@ -68,52 +69,40 @@ def _pairs(entries, what: str) -> list:
     return pairs
 
 
-def _crowded_peaks(x, density, peaks, alpha):
-    """sum_i L_i(x) / (1+m)^alpha over Gaussian peaks (mu_i, spread_i), where
-    L_i(x) = exp(-|x-mu_i|^2/spread_i) / (2*pi*k*spread_i) for k peaks."""
+def _crowded_peak(x, density, centre, spread, alpha):
+    """L(x) / (1+m)^alpha for the isotropic Gaussian peak
+    L(x) = exp(-|x-centre|^2/spread) / (2*pi*spread) and the density m."""
     pts = np.asarray(x, dtype=float)
     m = np.asarray(density, dtype=float)
     if not np.all(np.isfinite(m) & (m >= 0.0)):
         raise EnvError("density must be finite and >= 0")
-    k = len(peaks)
-    desirability = 0.0
-    for (c0, c1), spread in peaks:
-        d0 = pts[..., 0] - c0
-        d1 = pts[..., 1] - c1
-        desirability += np.exp(-(d0 * d0 + d1 * d1) / spread) / (2.0 * np.pi * k * spread)
-    return desirability / (1.0 + m) ** alpha
+    d0 = pts[..., 0] - centre[0]
+    d1 = pts[..., 1] - centre[1]
+    return np.exp(-(d0 * d0 + d1 * d1) / spread) / (2.0 * np.pi * spread) / (1.0 + m) ** alpha
 
 
 @dataclass(frozen=True)
 class CongestionReward:
-    """Mixture of isotropic Gaussian desirability peaks over (1+m)^alpha.
+    """One isotropic Gaussian desirability peak over (1+m)^alpha.
 
-    Each component is (mu, spread) with covariance spread * I.  Peak i
-    contributes exp(-|x-mu_i|^2/spread_i) / (2*pi*k*spread_i) where k is the
-    number of components, so a single peak has height 1/(2*pi*spread) and a
-    two-peak mixture halves each prefactor.  Strictly decreasing in the
-    density m, for crowd averseness alpha > 0.
+    The peak sits at ``centre`` with covariance spread * I, so its height is
+    1/(2*pi*spread).  Strictly decreasing in the density m, for crowd
+    averseness alpha > 0.
     """
 
-    components: tuple = (((0.0, 0.0), 0.3),)
+    centre: tuple = (0.0, 0.0)
+    spread: float = 0.3
     alpha: float = 1.0
     uses_density = True
 
     def __post_init__(self):
-        comps = []
-        for comp in _pairs(self.components, "congestion component"):
-            mu, spread = comp
-            # the centre first: a bare centre (x, y) reads as centre x, spread y
-            centre = _finite_point(mu, "component %r: peak centre" % (comp,))
-            check_positive(spread, "component %r: singular spread" % (comp,), EnvError)
-            comps.append((centre, float(spread)))
-        if not comps:
-            raise EnvError("congestion reward needs at least one component")
+        object.__setattr__(self, "centre", _finite_point(self.centre, "peak centre"))
+        check_positive(self.spread, "singular spread", EnvError)
         check_positive(self.alpha, "averseness alpha", EnvError)
-        object.__setattr__(self, "components", tuple(comps))
+        object.__setattr__(self, "spread", float(self.spread))
 
     def __call__(self, t, x, density):
-        return _crowded_peaks(x, density, self.components, self.alpha)
+        return _crowded_peak(x, density, self.centre, self.spread, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -154,7 +143,7 @@ class DemandReward:
                          np.interp(t, times, pts[:, 1])])
 
     def __call__(self, t, x, density):
-        return _crowded_peaks(x, density, ((self.position(t), self.spread),), self.alpha)
+        return _crowded_peak(x, density, self.position(t), self.spread, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -281,12 +270,6 @@ def sample_initial(spec: EnvSpec, rng, n: int):
 def congestion_env(**kw) -> EnvSpec:
     """One-shot spatial congestion game, agents starting near (1, 0)."""
     return EnvSpec(**{"reward": CongestionReward(), "horizon": 1, **kw})
-
-
-def bimodal_env(**kw) -> EnvSpec:
-    """One-shot congestion game with two equal-weight desirability peaks."""
-    peaks = CongestionReward((((-1.0, 0.0), 0.05), ((0.0, 0.0), 0.05)))
-    return EnvSpec(**{"reward": peaks, "horizon": 1, **kw})
 
 
 def demand_env(**kw) -> EnvSpec:

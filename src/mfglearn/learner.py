@@ -319,10 +319,13 @@ def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
 
     An agent has T+1 critic rows, so the blocks are :func:`_agent_blocks`
     of T+1 rows per agent.  They run side by side (:func:`_map_blocks`);
-    their gradients and values are added in block order.
+    their gradients and values are added in block order.  A log of no
+    agents raises ValueError, changing nothing.
     """
-    log = _canonical(log)
     T, n = log.rewards.shape
+    if n == 0:
+        raise ValueError("an update needs a log of at least one agent, got 0")
+    log = _canonical(log)
     terms = _map_blocks(lambda cols: block_terms(log.agents(cols)), _agent_blocks(n, T + 1))
     grads, total = None, 0.0
     for block_grads, value in terms:

@@ -7,7 +7,8 @@ or a private helper left behind by a refactor, or a function defined in two
 of them, fails here.  Every code name the README cites must resolve, so
 deleting a public function cannot leave the README naming it.  The
 environment presets are read by signature, so a named option cannot creep
-back into one of them.
+back into one of them, and matched against the golden table, so a preset
+cannot be added or retired without its golden row.
 """
 
 import ast
@@ -24,6 +25,7 @@ import pytest
 
 import mfglearn
 from mfglearn import envs
+from test_golden_envs import GOLDEN
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,15 +40,24 @@ def test_ci_benchmark_checks_run_every_benchmark_workload():
     assert sorted(loops[0].split()) == sorted(w["name"] for w in bench["workloads"])
 
 
+def _env_presets() -> dict:
+    """The public ``*_env`` functions of ``mfglearn.envs``, by name."""
+    return {name: f for name, f in vars(envs).items()
+            if name.endswith("_env") and not name.startswith("_") and inspect.isfunction(f)}
+
+
 def test_env_presets_take_only_envspec_fields():
     # a reward parameter is set on its reward class; a named option on a
     # preset would be a second place to set it
-    presets = [f for name, f in vars(envs).items()
-               if name.endswith("_env") and not name.startswith("_") and inspect.isfunction(f)]
+    presets = _env_presets()
     assert presets
-    for preset in presets:
+    for name, preset in presets.items():
         params = list(inspect.signature(preset).parameters.values())
-        assert [p.kind for p in params] == [inspect.Parameter.VAR_KEYWORD], preset.__name__
+        assert [p.kind for p in params] == [inspect.Parameter.VAR_KEYWORD], name
+
+
+def test_every_env_preset_has_one_golden_row():
+    assert set(GOLDEN) == {name[:-len("_env")] for name in _env_presets()}
 
 
 def _unused_imports(source: str) -> list:

@@ -5,14 +5,10 @@ import numpy as np
 import pytest
 
 from mfglearn.envs import (CongestionReward, DemandReward, EnvError, EnvSpec, LqrReward,
-                           bimodal_env, congestion_env, demand_env, lqr_env,
+                           congestion_env, demand_env, lqr_env,
                            reward, sample_initial, step)
 from mfglearn.learner import init_train_state, train
 from mfglearn.meanfield import GridSpec
-
-
-def _peak(mu, spread, alpha=1.0):
-    return CongestionReward(((mu, spread),), alpha)
 
 
 def _path(spread=0.1, alpha=0.1):
@@ -119,12 +115,12 @@ def test_reward_takes_batches_of_one_length(case):
 
 
 def test_congestion_peak_value():
-    r = _peak((0.3, -0.2), 1.0)
+    r = CongestionReward((0.3, -0.2), 1.0)
     assert r(1, [0.3, -0.2], 0.0) == pytest.approx(1.0 / (2.0 * np.pi))
 
 
 def test_congestion_crowding_quarter():
-    r = _peak((0.0, 0.0), 0.5, alpha=2.0)
+    r = CongestionReward((0.0, 0.0), 0.5, alpha=2.0)
     x = [0.2, 0.1]
     clear = r(1, x, 0.0)
     crowded = r(1, x, 1.0)
@@ -132,7 +128,7 @@ def test_congestion_crowding_quarter():
 
 
 def test_congestion_crowding_limit():
-    r = _peak((0.0, 0.0), 0.5)
+    r = CongestionReward((0.0, 0.0), 0.5)
     clear = r(1, [0.0, 0.0], 0.0)
     packed = r(1, [0.0, 0.0], 1e3)
     assert packed < 1e-3 * clear
@@ -141,7 +137,7 @@ def test_congestion_crowding_limit():
 def test_congestion_bounds():
     rng = np.random.default_rng(1)
     spread = 0.4
-    r = _peak((0.0, 0.0), spread, alpha=1.5)
+    r = CongestionReward((0.0, 0.0), spread, alpha=1.5)
     upper = 1.0 / (2.0 * np.pi * spread)
     for _ in range(200):
         x = rng.uniform(-2, 2, 2)
@@ -157,23 +153,13 @@ def test_congestion_strictly_monotone_in_density():
         m1, m2 = sorted(rng.uniform(0, 20, 2))
         if m1 == m2:
             continue
-        r = _peak((0.0, 0.0), 0.3, alpha=rng.uniform(0.1, 3.0))
+        r = CongestionReward((0.0, 0.0), 0.3, alpha=rng.uniform(0.1, 3.0))
         assert r(1, x, m2) < r(1, x, m1)
 
 
 def test_congestion_singular_spread_rejected():
     with pytest.raises(EnvError, match="singular"):
-        _peak((0.0, 0.0), 0.0)
-
-
-def test_bimodal_sums_components():
-    env = bimodal_env(reward=CongestionReward((((-1.0, 0.0), 0.05), ((0.0, 0.0), 0.05))))
-    x = np.array([-1.0, 0.0])
-    total = env.reward(1, x, 0.0)
-    # two components, each with prefactor 1/(4*pi*spread)
-    near = 1.0 / (4.0 * np.pi * 0.05)
-    far = np.exp(-1.0 / 0.05) / (4.0 * np.pi * 0.05)
-    assert total == pytest.approx(near + far)
+        CongestionReward((0.0, 0.0), 0.0)
 
 
 def test_control_cost_basics():
@@ -319,8 +305,8 @@ def test_reward_batch_equivariance():
 
 
 @pytest.mark.parametrize("make_env, uses_density", [
-    (congestion_env, True), (bimodal_env, True), (lambda: demand_env(horizon=3), True), (lqr_env, False),
-], ids=["congestion", "bimodal", "demand", "lqr"])
+    (congestion_env, True), (lambda: demand_env(horizon=3), True), (lqr_env, False),
+], ids=["congestion", "demand", "lqr"])
 def test_reward_object_scores_a_batch_row_by_row(make_env, uses_density):
     spec = make_env()
     rng = np.random.default_rng(8)
@@ -334,23 +320,14 @@ def test_reward_object_scores_a_batch_row_by_row(make_env, uses_density):
         np.testing.assert_array_equal(spec.reward(2, xs, None), batch)
 
 
-def test_bimodal_is_a_congestion_game():
-    env = bimodal_env()
-    assert isinstance(env.reward, CongestionReward) and env.uses_density
-    with pytest.raises(EnvError, match="reward must be a CongestionReward"):
-        dataclasses.replace(env, reward="congestion-bimodal")
-
-
 @pytest.mark.parametrize("make_env, spec", [
-    (congestion_env, EnvSpec(CongestionReward((((0.0, 0.0), 0.3),), 1.0), horizon=1, eta=0.0,
+    (congestion_env, EnvSpec(CongestionReward((0.0, 0.0), 0.3, 1.0), horizon=1, eta=0.0,
                              init_mean=(1.0, 0.0))),
-    (bimodal_env, EnvSpec(CongestionReward((((-1.0, 0.0), 0.05), ((0.0, 0.0), 0.05)), 1.0),
-                          horizon=1, eta=0.0, init_mean=(1.0, 0.0))),
     (demand_env, EnvSpec(DemandReward(((0, (0.2, -0.2)), (15, (0.2, 0.4)), (30, (0.8, 0.4))),
                                       0.1, 0.1), horizon=30, eta=2.0, init_mean=(-0.2, 0.0))),
     (lqr_env, EnvSpec(LqrReward((0.5, -0.5), ((1.0, 0.0), (0.0, 1.0))), horizon=30, eta=1.0,
                       init_mean=(0.0, 0.0))),
-], ids=["congestion", "bimodal", "demand", "lqr"])
+], ids=["congestion", "demand", "lqr"])
 def test_preset_defaults(make_env, spec):
     assert make_env() == spec
 
@@ -383,6 +360,8 @@ def test_scales_must_be_finite_and_non_negative(make_env, kw):
 def test_env_validation():
     with pytest.raises(EnvError):
         CongestionReward(alpha=0.0)
+    with pytest.raises(EnvError, match="reward must be a CongestionReward"):
+        dataclasses.replace(congestion_env(), reward="congestion")
     with pytest.raises(EnvError):
         congestion_env(gamma=0.0)
     for gamma in (True, "x"):
@@ -392,8 +371,6 @@ def test_env_validation():
         congestion_env(eta=-1.0)
     with pytest.raises(EnvError):
         demand_env(horizon=40)  # default path covers 30 steps only
-    with pytest.raises(EnvError, match="at least one component"):
-        CongestionReward(())
     with pytest.raises(EnvError, match="at least two waypoints"):
         DemandReward(((0, (0, 0)),))
 
@@ -402,8 +379,8 @@ def test_env_validation():
 # rewards; they must fail at construction instead.
 
 @pytest.mark.parametrize("make", [
-    lambda: _peak((math.nan, 0.0), 0.3),
-    lambda: _peak((math.inf, 0.0), 0.3),
+    lambda: CongestionReward((math.nan, 0.0), 0.3),
+    lambda: CongestionReward((math.inf, 0.0), 0.3),
 ], ids=["nan centre", "inf centre"])
 def test_congestion_peak_centre_must_be_finite(make):
     with pytest.raises(EnvError, match="peak centre must be finite"):
@@ -435,7 +412,7 @@ def test_congestion_density_must_be_finite(density):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: _peak((0.0, 0.0), math.inf),
+    lambda: CongestionReward((0.0, 0.0), math.inf),
     lambda: CongestionReward(alpha=math.inf),
     lambda: DemandReward(spread=math.inf),
     lambda: LqrReward(target=(math.nan, 0.0)),
@@ -459,12 +436,11 @@ _NOT_PAIRS = {"three coordinates": (0.5, -0.5, 3.0), "one coordinate": (1.0,),
 
 @pytest.mark.parametrize("point", _NOT_PAIRS.values(), ids=_NOT_PAIRS.keys())
 @pytest.mark.parametrize("make, message", [
-    (lambda p: _peak(p, 0.3), "peak centre"),
-    (lambda p: CongestionReward((((-1.0, 0.0), 0.05), (p, 0.05))), "peak centre"),
+    (lambda p: CongestionReward(p, 0.3), "peak centre"),
     (lambda p: congestion_env(init_mean=p), "init_mean"),
     (lambda p: LqrReward(target=p), "tracking target"),
     (lambda p: DemandReward(((0, (0.0, 0.0)), (10, p))), "demand path point"),
-], ids=["congestion mu", "bimodal peak", "init_mean", "lqr target", "demand path point"])
+], ids=["congestion mu", "init_mean", "lqr target", "demand path point"])
 def test_points_must_be_pairs(make, message, point):
     with pytest.raises(EnvError, match="%s must be a pair of numbers" % message):
         make(point)
@@ -479,18 +455,20 @@ def test_points_accept_any_pair_of_numbers(point):
     assert all(type(c) is float for c in spec.reward.target + spec.init_mean)
 
 
-# Components and waypoints were unpacked as pairs unchecked: a bare TypeError,
-# or for a component that is only a centre, a misleading spread error.
+# Waypoints were unpacked as pairs unchecked, giving a bare TypeError.  The
+# congestion reward used to take a sequence of (centre, spread) components; a
+# value of that form, or a centre with its spread appended, passed where the
+# centre now goes must fail the centre's pair check.
 
 @pytest.mark.parametrize("make, message", [
     (lambda: DemandReward(waypoints=((0, (0, 0)), 5)), r"demand path waypoint 5 is not a pair"),
     (lambda: demand_env(reward=DemandReward(waypoints=5)),
      r"demand path waypoints must be a sequence of pairs, got 5"),
-    (lambda: CongestionReward(components=5), r"congestion components must be a sequence of pairs"),
-    (lambda: CongestionReward(components=((0.0, 0.0, 0.3),)),
-     r"congestion component \(0.0, 0.0, 0.3\) is not a pair"),
-    (lambda: CongestionReward(components=((0.0, 0.0),)),
-     r"component \(0.0, 0.0\): peak centre must be a pair of numbers, got 0.0"),
+    (lambda: CongestionReward((((0.0, 0.0), 0.3),)), r"peak centre must be a pair of numbers"),
+    (lambda: CongestionReward((0.0, 0.0, 0.3)),
+     r"peak centre must be a pair of numbers, got \(0.0, 0.0, 0.3\)"),
+    (lambda: CongestionReward(((0.0, 0.0),)),
+     r"peak centre must be a pair of numbers, got \(\(0.0, 0.0\),\)"),
 ], ids=["demand waypoint", "demand_env waypoints", "components", "three-entry component",
         "centre without spread"])
 def test_components_and_waypoints_must_be_pairs(make, message):

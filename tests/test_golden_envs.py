@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfglearn.envs import bimodal_env, congestion_env, demand_env, lqr_env
+from mfglearn.envs import congestion_env, demand_env, lqr_env
 from mfglearn.learner import evaluate, init_train_state, train
 from mfglearn.meanfield import GridSpec
 
@@ -38,15 +38,6 @@ GOLDEN = {
         "d0eed7f5e1a6c48324d568eaf329e29db28e6b66edc8870d2a00b42db257f8ae",
         "fa75c9cc1aaf992df81a7fe54e9d656c62c47220f71acfee20d344f13eaf5acc",
         "d83d16cd02045fc45b8b7c509241d420406fe32ba74122d307f4b2aea41bc2ca")),
-    "bimodal": (bimodal_env, {}, {
-        "mean_return": [1.305030004172752e-07, 1.1685357896479624e-07, 8.031386648779127e-08],
-        "critic_loss": [7.568124139660114, 7.637914440943067, 7.573220091917557],
-        "actor_grad_norm": [99.60491325260703, 125.49089606051538, 25.489764041898123]},
-        4.866031298811318e-09, (
-        "2f707f7c1631345719d4c21885cb7ab98ae7ef24b7797ad9bb23036a30946f7e",
-        "d0eed7f5e1a6c48324d568eaf329e29db28e6b66edc8870d2a00b42db257f8ae",
-        "71ffefa5984f885fe76ec3629e32bf5855e66c57a7a647f26185509a1baa15c2",
-        "268a395bf092c575b984a4bff9a7679c24fa9d78333308ce6b8edcdde9456af5")),
     "lqr": (lqr_env, {"horizon": 3}, {
         "mean_return": [-3.1302877617977973, -3.2142511860446286, -2.296802689893521],
         "critic_loss": [173.8464895614975, 174.3881474456161, 95.59088399407068],

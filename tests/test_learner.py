@@ -7,8 +7,7 @@ import pytest
 
 from mfglearn import learner
 from mfglearn.approx import DivergenceError, GaussianPolicy, Mlp
-from mfglearn.envs import (CongestionReward, EnvError, bimodal_env, congestion_env, demand_env,
-                           lqr_env)
+from mfglearn.envs import CongestionReward, EnvError, congestion_env, demand_env, lqr_env
 from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, fp_update_state, init_train_state,
                               pg_update, rollout, td_update, train)
 from mfglearn.meanfield import GridError, GridSpec, density_at
@@ -294,6 +293,24 @@ def test_each_update_checks_only_the_network_it_steps():
         pg_update(actor_out, log)
 
 
+@pytest.mark.parametrize("update", [td_update, pg_update], ids=["td", "pg"])
+def test_update_on_no_agents_raises_and_changes_nothing(update):
+    # a log of 0 agents used to reach adam_step with no gradients and fail
+    # with a bare TypeError
+    spec = congestion_env()
+    state = fresh_state(spec, hidden=8)
+    train(spec, state, 10, 1, np.random.default_rng(32))   # nonzero Adam moments
+    log = rollout(spec, state, 10, np.random.default_rng(33))
+    nets = [(state.critic, state.critic_opt), (state.actor.mean_net, state.actor_opt)]
+    before = [_network_snapshot(*net) for net in nets]
+    with pytest.raises(ValueError, match="at least one agent"):
+        update(state, log.agents(slice(0, 0)))
+    for was, now in zip(before, [_network_snapshot(*net) for net in nets]):
+        assert was[0] == now[0]
+        for d0, d1 in zip(was[1:], now[1:]):
+            assert all(np.array_equal(d0[k], d1[k]) for k in d0)
+
+
 # --- train loop -----------------------------------------------------------------
 
 def test_train_zero_episodes_leaves_state():
@@ -411,8 +428,7 @@ def test_counts_must_be_ints_not_bools(call, error):
         call(spec, fresh_state(spec), np.random.default_rng(31))
 
 
-@pytest.mark.parametrize("make_env, width", [(demand_env, 3), (congestion_env, 3),
-                                             (bimodal_env, 3), (lqr_env, 2)],
+@pytest.mark.parametrize("make_env, width", [(demand_env, 3), (congestion_env, 3), (lqr_env, 2)],
                          ids=lambda v: getattr(v, "__name__", str(v)))
 def test_critic_width_follows_the_environment(make_env, width):
     spec = make_env()

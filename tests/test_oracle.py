@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from mfglearn import oracle
+from mfglearn import envs, oracle
 from mfglearn.envs import LqrReward, congestion_env, demand_env, lqr_env
 from mfglearn.oracle import (DiscreteMFG, OracleError, _cdf_table, _draw, _joint_states, _Sweeps,
                              best_response, exploitability, fictitious_play, induced_flow,
@@ -897,6 +897,36 @@ def test_lqr_analytic_stationary_moments():
         x = x + u + spec.sigma1 * rng.standard_normal(x.shape)
     assert np.abs(x.mean(axis=0) - sol.mean).max() < 0.01
     assert np.abs(x.var(axis=0).mean() - variance) < 0.15 * variance
+
+
+def test_lqr_analytic_policy_played_through_the_environment_returns_the_exact_value():
+    # ties the oracle's reward convention (the arrival state, 0.5*eta*|u|^2)
+    # to envs.reward: its deterministic policy u = offset - gain x, played for
+    # the horizon through envs' sampler, step and reward, against the exact
+    # mean-and-covariance recursion of the same play
+    spec = lqr_env()
+    sol = lqr_analytic(spec)
+    q, target = spec.reward.q_matrix, np.asarray(spec.reward.target)
+    f = np.eye(2) - sol.gain
+    mean, cov = np.asarray(spec.init_mean), spec.init_std ** 2 * np.eye(2)
+    exact = 0.0
+    for k in range(spec.horizon):
+        u_mean, u_cov = sol.offset - sol.gain @ mean, sol.gain @ cov @ sol.gain.T
+        mean, cov = f @ mean + sol.offset, f @ cov @ f.T + spec.sigma1 ** 2 * np.eye(2)
+        tracking = (mean - target) @ q @ (mean - target) + np.trace(q @ cov)
+        movement = 0.5 * spec.eta * (u_mean @ u_mean + np.trace(u_cov))
+        exact -= spec.gamma ** k * (tracking + movement)
+    assert exact == pytest.approx(-0.89345, abs=5e-6)
+
+    n = 200_000
+    rng = np.random.default_rng(0)
+    x = envs.sample_initial(spec, rng, n)
+    returns, density = np.zeros(n), np.zeros(n)
+    for k in range(spec.horizon):
+        u = sol.offset - x @ sol.gain.T
+        x = envs.step(spec, x, u, rng.standard_normal((n, 2)))
+        returns += spec.gamma ** k * envs.reward(spec, k + 1, x, u, density)
+    assert abs(returns.mean() - exact) < 4.0 * returns.std() / math.sqrt(n)
 
 
 @pytest.mark.parametrize("spec", [congestion_env(), demand_env()], ids=["congestion", "demand"])
