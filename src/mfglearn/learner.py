@@ -17,10 +17,14 @@ will become, then the initial states), move the crowd, then score each step.
 Every network pass, the rollout's actor and both updates, runs over
 consecutive blocks of agents with at most ``UPDATE_BLOCK`` rows each, so the
 hidden layers stay cache-sized and do not grow with N.  One helper serves
-both updates: it walks the log in ascending-agent-id order, adds the
-per-block gradients (and the TD loss) in block order, takes the one Adam
-step and checks the stepped network, so permuting an episode log's agents
-leaves every update bit-identical.
+both updates: it walks the log in ascending-agent-id order, reads only the
+first ``UPDATE_AGENTS`` agents of it, adds the per-block gradients (and the
+TD loss) in block order, takes the one Adam step and checks the stepped
+network, so permuting an episode log's agents leaves every update
+bit-identical.  Agents are i.i.d. given the belief, so the lowest ids are a
+uniform sample, and an update's cost stops growing with N past
+``UPDATE_AGENTS``; the rollout, measures, beliefs and returns still use all
+N agents.
 
 The networks read float32 copies of their rows (the rollout's actor blocks,
 the critic's features and the policy-gradient actor rows) and so run in
@@ -59,6 +63,9 @@ PARAM_LIMIT = 1e6
 # step's actor pass and each update block of td_update and pg_update; each
 # worker of _map_blocks holds one block's activations at a time
 UPDATE_BLOCK = 2048
+# the most agents td_update and pg_update read, the lowest ids of the log
+# (see _adam_over_agent_blocks)
+UPDATE_AGENTS = 2048
 # workers for the blocks: the calling thread plus _WORKERS - 1 pool threads
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
 _pool = None   # the ThreadPoolExecutor of _WORKERS - 1 threads, made on first use
@@ -314,9 +321,14 @@ def _td_errors(state: TrainState, log: EpisodeLog):
 
 def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
     """One Adam step on ``params`` down the sum of ``block_terms(block) ->
-    (grads, value)`` over consecutive blocks of agents of the canonical log,
-    then a check of the stepped network; returns the summed (grads, value).
+    (grads, value)`` over consecutive blocks of the first ``UPDATE_AGENTS``
+    agents of the canonical log, then a check of the stepped network;
+    returns the summed (grads, value).
 
+    Given the belief the agents of one episode are i.i.d., so the lowest ids
+    are a uniform sample: the update costs at most ``UPDATE_AGENTS`` agents'
+    rows whatever N is, draws no random number and selects by a view.  The
+    selection comes before the blocks are cut, so no block reaches past it.
     An agent has T+1 critic rows, so the blocks are :func:`_agent_blocks`
     of T+1 rows per agent.  They run side by side (:func:`_map_blocks`);
     their gradients and values are added in block order.  A log of no
@@ -325,7 +337,8 @@ def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
     T, n = log.rewards.shape
     if n == 0:
         raise ValueError("an update needs a log of at least one agent, got 0")
-    log = _canonical(log)
+    n = min(n, UPDATE_AGENTS)
+    log = _canonical(log).agents(slice(0, n))
     terms = _map_blocks(lambda cols: block_terms(log.agents(cols)), _agent_blocks(n, T + 1))
     grads, total = None, 0.0
     for block_grads, value in terms:
@@ -339,7 +352,8 @@ def _adam_over_agent_blocks(log: EpisodeLog, block_terms, opt, params, rate):
 def td_update(state: TrainState, log: EpisodeLog) -> float:
     """One Adam step on the summed TD(0) loss; returns the pre-update loss.
 
-    The loss and the critic gradient are summed over blocks of agents in
+    The loss and the critic gradient are summed over the lowest-id
+    ``UPDATE_AGENTS`` agents of the log at most, in blocks of agents in
     ascending id order (see :func:`_adam_over_agent_blocks`).
     """
     def block_terms(block):
@@ -358,9 +372,9 @@ def pg_update(state: TrainState, log: EpisodeLog) -> float:
     """Advantage-weighted policy-gradient ascent step; returns the gradient norm.
 
     The advantage is the TD error under the current critic.  The scores are
-    weighted by minus the advantage, so their sum over blocks of agents in
-    ascending id order is the descent direction (see
-    :func:`_adam_over_agent_blocks`).
+    weighted by minus the advantage, so their sum over blocks of the
+    lowest-id ``UPDATE_AGENTS`` agents at most, in ascending id order, is the
+    descent direction (see :func:`_adam_over_agent_blocks`).
     """
     def block_terms(block):
         # only the TD errors are kept: the critic's inputs and hidden layer
@@ -384,8 +398,12 @@ def train(spec: EnvSpec, state: TrainState, n_agents: int, episodes: int, rng):
     """Run the full loop: rollout, belief update, critic update, actor update.
 
     Returns (state, trace, last episode log); the trace is a record array
-    with one row of ``_TRACE_DTYPE`` per episode.  One episode log is alive
-    at a time: the previous one is let go before the next rollout.
+    with one row of ``_TRACE_DTYPE`` per episode.  Its ``mean_return`` and
+    ``belief_drift`` read all ``n_agents``, while ``critic_loss`` and
+    ``actor_grad_norm`` (the norm of a summed gradient) are sums over the
+    updates' at most ``UPDATE_AGENTS`` agents, so they stop growing with N
+    past that size.  One episode log is alive at a time: the previous one is
+    let go before the next rollout.
     Divergence raises DivergenceError carrying the partial trace as its
     ``trace``; ``state`` is trained in place up to the failing episode.
     Calling it k episodes at a time continues the same run, so checkpoints go

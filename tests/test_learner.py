@@ -8,8 +8,8 @@ import pytest
 from mfglearn import learner
 from mfglearn.approx import DivergenceError, GaussianPolicy, Mlp
 from mfglearn.envs import CongestionReward, EnvError, congestion_env, demand_env, lqr_env
-from mfglearn.learner import (UPDATE_BLOCK, Schedules, evaluate, fp_update_state, init_train_state,
-                              pg_update, rollout, td_update, train)
+from mfglearn.learner import (UPDATE_AGENTS, UPDATE_BLOCK, Schedules, evaluate, fp_update_state,
+                              init_train_state, pg_update, rollout, td_update, train)
 from mfglearn.meanfield import GridError, GridSpec, density_at
 
 GRID = GridSpec(resolution=20)
@@ -37,12 +37,17 @@ def kw_id(kw):
 # T = 4 and N = 1,500 give 7,500 critic rows: several update blocks plus a
 # remainder (checked by multi_block_counts)
 MULTI_BLOCK_HORIZON, MULTI_BLOCK_AGENTS = 4, 1500
+# more agents than an update reads: at T = 4 the updates' UPDATE_AGENTS are
+# again several blocks plus a remainder, and blocks cut over all N agents
+# would reach past UPDATE_AGENTS
+PAST_CAP_AGENTS = 2 * UPDATE_AGENTS
 
 
-def multi_block_counts():
-    """(full blocks, agents in the last partial block) of the multi-block case."""
+def multi_block_counts(n):
+    """(full blocks, agents in the last partial block) of an update on n
+    agents at the multi-block horizon."""
     per_block = max(1, UPDATE_BLOCK // (MULTI_BLOCK_HORIZON + 1))
-    return divmod(MULTI_BLOCK_AGENTS, per_block)
+    return divmod(min(n, UPDATE_AGENTS), per_block)
 
 
 # --- schedules ----------------------------------------------------------------
@@ -523,9 +528,7 @@ def test_network_batches_are_float32_and_everything_kept_is_float64(monkeypatch,
 
 def test_update_rows_across_blocks(monkeypatch):
     spec = demand_env(horizon=MULTI_BLOCK_HORIZON)
-    T, n = MULTI_BLOCK_HORIZON, MULTI_BLOCK_AGENTS
-    full, rest = multi_block_counts()
-    assert full >= 3 and rest > 0
+    T = MULTI_BLOCK_HORIZON
     forward_rows, backward = [], []
     forward, backward_pass = Mlp.forward_with_hidden, Mlp.backward
 
@@ -540,34 +543,46 @@ def test_update_rows_across_blocks(monkeypatch):
 
     monkeypatch.setattr(Mlp, "forward_with_hidden", forward_spy)
     monkeypatch.setattr(Mlp, "backward", backward_spy)
-    train(spec, fresh_state(spec, hidden=8), n, 1, np.random.default_rng(26))
-    # rollout actor TN, critic (T+1)N in each update, actor TN in pg_update
-    assert sum(forward_rows) == 2 * (T + 1) * n + 2 * T * n
-    assert sum(rows for rows, _, _ in backward) == (T + 1) * n + T * n
-    assert sum(zero for _, zero, _ in backward) == n   # the critic's terminal rows
-    assert all(cached for _, _, cached in backward)
-    assert len(backward) == 2 * (full + 1)   # one critic and one actor backward per block
+    for n in (MULTI_BLOCK_AGENTS, PAST_CAP_AGENTS):
+        m = min(n, UPDATE_AGENTS)   # the agents an update reads
+        full, rest = multi_block_counts(n)
+        assert full >= 3 and rest > 0
+        forward_rows.clear()
+        backward.clear()
+        train(spec, fresh_state(spec, hidden=8), n, 1, np.random.default_rng(26))
+        # rollout actor TN, critic (T+1)M in each update, actor TM in pg_update
+        assert sum(forward_rows) == T * n + 2 * (T + 1) * m + T * m
+        assert sum(rows for rows, _, _ in backward) == (T + 1) * m + T * m
+        assert sum(zero for _, zero, _ in backward) == m   # the critic's terminal rows
+        assert all(cached for _, _, cached in backward)
+        assert len(backward) == 2 * (full + 1)   # one critic and one actor backward per block
 
 
 def test_updates_bit_identical_under_agent_permutation():
-    # one update block, then several blocks plus a remainder
+    # one update block, several blocks plus a remainder, and more agents than
+    # an update reads: there the lowest-id UPDATE_AGENTS alone give the same bits
     cases = [(congestion_env(reward=CongestionReward(alpha=1.5)), 100, {}),
-             (demand_env(horizon=MULTI_BLOCK_HORIZON), MULTI_BLOCK_AGENTS, {"hidden": 8})]
+             (demand_env(horizon=MULTI_BLOCK_HORIZON), MULTI_BLOCK_AGENTS, {"hidden": 8}),
+             (demand_env(horizon=MULTI_BLOCK_HORIZON), PAST_CAP_AGENTS, {"hidden": 8})]
     for spec, n, kw in cases:
         state = fresh_state(spec, **kw)
         log = rollout(spec, state, n, np.random.default_rng(18))
         perm = np.random.default_rng(19).permutation(n)
-        shuffled = log.agents(perm)
+        logs = [log, log.agents(perm)]
+        if n > UPDATE_AGENTS:
+            logs.append(learner._canonical(log).agents(slice(0, UPDATE_AGENTS)))
 
-        s1, s2 = copy.deepcopy(state), copy.deepcopy(state)
-        td_update(s1, log)
-        pg_update(s1, log)
-        td_update(s2, shuffled)
-        pg_update(s2, shuffled)
-        for k in s1.critic.params:
-            assert np.array_equal(s1.critic.params[k], s2.critic.params[k])
-        for k in s1.actor.mean_net.params:
-            assert np.array_equal(s1.actor.mean_net.params[k], s2.actor.mean_net.params[k])
+        results = []
+        for each in logs:
+            s = copy.deepcopy(state)
+            results.append((td_update(s, each), pg_update(s, each), s))
+        loss, norm, s1 = results[0]
+        for other_loss, other_norm, s2 in results[1:]:
+            assert other_loss == loss and other_norm == norm
+            for k in s1.critic.params:
+                assert np.array_equal(s1.critic.params[k], s2.critic.params[k])
+            for k in s1.actor.mean_net.params:
+                assert np.array_equal(s1.actor.mean_net.params[k], s2.actor.mean_net.params[k])
 
 
 def test_episode_log_agents_views_a_slice_and_copies_an_index_array():
