@@ -32,6 +32,18 @@ def as_floats(values, what: str, error) -> np.ndarray:
         raise error("%s must be an array of numbers" % what) from None
 
 
+def check_points(values, what: str, error) -> np.ndarray:
+    """``values`` as a float (n, 2) array of finite points, or ``error`` for
+    any other shape, one (2,) point included, or for an entry that is not a
+    finite number."""
+    arr = as_floats(values, what, error)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise error("%s must be an (n, 2) batch, got shape %r" % (what, arr.shape))
+    if not np.isfinite(arr).all():
+        raise error("%s must be finite" % what)
+    return arr
+
+
 def check_count(value, what: str, error, least: int = 1):
     if not is_count(value, least):
         raise error("%s must be an int >= %d, got %r" % (what, least, value))

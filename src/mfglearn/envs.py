@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_floats, check_count, check_positive, check_real, is_real
+from ._checks import as_floats, check_count, check_points, check_positive, check_real, is_real
 
 
 class EnvError(ValueError):
@@ -72,8 +72,8 @@ def _pairs(entries, what: str) -> list:
 def _crowded_peak(x, density, centre, spread, alpha):
     """L(x) / (1+m)^alpha for the isotropic Gaussian peak
     L(x) = exp(-|x-centre|^2/spread) / (2*pi*spread) and the density m."""
-    pts = np.asarray(x, dtype=float)
-    m = np.asarray(density, dtype=float)
+    pts = as_floats(x, "states", EnvError)
+    m = as_floats(density, "density", EnvError)
     if not np.all(np.isfinite(m) & (m >= 0.0)):
         raise EnvError("density must be finite and >= 0")
     d0 = pts[..., 0] - centre[0]
@@ -173,7 +173,7 @@ class LqrReward:
         return np.array(self.q)
 
     def __call__(self, t, x, density):
-        d = np.asarray(x, dtype=float) - self.target
+        d = as_floats(x, "states", EnvError) - self.target
         return -np.einsum("...i,ij,...j->...", d, self.q_matrix, d)
 
 
@@ -214,17 +214,6 @@ class EnvSpec:
         return self.reward.uses_density
 
 
-def _batch(values, what: str) -> np.ndarray:
-    """``values`` as a float (n, 2) array, or EnvError for any other shape,
-    one (2,) point included, or for an entry that is not a finite number."""
-    arr = as_floats(values, what, EnvError)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise EnvError("%s must be an (n, 2) batch, got shape %r" % (what, arr.shape))
-    if not np.all(np.isfinite(arr)):
-        raise EnvError("non-finite state/action: %s must be finite" % what)
-    return arr
-
-
 def step(spec: EnvSpec, x, u, noise):
     """One linear-Gaussian transition: x + u + sigma1*noise.
 
@@ -233,9 +222,9 @@ def step(spec: EnvSpec, x, u, noise):
     anything else raises EnvError.  ``noise`` is a standard-normal draw
     supplied by the caller, so the map is deterministic given its arguments.
     """
-    xx = _batch(x, "states")
-    uu = _batch(u, "actions")
-    nn = _batch(noise, "noise")
+    xx = check_points(x, "states", EnvError)
+    uu = check_points(u, "actions", EnvError)
+    nn = check_points(noise, "noise", EnvError)
     if not xx.shape == uu.shape == nn.shape:
         raise EnvError("states %r, actions %r and noise %r differ in shape"
                        % (xx.shape, uu.shape, nn.shape))
@@ -249,8 +238,8 @@ def reward(spec: EnvSpec, t, x, u, density):
     densities at x; any other shape, or a non-finite state or action,
     raises EnvError.  The result is (n,).
     """
-    xx = _batch(x, "states")
-    uu = _batch(u, "actions")
+    xx = check_points(x, "states", EnvError)
+    uu = check_points(u, "actions", EnvError)
     if uu.shape != xx.shape:
         raise EnvError("states %r and actions %r differ in shape" % (xx.shape, uu.shape))
     dens = as_floats(density, "density", EnvError)

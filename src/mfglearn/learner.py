@@ -36,9 +36,11 @@ weights.
 Agents are independent given the mean field, so the blocks of one pass run
 on every core the process may use: the calling thread and a pool of helper
 threads each take one block at a time (numpy's kernels release the
-interpreter lock).  One block of activations is alive per worker; an
-update keeps each block's parameter-sized gradient until its last block is
-done (about 3 KB per block at width 64).  The blocks and the order their
+interpreter lock).  They share no lock: each runs its share of the blocks
+to its own first failure, and the earliest failing block's error is raised,
+as a plain loop would raise it.  One block of activations is alive per
+worker; an update keeps each block's parameter-sized gradient until its
+last block is done (about 3 KB per block at width 64).  The blocks and the order their
 results are added in do not depend on the number of workers, so neither
 does any result.
 """
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -182,36 +183,32 @@ def _map_blocks(fn, items) -> list:
     Worker j takes items j, j + W, j + 2W, ... in turn; worker 0 is the
     calling thread and the others come from a module thread pool, made only
     when W > 1.  The results come back in item order, so a caller that
-    reduces them in that order gets the same floats for any W.  For every W,
-    when fn raises, no later item starts, every item that did start is
-    waited for, and the error of the earliest failing item is raised.
+    reduces them in that order gets the same floats for any W.  Each worker
+    stops at its own first failing item; once every helper is done, the
+    failure with the smallest index is raised.  Every item before a
+    worker's first failure passed, so that is the error a plain loop raises.
     """
     items = list(items)
     workers = max(1, min(_WORKERS, len(items)))
     results = [None] * len(items)
-    errors = {}
-    lock = threading.Lock()
 
     def run_share(first):
+        """(index, error) of this share's first failing item, or (len(items), None)."""
         for i in range(first, len(items), workers):
-            with lock:
-                if errors and i > min(errors):
-                    return
             try:
                 results[i] = fn(items[i])
             except Exception as err:
-                with lock:
-                    errors[i] = err
-                return
+                return i, err
+        return len(items), None
 
     helpers = [_helper_pool().submit(run_share, j) for j in range(1, workers)]
     try:
-        run_share(0)
+        own = run_share(0)
     finally:
-        for helper in helpers:
-            helper.result()   # waits; run_share keeps what fn raises in ``errors``
-    if errors:
-        raise errors[min(errors)]
+        shares = [helper.result() for helper in helpers]   # waits for every helper
+    _, error = min([own] + shares, key=lambda share: share[0])
+    if error is not None:
+        raise error
     return results
 
 

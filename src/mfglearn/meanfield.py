@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import as_floats, check_count, is_real
+from ._checks import as_floats, check_count, check_points, is_real
 
 MASS_TOL = 1e-9
 
@@ -66,11 +66,7 @@ class GridSpec:
         other shape, one (2,) point included, and non-finite points raise
         GridError, as do entries that are not numbers.
         """
-        pts = as_floats(points, "points", GridError)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise GridError("points must be (n, 2), got shape %r" % (pts.shape,))
-        if not np.isfinite(pts).all():
-            raise GridError("points must be finite")
+        pts = check_points(points, "points", GridError)
         top = self.resolution - 1
         return (_clamped_bins(pts[:, 0], self.x_min, self.x_max, self.bin_width, top),
                 _clamped_bins(pts[:, 1], self.y_min, self.y_max, self.bin_height, top))

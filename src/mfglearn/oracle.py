@@ -80,10 +80,10 @@ def _reward_table(game, s, mass) -> np.ndarray:
     """The reward of every action at each (state, mass) pair, as a read-only
     float (..., A) array: one ``game.reward`` call on the (..., 1) column of
     masses ``mass``, the column of states ``s`` that broadcasts against it,
-    and the (A,) actions.  A result that does not broadcast to (..., A), or
-    that holds a NaN or infinite entry, raises OracleError."""
+    and the (A,) actions.  A result of non-numbers, one that does not
+    broadcast to (..., A), or one with a NaN or infinite entry raises OracleError."""
     shape = mass.shape[:-1] + (game.n_actions,)
-    reward = np.asarray(game.reward(s, mass, np.arange(game.n_actions)), dtype=float)
+    reward = as_floats(game.reward(s, mass, np.arange(game.n_actions)), "reward", OracleError)
     try:
         table = np.broadcast_to(reward, shape)
     except ValueError:
@@ -134,11 +134,11 @@ class DiscreteMFG:
         """L(s, flow(s), a) for all s, a as a read-only (..., S, A) array.
 
         ``flow`` is one (S,) marginal or any stack of them, such as the
-        (T, K, S) flows of one backward sweep; a flow whose last axis is not
-        S long raises OracleError.  The reward is called once, with s of
-        shape (S, 1) and mass of shape (..., S, 1).
+        (T, K, S) flows of one backward sweep; a flow of non-numbers, or whose
+        last axis is not S long, raises OracleError.  The reward is called
+        once, with s of shape (S, 1) and mass of shape (..., S, 1).
         """
-        flow = np.asarray(flow, dtype=float)
+        flow = as_floats(flow, "flow", OracleError)
         if flow.shape[-1:] != (self.n_states,):
             raise OracleError("flow of shape %r does not end in the %d states"
                               % (flow.shape, self.n_states))
@@ -152,7 +152,7 @@ def uniform_policy(game: DiscreteMFG) -> np.ndarray:
 def _check_flow(game: DiscreteMFG, flow) -> np.ndarray:
     """Validate one (T+1, S) flow and return it as floats.  Every row must be
     a distribution over states; NaN entries fail both tests."""
-    flow = np.asarray(flow, dtype=float)
+    flow = as_floats(flow, "flow", OracleError)
     if flow.shape != (game.horizon + 1, game.n_states):
         raise OracleError("flow shape %r" % (flow.shape,))
     if not (np.all(flow >= -PROB_TOL) and np.all(np.abs(flow.sum(axis=1) - 1.0) <= 1e-9)):
@@ -163,7 +163,7 @@ def _check_flow(game: DiscreteMFG, flow) -> np.ndarray:
 def _check_policy(game: DiscreteMFG, policy) -> np.ndarray:
     """Validate one (T, S, A) policy and return it as floats.  Every row must
     be a distribution over actions; NaN entries fail both tests."""
-    policy = np.asarray(policy, dtype=float)
+    policy = as_floats(policy, "policy", OracleError)
     shape = (game.horizon, game.n_states, game.n_actions)
     if policy.shape != shape:
         raise OracleError("policy shape %r, expected %r" % (policy.shape, shape))

@@ -34,23 +34,27 @@ def test_step_arithmetic():
 
 def test_step_rejects_non_finite():
     spec = congestion_env()
-    with pytest.raises(EnvError, match="non-finite state/action"):
+    with pytest.raises(EnvError, match="states must be finite"):
         step(spec, [[np.nan, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]])
-    with pytest.raises(EnvError, match="non-finite state/action"):
+    with pytest.raises(EnvError, match="actions must be finite"):
         step(spec, [[0.0, 0.0]], [[np.inf, 0.0]], [[0.0, 0.0]])
 
 
 # reward and its movement cost used to return NaN or -inf for these; a None
 # entry becomes NaN on the float cast
-@pytest.mark.parametrize("call", [
-    lambda: reward(congestion_env(eta=1.0), 1, np.zeros((1, 2)), [[None, 1.0]], [0.0]),
-    lambda: reward(congestion_env(), 1, np.zeros((1, 2)), [[np.inf, 0.0]], [0.0]),
-    lambda: reward(congestion_env(), 1, [[np.nan, 0.0]], np.zeros((1, 2)), [0.0]),
-    lambda: reward(lqr_env(), 1, [[0.0, np.nan]], np.zeros((1, 2)), [0.0]),
+@pytest.mark.parametrize("call, message", [
+    (lambda: reward(congestion_env(eta=1.0), 1, np.zeros((1, 2)), [[None, 1.0]], [0.0]),
+     "actions must be finite"),
+    (lambda: reward(congestion_env(), 1, np.zeros((1, 2)), [[np.inf, 0.0]], [0.0]),
+     "actions must be finite"),
+    (lambda: reward(congestion_env(), 1, [[np.nan, 0.0]], np.zeros((1, 2)), [0.0]),
+     "states must be finite"),
+    (lambda: reward(lqr_env(), 1, [[0.0, np.nan]], np.zeros((1, 2)), [0.0]),
+     "states must be finite"),
 ], ids=["movement cost None action", "congestion inf action", "congestion nan state",
         "lqr nan state"])
-def test_movement_cost_and_reward_reject_non_finite(call):
-    with pytest.raises(EnvError, match="non-finite state/action"):
+def test_movement_cost_and_reward_reject_non_finite(call, message):
+    with pytest.raises(EnvError, match=message):
         call()
 
 
@@ -112,6 +116,20 @@ def test_reward_takes_batches_of_one_length(case):
     make_env, args, message = _BAD_REWARD_INPUTS[case]
     with pytest.raises(EnvError, match=message):
         reward(make_env(), 1, *args)
+
+
+# the reward objects are callable on their own; a string used to reach
+# numpy's float cast and raise its bare ValueError
+@pytest.mark.parametrize("call, message", [
+    (lambda: CongestionReward()(1, [["a", "b"]], [0.0]), "states must be an array of numbers"),
+    (lambda: CongestionReward()(1, _ROW, ["a"]), "density must be an array of numbers"),
+    (lambda: DemandReward()(1, [["a", "b"]], [0.0]), "states must be an array of numbers"),
+    (lambda: DemandReward()(1, _ROW, ["a"]), "density must be an array of numbers"),
+    (lambda: LqrReward()(1, [["a", "b"]], [0.0]), "states must be an array of numbers"),
+], ids=["congestion state", "congestion density", "demand state", "demand density", "lqr state"])
+def test_reward_objects_reject_strings(call, message):
+    with pytest.raises(EnvError, match=message):
+        call()
 
 
 def test_congestion_peak_value():

@@ -1,8 +1,11 @@
 """The learner runs its agent blocks on several threads (``_map_blocks``).
 
-No result may depend on how many threads there are, and a block that raises
-must leave no thread still working on the episode when the error reaches
-the caller.  The worker count is forced through the private module value.
+No result may depend on how many threads there are.  Each worker runs its
+share of the items until its own first failing item; the caller waits for
+every worker and then raises the error of the earliest failing item, the
+one a plain loop would raise, so no block is still running when that error
+reaches the caller.  The worker count is forced through the private module
+value.
 """
 
 import sys
@@ -100,20 +103,41 @@ def test_map_blocks_raises_the_earliest_error_after_every_started_item(monkeypat
         assert running == []
 
 
-def test_map_blocks_starts_no_item_after_a_failed_one(monkeypatch):
-    for workers in (2, 1):
-        monkeypatch.setattr(learner, "_WORKERS", workers)
-        started = []
+def _record_starts(monkeypatch, failing):
+    """Force two workers and return (fn, started): fn(i) records i with
+    whether it ran on the calling thread, then raises EnvError("item i")
+    when i is in ``failing``."""
+    monkeypatch.setattr(learner, "_WORKERS", 2)
+    started, lock = [], threading.Lock()
 
-        def fn(i):
-            started.append(i)
-            if i == 0:
-                raise EnvError("item 0")
-            time.sleep(0.05)   # item 0 has failed before this item ends
+    def fn(i):
+        with lock:
+            started.append((i, threading.current_thread() is threading.main_thread()))
+        if i in failing:
+            raise EnvError("item %d" % i)
+        time.sleep(0.01)
+        return i
 
-        with pytest.raises(EnvError, match="item 0"):
-            _map_blocks(fn, range(10))
-        assert sorted(started) in ([0], [0, 1])   # item 1 may start before item 0 fails
+    return fn, started
+
+
+def test_map_blocks_runs_each_share_to_its_own_first_failure(monkeypatch):
+    # item 0 fails on the calling thread: the caller starts nothing more, and
+    # the helper, which shares no error record with it, runs its whole share
+    fn, started = _record_starts(monkeypatch, {0})
+    with pytest.raises(EnvError, match="item 0$"):
+        _map_blocks(fn, range(10))
+    assert [i for i, caller in started if caller] == [0]
+    assert [i for i, caller in started if not caller] == [1, 3, 5, 7, 9]
+
+
+def test_map_blocks_raises_the_helpers_earlier_failure(monkeypatch):
+    # the helper's item 1 and the caller's item 2 both fail; item 1 is earlier
+    fn, started = _record_starts(monkeypatch, {1, 2})
+    with pytest.raises(EnvError, match="item 1$"):
+        _map_blocks(fn, range(10))
+    assert [i for i, caller in started if caller] == [0, 2]
+    assert [i for i, caller in started if not caller] == [1]
 
 
 def test_map_blocks_under_frequent_thread_switches(monkeypatch):

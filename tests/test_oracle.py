@@ -144,6 +144,23 @@ def test_reward_table_rejects_non_finite_reward(make):
             solver(game, flow, policy)
 
 
+# a string flow or reward used to reach numpy's float cast and raise its bare ValueError
+def test_reward_table_rejects_a_flow_that_is_not_numbers():
+    with pytest.raises(OracleError, match="flow must be an array of numbers"):
+        ring_game().reward_table(["a", "b", "c", "d"])
+
+
+def test_solvers_reject_a_reward_that_is_not_numbers():
+    game = dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), "a"))
+    policy = uniform_policy(game)
+    flow = induced_flow(game, policy)
+    with pytest.raises(OracleError, match="reward must be an array of numbers"):
+        game.reward_table(flow[:game.horizon])
+    for solver in _REWARD_CALLERS.values():
+        with pytest.raises(OracleError, match="reward must be an array of numbers"):
+            solver(game, flow, policy)
+
+
 @pytest.mark.parametrize("reward", [None, 1.0, np.zeros((4, 2))], ids=["None", "number", "array"])
 def test_game_rejects_a_reward_that_is_not_callable(reward):
     with pytest.raises(OracleError, match="reward must be callable"):
@@ -307,8 +324,11 @@ def _malformed_policies():
     off_sum[3, 5, 1] += 1e-9
     not_a_number = uniform.copy()
     not_a_number[0, 0] = np.nan
+    ragged = uniform.tolist()
+    ragged[2][3] = [1.0]
     return {"no time axis": np.full((6, 2), 0.5), "stacked": uniform[None],
-            "negative entry": negative, "row sum off": off_sum, "nan entry": not_a_number}
+            "negative entry": negative, "row sum off": off_sum, "nan entry": not_a_number,
+            "strings": [[["a", "b"]] * 6] * 4, "ragged": ragged}
 
 
 _POLICY_ENTRY_POINTS = {
@@ -341,8 +361,11 @@ def _malformed_flows():
     off_sum[4, 1] += 1e-8
     not_a_number = uniform.copy()
     not_a_number[1, 3] = np.nan
+    ragged = uniform.tolist()
+    ragged[1] = [0.5, 0.5]
     return {"no time axis": np.full(4, 0.25), "stacked": uniform[None],
-            "negative entry": negative, "row sum off": off_sum, "nan entry": not_a_number}
+            "negative entry": negative, "row sum off": off_sum, "nan entry": not_a_number,
+            "strings": [["a"] * 4] * 5, "ragged": ragged}
 
 
 _FLOW_ENTRY_POINTS = {
