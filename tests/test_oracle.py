@@ -101,18 +101,23 @@ _REWARD_CALLERS = {
 }
 
 
+def _every_reward_caller_raises(game, message):
+    """``game.reward_table`` and every solver of ``_REWARD_CALLERS`` raise
+    OracleError matching ``message`` on ``game``'s uniform policy and its flow."""
+    policy = uniform_policy(game)
+    flow = induced_flow(game, policy)
+    with pytest.raises(OracleError, match=message):
+        game.reward_table(flow[:game.horizon])
+    for solver in _REWARD_CALLERS.values():
+        with pytest.raises(OracleError, match=message):
+            solver(game, flow, policy)
+
+
 @pytest.mark.parametrize("bad", [lambda s, m, a: np.zeros(7),
                                  lambda s, m, a: np.zeros((4, 2, 2)),
                                  lambda s, m, a: np.zeros((3, 1, 1, 1, 1))])
 def test_reward_table_rejects_non_broadcasting_reward(bad):
-    game = dataclasses.replace(ring_game(), reward=bad)
-    policy = uniform_policy(game)
-    flow = induced_flow(game, policy)
-    with pytest.raises(OracleError, match="broadcast"):
-        game.reward_table(flow[:game.horizon])
-    for solver in _REWARD_CALLERS.values():
-        with pytest.raises(OracleError, match="broadcast"):
-            solver(game, flow, policy)
+    _every_reward_caller_raises(dataclasses.replace(ring_game(), reward=bad), "broadcast")
 
 
 def _nan_weight(s, m, a):
@@ -134,14 +139,7 @@ def _nan_when_crowded(s, m, a):
     lambda: dataclasses.replace(two_state_congestion(3), reward=_nan_when_crowded),
 ], ids=["nan", "inf", "-inf", "nan weight", "nan when crowded"])
 def test_reward_table_rejects_non_finite_reward(make):
-    game = make()
-    policy = uniform_policy(game)
-    flow = induced_flow(game, policy)
-    with pytest.raises(OracleError, match="reward must be finite"):
-        game.reward_table(flow[:game.horizon])
-    for solver in _REWARD_CALLERS.values():
-        with pytest.raises(OracleError, match="reward must be finite"):
-            solver(game, flow, policy)
+    _every_reward_caller_raises(make(), "reward must be finite")
 
 
 # a string flow or reward used to reach numpy's float cast and raise its bare ValueError
@@ -152,13 +150,7 @@ def test_reward_table_rejects_a_flow_that_is_not_numbers():
 
 def test_solvers_reject_a_reward_that_is_not_numbers():
     game = dataclasses.replace(ring_game(), reward=lambda s, m, a: np.full(np.shape(m), "a"))
-    policy = uniform_policy(game)
-    flow = induced_flow(game, policy)
-    with pytest.raises(OracleError, match="reward must be an array of numbers"):
-        game.reward_table(flow[:game.horizon])
-    for solver in _REWARD_CALLERS.values():
-        with pytest.raises(OracleError, match="reward must be an array of numbers"):
-            solver(game, flow, policy)
+    _every_reward_caller_raises(game, "reward must be an array of numbers")
 
 
 @pytest.mark.parametrize("reward", [None, 1.0, np.zeros((4, 2))], ids=["None", "number", "array"])
